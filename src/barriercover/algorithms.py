@@ -24,9 +24,11 @@ covered only when no virtual sensor was needed.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .model import (
     Domain,
@@ -130,6 +132,22 @@ class Gap:
             raise ParameterError(f"gap needs u < v, got [{self.u}, {self.v}]")
 
 
+def _target_spans(
+    intervals: Sequence[ProjectedInterval], xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per interval, the first target it covers and one past the last,
+    as indices into the sorted targets ``xs``."""
+    us = np.array([iv.u for iv in intervals], dtype=float)
+    vs = np.array([iv.v for iv in intervals], dtype=float)
+    return np.searchsorted(xs, us, "left"), np.searchsorted(xs, vs, "right")
+
+
+def _depth(first: np.ndarray, last: np.ndarray, m: int) -> np.ndarray:
+    """How many of the target ranges [first, last) cover each of m targets."""
+    step = np.bincount(first, minlength=m + 1) - np.bincount(last, minlength=m + 1)
+    return np.cumsum(step[:-1])
+
+
 def augment_with_gap_sensors(
     field: SensorField, targets: TargetSet, k: int
 ) -> SensorField:
@@ -146,99 +164,164 @@ def augment_with_gap_sensors(
     m = len(xs)
     if m == 0:
         return field
-    cov = [0] * (m + 1)
-    for iv in field.intervals:
-        lo = bisect_left(xs, iv.u)
-        hi = bisect_right(xs, iv.v)
-        if lo < hi:
-            cov[lo] += 1
-            cov[hi] -= 1
-    for i in range(1, m):
-        cov[i] += cov[i - 1]
+    cov = _depth(*_target_spans(field.intervals, np.asarray(xs)), m)
+    short = np.flatnonzero(cov < k)
     spans: list[tuple[float, float]] = []
-    i = 0
-    while i < m:
-        if cov[i] >= k:
-            i += 1
-            continue
-        j = i
-        worst = cov[i]
-        while j + 1 < m and cov[j + 1] < k:
-            j += 1
-            worst = min(worst, cov[j])
-        spans.extend([(xs[i], xs[j])] * (k - worst))
-        i = j + 1
+    for run in np.split(short, np.flatnonzero(np.diff(short) > 1) + 1):
+        if run.size:
+            worst = int(cov[run].min())
+            spans.extend([(xs[run[0]], xs[run[-1]])] * (k - worst))
     augmented, _ = field.with_virtual(spans)
     return augmented
 
 
-def _select_over_targets(
-    intervals: Sequence[ProjectedInterval],
-    xs: Sequence[float],
-    need: Sequence[int],
-    used: set[int],
-    record_trace: bool,
-) -> tuple[list[int], list[SelectionStep], int]:
-    """One greedy pass covering the targets listed in ``need``.
+class _Frontier:
+    """The frontier rule over one interval table sorted by u.
 
-    ``need`` holds sorted indices into ``xs``. Candidates at each step are
-    the unused intervals covering the frontier target; the winner covers
-    the most needed targets to the right, then the most needed targets in
-    total, then has the lowest field index. Raises if a needed target is
-    coverable by nothing, which augmentation rules out.
+    A table position is a candidate at frontier f when u <= f < v. The
+    winner reaches furthest, then spans longest, then has the lowest
+    position. With u non-decreasing, the first maximum of v among the
+    positions with u <= f is exactly that winner: among equal reaches the
+    first has the smallest u, so the longest span, then the lowest
+    position. Each step is therefore one bisection plus a lookup in
+    prefix tables:
+
+    * ``best[i]`` and ``arg[i]``: the furthest reach over positions 0..i
+      and the first position holding it;
+    * ``second[i]``: the furthest reach over positions 0..i other than
+      ``arg[i]``, for walks with one position removed;
+    * ``nxt[i]``: the first position at or after i with positive extent,
+      where coverage resumes after a virtual bridge.
+
+    The same table serves coordinates (continuous cover and mending) and
+    target indices (the discrete rounds), where an interval's u and v are
+    the first needed target it covers and one past the last.
     """
-    need_xs = [xs[i] for i in need]
-    chosen_ids: list[int] = []
+
+    def __init__(self, us: Sequence, vs: Sequence, ids: Sequence) -> None:
+        # us, vs and ids are kept as given, so that reaches and ids come
+        # back as the caller's own objects; the prefix tables are arrays
+        self.us, self.vs, self.ids = us, vs, ids
+        self.m = m = len(us)
+        u = np.asarray(us)
+        v = np.asarray(vs)
+        self.best = np.maximum.accumulate(v)
+        before = np.concatenate(([-np.inf], self.best))[:-1]
+        new = v > before
+        self.arg = np.maximum.accumulate(np.where(new, np.arange(m), 0))
+        # a new maximum hands the old one down as runner-up; every earlier
+        # reach is at most that, so a plain running maximum suffices
+        self.second = np.maximum.accumulate(np.where(new, before, v))
+        starts = np.where(v > u, np.arange(m), m)
+        self.nxt = np.append(np.minimum.accumulate(starts[::-1])[::-1], m)
+        # candidate listing for traces: the positions with u <= f < v for
+        # the last f asked about, and how far the table has been entered
+        self._listed_at = -np.inf
+        self._entered = 0
+        self._active: list[int] = []
+
+    @classmethod
+    def over(cls, intervals: Sequence[ProjectedInterval]) -> "_Frontier":
+        return cls(
+            [iv.u for iv in intervals],
+            [iv.v for iv in intervals],
+            [iv.sensor_id for iv in intervals],
+        )
+
+    def step(self, f, end) -> tuple[int, float]:
+        """The winner at f and its reach; winner -1 is a virtual bridge.
+
+        A bridge spans from f to where the next positive-extent interval
+        starts, or to ``end`` when that is sooner or there is none.
+        """
+        pos = bisect_right(self.us, f)
+        if pos and self.best.item(pos - 1) > f:
+            winner = self.arg.item(pos - 1)
+            return winner, self.vs[winner]
+        p = self.nxt.item(pos)
+        return -1, min(self.us[p], end) if p < self.m else end
+
+    def walk(self, f, end) -> Iterator[tuple[float, int, float]]:
+        """(frontier, winner, reach) for each step from f until end is covered."""
+        while f < end:
+            winner, reach = self.step(f, end)
+            yield f, winner, reach
+            f = reach
+
+    def step_without(self, f, end, skip: int) -> tuple[float, bool]:
+        """The reach of one step from f as if position ``skip`` were absent,
+        and whether a real interval made it."""
+        pos = bisect_right(self.us, f)
+        if pos:
+            table = self.second if self.arg.item(pos - 1) == skip else self.best
+            if table.item(pos - 1) > f:
+                return table.item(pos - 1), True
+        p = self.nxt.item(pos)
+        if p == skip:
+            p = self.nxt.item(p + 1)
+        return (min(self.us[p], end) if p < self.m else end), False
+
+    def candidates(self, f) -> tuple[int, ...]:
+        """Sorted ids of the candidates at f, for traces.
+
+        The list is kept incrementally while f grows; a frontier that moves
+        back, as at the start of the next gap in a mend, rebuilds it once.
+        """
+        if f < self._listed_at:
+            self._entered = 0
+            self._active = []
+        self._listed_at = f
+        us, vs = self.us, self.vs
+        active = [i for i in self._active if vs[i] > f]
+        i = self._entered
+        while i < self.m and us[i] <= f:
+            if vs[i] > f:
+                active.append(i)
+            i += 1
+        self._entered = i
+        self._active = active
+        return tuple(sorted(int(self.ids[i]) for i in active))
+
+
+def _cover(
+    frontier: _Frontier,
+    stretches: Iterable[tuple[float, float]],
+    selected: list[int],
+    virtual_spans: dict[int, tuple[float, float]],
+    next_vid: int,
+    record_trace: bool,
+) -> SelectionResult:
+    """Walk the frontier across each stretch, adding winners to ``selected``.
+
+    Winners already selected are not added twice. Where nothing covers the
+    frontier, a virtual sensor with the next free id bridges the hole.
+    ``comparisons`` counts one per table entry plus one per step.
+    """
+    chosen = set(selected)
     steps: list[SelectionStep] = []
-    comparisons = 0
-    pos = 0
-    ptr = 0
-    active: list[int] = []
-    n = len(intervals)
-    while pos < len(need_xs):
-        x = need_xs[pos]
-        while ptr < n and intervals[ptr].u <= x:
-            active.append(ptr)
-            ptr += 1
-        kept: list[int] = []
-        best_key: tuple[int, int, int] | None = None
-        best_idx = -1
-        best_hi = -1
-        for idx in active:
-            iv = intervals[idx]
-            if iv.v < x or iv.sensor_id in used:
-                continue
-            kept.append(idx)
+    comparisons = frontier.m
+    for start, end in stretches:
+        for f, winner, reach in frontier.walk(start, end):
             comparisons += 1
-            hi = bisect_right(need_xs, iv.v)
-            right = hi - pos
-            total = hi - bisect_left(need_xs, iv.u)
-            key = (right, total, -idx)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_idx = idx
-                best_hi = hi
-        active = kept
-        if best_key is None:
-            raise RuntimeError(
-                f"no sensor covers target at x={x}; field was not augmented"
-            )
-        chosen = intervals[best_idx]
-        if record_trace:
-            steps.append(
-                SelectionStep(
-                    current_target=need[pos],
-                    candidate_ids=tuple(
-                        sorted(intervals[i].sensor_id for i in kept)
-                    ),
-                    chosen_id=chosen.sensor_id,
-                    reach=need[best_hi - 1],
-                )
-            )
-        chosen_ids.append(chosen.sensor_id)
-        used.add(chosen.sensor_id)
-        pos = best_hi
-    return chosen_ids, steps, comparisons
+            if winner < 0:
+                sid = next_vid
+                next_vid += 1
+                virtual_spans[sid] = (f, reach)
+            else:
+                sid = frontier.ids[winner]
+            if record_trace:
+                steps.append(SelectionStep(f, frontier.candidates(f), sid, reach))
+            if sid not in chosen:
+                selected.append(sid)
+                chosen.add(sid)
+    return SelectionResult(
+        selected_ids=tuple(selected),
+        virtual_ids=tuple(virtual_spans),
+        virtual_spans=virtual_spans,
+        trace=tuple(steps),
+        fully_covered=not virtual_spans,
+        comparisons=comparisons,
+    )
 
 
 def k_oga(
@@ -253,7 +336,10 @@ def k_oga(
     Runs k rounds of the frontier greedy. Round s covers the targets whose
     coverage multiplicity from all previous rounds is still below s, using
     only sensors not yet selected; overlap from earlier rounds counts, so
-    later rounds can skip incidentally covered targets.
+    later rounds can skip incidentally covered targets. At each step the
+    candidates are the unused sensors covering the leftmost needed target;
+    the winner covers the most needed targets to the right, then the most
+    needed targets in total, then has the lowest field index.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -263,29 +349,50 @@ def k_oga(
         raise ParameterError("targets must be non-empty")
     augmented = augment_with_gap_sensors(field, targets, k)
     virtual_all = {s.id: s.span for s in augmented.sensors if s.virtual}
-    xs = targets.xs
-    m = len(xs)
-    cov = [0] * m
-    used: set[int] = set()
+    intervals = augmented.intervals
+    xs = np.asarray(targets.xs)
+    first, last = _target_spans(intervals, xs)
+    ids = np.array([iv.sensor_id for iv in intervals], dtype=np.int64)
+    cov = np.zeros(len(xs), dtype=np.int64)
+    unused = np.ones(len(intervals), dtype=bool)
     selected: list[int] = []
     steps: list[SelectionStep] = []
     comparisons = 0
     for s in range(1, k + 1):
-        need = [i for i in range(m) if cov[i] < s]
-        if not need:
+        need = np.flatnonzero(cov < s)
+        if not need.size:
             continue
-        round_ids, round_steps, comps = _select_over_targets(
-            augmented.intervals, xs, need, used, record_trace
+        # in need-index space the discrete key (right, total, -index)
+        # becomes the frontier rule's (reach, span, -position)
+        rows = np.flatnonzero(unused)
+        frontier = _Frontier(
+            np.searchsorted(need, first[rows], "left"),
+            np.searchsorted(need, last[rows], "left"),
+            ids[rows],
         )
-        comparisons += comps
-        steps.extend(round_steps)
-        selected.extend(round_ids)
-        for sid in round_ids:
-            u, v = augmented.span_of(sid)
-            lo = bisect_left(xs, u)
-            hi = bisect_right(xs, v)
-            for i in range(lo, hi):
-                cov[i] += 1
+        comparisons += frontier.m
+        picked = []
+        for f, winner, reach in frontier.walk(0, len(need)):
+            if winner < 0:
+                raise RuntimeError(
+                    f"no sensor covers target at x={xs[need[f]]}; "
+                    "field was not augmented"
+                )
+            comparisons += 1
+            picked.append(winner)
+            if record_trace:
+                steps.append(
+                    SelectionStep(
+                        current_target=need.item(f),
+                        candidate_ids=frontier.candidates(f),
+                        chosen_id=ids.item(rows[winner]),
+                        reach=need.item(reach - 1),
+                    )
+                )
+        chosen = rows[picked]
+        unused[chosen] = False
+        selected.extend(ids[chosen].tolist())
+        cov += _depth(first[chosen], last[chosen], len(xs))
     virtual_sel = tuple(sid for sid in selected if sid in virtual_all)
     return SelectionResult(
         selected_ids=tuple(selected),
@@ -325,82 +432,13 @@ def oga_continuous(
     a, b = domain
     if not a < b:
         raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
-    intervals = field.intervals
-    n = len(intervals)
-    next_vid = field.max_id + 1
-    selected: list[int] = []
-    virtual_ids: list[int] = []
-    virtual_spans: dict[int, tuple[float, float]] = {}
-    steps: list[SelectionStep] = []
-    comparisons = 0
-    f = a
-    ptr = 0
-    active: list[int] = []
-    while f < b:
-        while ptr < n and intervals[ptr].u <= f:
-            active.append(ptr)
-            ptr += 1
-        kept: list[int] = []
-        best_key: tuple[float, float, int] | None = None
-        best_idx = -1
-        for idx in active:
-            iv = intervals[idx]
-            if iv.v <= f:
-                continue
-            kept.append(idx)
-            comparisons += 1
-            key = (iv.v, iv.v - iv.u, -idx)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_idx = idx
-        active = kept
-        if best_key is not None:
-            chosen = intervals[best_idx]
-            if record_trace:
-                steps.append(
-                    SelectionStep(
-                        current_target=f,
-                        candidate_ids=tuple(
-                            sorted(intervals[i].sensor_id for i in kept)
-                        ),
-                        chosen_id=chosen.sensor_id,
-                        reach=chosen.v,
-                    )
-                )
-            selected.append(chosen.sensor_id)
-            f = chosen.v
-        else:
-            # coverage resumes at the next interval with positive extent
-            q = b
-            p = ptr
-            while p < n:
-                iv = intervals[p]
-                if iv.v > iv.u:
-                    q = min(iv.u, b)
-                    break
-                p += 1
-            vid = next_vid
-            next_vid += 1
-            selected.append(vid)
-            virtual_ids.append(vid)
-            virtual_spans[vid] = (f, q)
-            if record_trace:
-                steps.append(
-                    SelectionStep(
-                        current_target=f,
-                        candidate_ids=(),
-                        chosen_id=vid,
-                        reach=q,
-                    )
-                )
-            f = q
-    return SelectionResult(
-        selected_ids=tuple(selected),
-        virtual_ids=tuple(virtual_ids),
-        virtual_spans=virtual_spans,
-        trace=tuple(steps),
-        fully_covered=not virtual_ids,
-        comparisons=comparisons,
+    return _cover(
+        _Frontier.over(field.intervals),
+        [(a, b)],
+        [],
+        {},
+        field.max_id + 1,
+        record_trace,
     )
 
 
@@ -485,88 +523,17 @@ def logm(
             f"failed ids {sorted(failed - previously)} were never selected"
         )
     surviving = [sid for sid in previous.selected_ids if sid not in failed]
-    selected: list[int] = list(surviving)
-    selected_set = set(selected)
-    virtual_ids = [sid for sid in surviving if sid in previous.virtual_ids]
-    virtual_spans = {sid: previous.virtual_spans[sid] for sid in virtual_ids}
-    steps: list[SelectionStep] = []
-    comparisons = 0
-
+    virtual_spans = {
+        sid: previous.virtual_spans[sid]
+        for sid in surviving
+        if sid in previous.virtual_ids
+    }
     pool = [iv for iv in field.intervals if iv.sensor_id not in previously]
-    pool_n = len(pool)
-    pool_us = [iv.u for iv in pool]
-    next_vid = max(field.max_id, max(previously, default=-1)) + 1
-
-    for gap in sorted(gaps, key=lambda g: g.u):
-        f = gap.u
-        start = bisect_right(pool_us, f)
-        active = [i for i in range(start) if pool[i].v > f]
-        ptr = start
-        while f < gap.v:
-            while ptr < pool_n and pool[ptr].u <= f:
-                active.append(ptr)
-                ptr += 1
-            kept: list[int] = []
-            best_key: tuple[float, float, int] | None = None
-            best_idx = -1
-            for idx in active:
-                iv = pool[idx]
-                if iv.v <= f:
-                    continue
-                kept.append(idx)
-                comparisons += 1
-                key = (iv.v, iv.v - iv.u, -idx)
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_idx = idx
-            active = kept
-            if best_key is not None:
-                chosen = pool[best_idx]
-                if record_trace:
-                    steps.append(
-                        SelectionStep(
-                            current_target=f,
-                            candidate_ids=tuple(
-                                sorted(pool[i].sensor_id for i in kept)
-                            ),
-                            chosen_id=chosen.sensor_id,
-                            reach=chosen.v,
-                        )
-                    )
-                if chosen.sensor_id not in selected_set:
-                    selected.append(chosen.sensor_id)
-                    selected_set.add(chosen.sensor_id)
-                f = chosen.v
-            else:
-                q = gap.v
-                p = ptr
-                while p < pool_n:
-                    iv = pool[p]
-                    if iv.v > iv.u:
-                        q = min(iv.u, gap.v)
-                        break
-                    p += 1
-                vid = next_vid
-                next_vid += 1
-                selected.append(vid)
-                selected_set.add(vid)
-                virtual_ids.append(vid)
-                virtual_spans[vid] = (f, q)
-                if record_trace:
-                    steps.append(
-                        SelectionStep(
-                            current_target=f,
-                            candidate_ids=(),
-                            chosen_id=vid,
-                            reach=q,
-                        )
-                    )
-                f = q
-    return SelectionResult(
-        selected_ids=tuple(selected),
-        virtual_ids=tuple(virtual_ids),
-        virtual_spans=virtual_spans,
-        trace=tuple(steps),
-        fully_covered=not virtual_ids,
-        comparisons=comparisons,
+    return _cover(
+        _Frontier.over(pool),
+        [(g.u, g.v) for g in sorted(gaps, key=lambda g: g.u)],
+        surviving,
+        virtual_spans,
+        max(field.max_id, max(previously, default=-1)) + 1,
+        record_trace,
     )

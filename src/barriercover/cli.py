@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import IO, Sequence
@@ -65,6 +66,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_field(args: argparse.Namespace) -> SensorField:
     a, b = args.domain
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ParameterError(f"--domain must be finite, got {a} {b}")
     return read_field(args.field, (a, b))
 
 

@@ -15,6 +15,7 @@ line number.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -30,6 +31,10 @@ class FieldFormatError(ValueError):
 
 
 _REQUIRED = ("id", "kind", "x", "y", "radius")
+_NUMBERS = {
+    SensorKind.OMNI: ("x", "y", "radius"),
+    SensorKind.DIRECTIONAL: ("x", "y", "radius", "fov", "direction"),
+}
 
 
 def _sensor_from_obj(obj: dict, line_no: int) -> Sensor:
@@ -48,33 +53,30 @@ def _sensor_from_obj(obj: dict, line_no: int) -> Sensor:
         raise FieldFormatError(
             line_no, f"kind must be 'omni' or 'directional', got {obj['kind']!r}"
         ) from None
+    if kind is SensorKind.DIRECTIONAL:
+        if "fov" not in obj or "direction" not in obj:
+            raise FieldFormatError(
+                line_no, "directional sensors need fov and direction"
+            )
+    elif "fov" in obj or "direction" in obj:
+        raise FieldFormatError(
+            line_no, "fov/direction apply to directional sensors only"
+        )
+    keys = _NUMBERS[kind]
+    try:
+        sensor_id = int(obj["id"])
+        nums = [float(obj[key]) for key in keys]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FieldFormatError(line_no, f"bad value: {exc}") from None
+    if not all(map(math.isfinite, nums)):
+        key, value = next(kv for kv in zip(keys, nums) if not math.isfinite(kv[1]))
+        raise FieldFormatError(line_no, f"{key} must be finite, got {value}")
     try:
         if kind is SensorKind.DIRECTIONAL:
-            if "fov" not in obj or "direction" not in obj:
-                raise FieldFormatError(
-                    line_no, "directional sensors need fov and direction"
-                )
-            return Sensor.directional(
-                int(obj["id"]),
-                float(obj["x"]),
-                float(obj["y"]),
-                float(obj["radius"]),
-                float(obj["fov"]),
-                float(obj["direction"]),
-            )
-        if "fov" in obj or "direction" in obj:
-            raise FieldFormatError(
-                line_no, "fov/direction apply to directional sensors only"
-            )
-        return Sensor.omni(
-            int(obj["id"]), float(obj["x"]), float(obj["y"]), float(obj["radius"])
-        )
+            return Sensor.directional(sensor_id, *nums)
+        return Sensor.omni(sensor_id, *nums)
     except ParameterError as exc:
         raise FieldFormatError(line_no, str(exc)) from None
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, FieldFormatError):
-            raise
-        raise FieldFormatError(line_no, f"bad value: {exc}") from None
 
 
 def read_sensors(path: str | Path) -> list[Sensor]:

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algorithms import find_gaps, k_oga, logm, oga, oga_continuous
+from .algorithms import _Frontier, find_gaps, k_oga, logm, oga, oga_continuous
 from .baselines import build_barrier_graph, greedy_max_coverage, k_disjoint_paths
 from .deployment import RNG_ALGORITHM, DeploymentSpec, child_seed, generate
 from .model import (
@@ -44,16 +43,6 @@ from .model import (
     coverage_fraction,
     discretize,
 )
-
-EXPERIMENTS = (
-    "coverage_curve",
-    "intersection_sweep",
-    "k_barrier",
-    "single_failure",
-    "multi_gap",
-)
-
-_NEG = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -107,16 +96,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {
-            "experiment",
-            "deployment",
-            "sweep",
-            "realizations",
-            "base_seed",
-            "k_values",
-            "jobs",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ParameterError(f"unknown experiment fields: {sorted(unknown)}")
         missing = [k for k in ("experiment", "deployment", "sweep") if k not in data]
@@ -264,157 +244,52 @@ def curve_intersection(
 # from scratch both advance a frontier by "furthest reach among intervals
 # touching it", which depends only on the frontier position, never on
 # tie-breaking among equal reaches. That makes selection *sizes* computable
-# by memoized frontier walks over three prefix tables instead of re-running
-# the full selector once per failed sensor. ``single_failure_counts`` is
-# cross-checked against the plain ``find_gaps`` + ``logm`` + fresh
-# ``oga_continuous`` route in the test suite.
+# by memoized frontier walks instead of re-running the full selector once
+# per failed sensor. ``single_failure_counts`` is cross-checked against the
+# plain ``find_gaps`` + ``logm`` + fresh ``oga_continuous`` route in the
+# test suite.
 # --------------------------------------------------------------------------
 
 
-class _FrontierWalker:
-    """Count-only frontier walks over one field's canonical intervals."""
+def _count_to(
+    frontier: _Frontier, memo: dict, f: float, end: float
+) -> tuple[int, bool]:
+    """Steps to carry the frontier from f to end, and whether none bridged.
 
-    def __init__(
-        self, field: SensorField, domain: Domain, selected_ids: Sequence[int]
-    ) -> None:
-        intervals = field.intervals
-        self.b = domain[1]
-        self.us = [iv.u for iv in intervals]
-        self.vs = [iv.v for iv in intervals]
-        self.m = len(intervals)
-        self.index_of = {iv.sensor_id: i for i, iv in enumerate(intervals)}
+    ``memo`` maps frontiers already walked to the same pair.
+    """
+    path: list[tuple[float, bool]] = []
+    count, clean = 0, True
+    for g, winner, _reach in frontier.walk(f, end):
+        if g in memo:
+            count, clean = memo[g]
+            break
+        path.append((g, winner >= 0))
+    for g, real in reversed(path):
+        count += 1
+        clean = clean and real
+        memo[g] = (count, clean)
+    return count, clean
 
-        # furthest reach over intervals[0..i], who holds it, and the
-        # furthest reach held by any other position
-        pref_best: list[float] = []
-        pref_arg: list[int] = []
-        pref_second: list[float] = []
-        best = _NEG
-        arg = -1
-        second = _NEG
-        for i, v in enumerate(self.vs):
-            if v > best:
-                second = best
-                best = v
-                arg = i
-            elif v > second:
-                second = v
-            pref_best.append(best)
-            pref_arg.append(arg)
-            pref_second.append(second)
-        self.pref_best = pref_best
-        self.pref_arg = pref_arg
-        self.pref_second = pref_second
 
-        # first position at or after i whose interval has positive extent
-        nxt = [self.m] * (self.m + 1)
-        for i in range(self.m - 1, -1, -1):
-            nxt[i] = i if self.vs[i] > self.us[i] else nxt[i + 1]
-        self.nxt = nxt
+def _count_without(
+    frontier: _Frontier, memo: dict, f: float, end: float, skip: int
+) -> tuple[int, bool]:
+    """``_count_to`` as if table position ``skip`` were absent.
 
-        # the mending pool: intervals of sensors outside the selection
-        sel = set(selected_ids)
-        pool_us: list[float] = []
-        pool_vs: list[float] = []
-        for iv in intervals:
-            if iv.sensor_id not in sel:
-                pool_us.append(iv.u)
-                pool_vs.append(iv.v)
-        self.pool_us = pool_us
-        self.pool_vs = pool_vs
-        pool_best: list[float] = []
-        best = _NEG
-        for v in pool_vs:
-            if v > best:
-                best = v
-            pool_best.append(best)
-        self.pool_best = pool_best
-        pn = len(pool_us)
-        pool_nxt = [pn] * (pn + 1)
-        for i in range(pn - 1, -1, -1):
-            pool_nxt[i] = i if pool_vs[i] > pool_us[i] else pool_nxt[i + 1]
-        self.pool_nxt = pool_nxt
-
-        # frontier -> (selections to reach b over all sensors, virtual-free)
-        self.memo: dict[float, tuple[int, bool]] = {}
-
-    def count_all(self, f: float) -> tuple[int, bool]:
-        """Selections to cover [f, b] over all sensors, memoized."""
-        memo = self.memo
-        path: list[tuple[float, bool]] = []
-        while f < self.b and f not in memo:
-            pos = bisect_right(self.us, f)
-            best = self.pref_best[pos - 1] if pos else _NEG
-            if best > f:
-                path.append((f, True))
-                f = best
-            else:
-                p = self.nxt[pos]
-                path.append((f, False))
-                f = self.us[p] if p < self.m else self.b
-        count, clean = memo[f] if f < self.b else (0, True)
-        result = (count, clean)
-        for frontier, step_clean in reversed(path):
-            count += 1
-            clean = clean and step_clean
-            result = (count, clean)
-            memo[frontier] = result
-        return result
-
-    def fresh_count(self, f: float, skip: int) -> tuple[int, bool]:
-        """Selections to cover [f, b] when interval position ``skip`` is gone.
-
-        Once the frontier passes the skipped interval's right endpoint
-        that interval can never win or resume coverage again, so the walk
-        continues on the shared all-sensor memo.
-        """
-        v_skip = self.vs[skip]
-        count = 0
-        clean = True
-        while f < self.b:
-            if f >= v_skip:
-                tail, tail_clean = self.count_all(f)
-                return count + tail, clean and tail_clean
-            pos = bisect_right(self.us, f)
-            if pos:
-                arg = self.pref_arg[pos - 1]
-                best = (
-                    self.pref_second[pos - 1]
-                    if arg == skip
-                    else self.pref_best[pos - 1]
-                )
-            else:
-                best = _NEG
-            if best > f:
-                count += 1
-                f = best
-            else:
-                p = self.nxt[pos]
-                if p == skip:
-                    p = self.nxt[p + 1]
-                count += 1
-                clean = False
-                f = self.us[p] if p < self.m else self.b
-        return count, clean
-
-    def mend_count(self, gap_u: float, gap_v: float) -> tuple[int, bool]:
-        """Selections from the pool to cover the gap, as ``logm`` would."""
-        count = 0
-        clean = True
-        g = gap_u
-        pn = len(self.pool_us)
-        while g < gap_v:
-            pos = bisect_right(self.pool_us, g)
-            best = self.pool_best[pos - 1] if pos else _NEG
-            if best > g:
-                count += 1
-                g = best
-            else:
-                p = self.pool_nxt[pos]
-                count += 1
-                clean = False
-                g = min(self.pool_us[p], gap_v) if p < pn else gap_v
-        return count, clean
+    Once the frontier passes the skipped interval's right endpoint that
+    interval can never win or resume coverage again, so the walk continues
+    on the shared memo.
+    """
+    count, clean = 0, True
+    while f < end:
+        if f >= frontier.vs[skip]:
+            tail, tail_clean = _count_to(frontier, memo, f, end)
+            return count + tail, clean and tail_clean
+        f, real = frontier.step_without(f, end, skip)
+        count += 1
+        clean = clean and real
+    return count, clean
 
 
 def single_failure_counts(
@@ -431,30 +306,31 @@ def single_failure_counts(
     """
     if domain is None:
         domain = field.domain
-    result = oga_continuous(field, domain, record_trace=True)
-    if not result.fully_covered:
+    a, b = domain
+    if not a < b:
+        raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
+    whole = _Frontier.over(field.intervals)
+    steps = list(whole.walk(a, b))
+    if any(winner < 0 for _f, winner, _reach in steps):
         return None
-    sel = result.selected_ids
+    picks = [winner for _f, winner, _reach in steps]
+    sel = [whole.ids[p] for p in picks]
     n_sel = len(sel)
-    walker = _FrontierWalker(field, domain, sel)
-    frontiers = [step.current_target for step in result.trace]
-    sel_idx = [walker.index_of[sid] for sid in sel]
+    chosen = set(sel)
+    pool = _Frontier.over([iv for iv in field.intervals if iv.sensor_id not in chosen])
+    memo: dict = {}
 
     # leftmost left-endpoint among later picks: coverage resumes there
-    resume = [domain[1]] * (n_sel + 1)
+    resume = [b] * (n_sel + 1)
     for t in range(n_sel - 1, -1, -1):
-        resume[t] = min(walker.us[sel_idx[t]], resume[t + 1])
+        resume[t] = min(whole.us[picks[t]], resume[t + 1])
 
     out = []
-    for t, sid in enumerate(sel):
-        f = frontiers[t]
-        gap_v = resume[t + 1]
-        if gap_v > f:
-            mend, mend_clean = walker.mend_count(f, gap_v)
-        else:
-            mend, mend_clean = 0, True
-        tail, fresh_clean = walker.fresh_count(f, sel_idx[t])
-        out.append((sid, n_sel - 1 + mend, t + tail, mend_clean and fresh_clean))
+    for t, (f, pick, _reach) in enumerate(steps):
+        mend = [winner for _g, winner, _r in pool.walk(f, resume[t + 1])]
+        tail, fresh_clean = _count_without(whole, memo, f, b, pick)
+        clean = fresh_clean and all(winner >= 0 for winner in mend)
+        out.append((sel[t], n_sel - 1 + len(mend), t + tail, clean))
     return out
 
 
@@ -492,33 +368,16 @@ def _worker_kbarrier(args: tuple) -> tuple:
     return rounds.count, rounds.fully_covered, bench.count, bench.fully_covered
 
 
-def _worker_single_failure(args: tuple) -> tuple:
+def _worker_single_failure(args: tuple) -> list | None:
+    """Mended minus fresh size per failure, None where either side
+    needed virtual sensors; None for a field that is not coverable."""
     spec_dict, n, r = args
     spec = DeploymentSpec.from_dict(spec_dict)
     field = generate(spec)
     rows = single_failure_counts(field, field.domain)
     if rows is None:
-        return (1, 0, 0, 0, 0, 0, 0, 0)
-    failures = zeros = violations = unclean = 0
-    total = 0
-    low = high = 0
-    for _sid, mended_total, fresh_total, clean in rows:
-        if not clean:
-            unclean += 1
-            continue
-        diff = mended_total - fresh_total
-        if failures == 0:
-            low = high = diff
-        else:
-            low = min(low, diff)
-            high = max(high, diff)
-        failures += 1
-        total += diff
-        if diff == 0:
-            zeros += 1
-        if diff > 1:
-            violations += 1
-    return (0, failures, total, low, high, zeros, violations, unclean)
+        return None
+    return [mended - fresh if clean else None for _sid, mended, fresh, clean in rows]
 
 
 def _worker_multi_gap(args: tuple) -> tuple:
@@ -557,21 +416,32 @@ def _worker_multi_gap(args: tuple) -> tuple:
 
 # --------------------------------------------------------------------------
 # experiment runners
+#
+# Each runner returns its report rows; the first row's key order gives the
+# report's columns.
 # --------------------------------------------------------------------------
 
 
+def _spec(config: ExperimentConfig, n: int, r: int) -> dict:
+    """The deployment of realization r at sweep value n."""
+    spec = config.deployment.with_(n=n, seed=child_seed(config.base_seed, n, r))
+    return spec.to_dict()
+
+
 def _sweep_tasks(config: ExperimentConfig) -> list[tuple]:
-    tasks = []
-    for n in config.sweep:
-        for r in range(config.realizations):
-            spec = config.deployment.with_(
-                n=n, seed=child_seed(config.base_seed, n, r)
-            )
-            tasks.append((spec.to_dict(), n, r))
-    return tasks
+    return [
+        (_spec(config, n, r), n, r)
+        for n in config.sweep
+        for r in range(config.realizations)
+    ]
 
 
-def run_coverage_curve(config: ExperimentConfig) -> tuple[tuple, list[dict]]:
+def _chunks(results: list, per: int) -> list[list]:
+    """Consecutive runs of ``per`` results: the realizations of one point."""
+    return [results[i : i + per] for i in range(0, len(results), per)]
+
+
+def run_coverage_curve(config: ExperimentConfig) -> list[dict]:
     results = _pmap(_worker_curves, _sweep_tasks(config), config.jobs)
     rows = []
     for n, r, oga_curve, greedy_curve, _coverable in results:
@@ -588,152 +458,94 @@ def run_coverage_curve(config: ExperimentConfig) -> tuple[tuple, list[dict]]:
                     ],
                 }
             )
-    columns = ("n", "realization", "step", "oga_coverage", "greedy_coverage")
-    return columns, rows
+    return rows
 
 
-def run_intersection_sweep(config: ExperimentConfig) -> tuple[tuple, list[dict]]:
+def run_intersection_sweep(config: ExperimentConfig) -> list[dict]:
     results = _pmap(_worker_intersection, _sweep_tasks(config), config.jobs)
     rows = []
     per = config.realizations
-    for i, n in enumerate(config.sweep):
-        chunk = results[i * per : (i + 1) * per]
-        coverable = wins = crossed = 0
-        oga_total = greedy_total = 0
-        crossing_total = 0.0
-        for ok, oga_count, greedy_count, crossing in chunk:
-            if not ok:
-                continue
-            coverable += 1
-            oga_total += oga_count
-            greedy_total += greedy_count
-            if oga_count < greedy_count:
-                wins += 1
-            if crossing is not None:
-                crossed += 1
-                crossing_total += crossing
+    for n, chunk in zip(config.sweep, _chunks(results, per)):
+        ok = [c for c in chunk if c[0]]
+        crossings = [c[3] for c in ok if c[3] is not None]
         rows.append(
             {
                 "n": n,
                 "realizations": per,
-                "coverable": coverable,
-                "oga_mean": oga_total / coverable if coverable else 0.0,
-                "greedy_mean": greedy_total / coverable if coverable else 0.0,
-                "oga_wins": wins,
-                "crossed": crossed,
-                "crossing_mean": crossing_total / crossed if crossed else 0.0,
+                "coverable": len(ok),
+                "oga_mean": sum(c[1] for c in ok) / len(ok) if ok else 0.0,
+                "greedy_mean": sum(c[2] for c in ok) / len(ok) if ok else 0.0,
+                "oga_wins": sum(1 for c in ok if c[1] < c[2]),
+                "crossed": len(crossings),
+                "crossing_mean": (
+                    sum(crossings) / len(crossings) if crossings else 0.0
+                ),
             }
         )
-    columns = (
-        "n",
-        "realizations",
-        "coverable",
-        "oga_mean",
-        "greedy_mean",
-        "oga_wins",
-        "crossed",
-        "crossing_mean",
-    )
-    return columns, rows
+    return rows
 
 
-def run_k_barrier(config: ExperimentConfig) -> tuple[tuple, list[dict]]:
-    tasks = []
-    for n in config.sweep:
-        for k in config.k_values:
-            for r in range(config.realizations):
-                spec = config.deployment.with_(
-                    n=n, seed=child_seed(config.base_seed, n, r)
-                )
-                tasks.append((spec.to_dict(), n, k, r))
+def run_k_barrier(config: ExperimentConfig) -> list[dict]:
+    points = [(n, k) for n in config.sweep for k in config.k_values]
+    tasks = [
+        (_spec(config, n, r), n, k, r)
+        for n, k in points
+        for r in range(config.realizations)
+    ]
     results = _pmap(_worker_kbarrier, tasks, config.jobs)
     rows = []
     per = config.realizations
-    i = 0
-    for n in config.sweep:
-        for k in config.k_values:
-            chunk = results[i * per : (i + 1) * per]
-            i += 1
-            oga_total = sum(c[0] for c in chunk)
-            bench_total = sum(c[2] for c in chunk)
-            both = [c for c in chunk if c[1] and c[3]]
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "realizations": per,
-                    "oga_mean": oga_total / per,
-                    "benchmark_mean": bench_total / per,
-                    "oga_full_frac": sum(1 for c in chunk if c[1]) / per,
-                    "benchmark_full_frac": sum(1 for c in chunk if c[3]) / per,
-                    "coverable": len(both),
-                    "oga_mean_cov": (
-                        sum(c[0] for c in both) / len(both) if both else None
-                    ),
-                    "benchmark_mean_cov": (
-                        sum(c[2] for c in both) / len(both) if both else None
-                    ),
-                }
-            )
-    columns = (
-        "n",
-        "k",
-        "realizations",
-        "oga_mean",
-        "benchmark_mean",
-        "oga_full_frac",
-        "benchmark_full_frac",
-        "coverable",
-        "oga_mean_cov",
-        "benchmark_mean_cov",
-    )
-    return columns, rows
+    for (n, k), chunk in zip(points, _chunks(results, per)):
+        oga_total = sum(c[0] for c in chunk)
+        bench_total = sum(c[2] for c in chunk)
+        both = [c for c in chunk if c[1] and c[3]]
+        rows.append(
+            {
+                "n": n,
+                "k": k,
+                "realizations": per,
+                "oga_mean": oga_total / per,
+                "benchmark_mean": bench_total / per,
+                "oga_full_frac": sum(1 for c in chunk if c[1]) / per,
+                "benchmark_full_frac": sum(1 for c in chunk if c[3]) / per,
+                "coverable": len(both),
+                "oga_mean_cov": (
+                    sum(c[0] for c in both) / len(both) if both else None
+                ),
+                "benchmark_mean_cov": (
+                    sum(c[2] for c in both) / len(both) if both else None
+                ),
+            }
+        )
+    return rows
 
 
-def run_single_failure(config: ExperimentConfig) -> tuple[tuple, list[dict]]:
+def run_single_failure(config: ExperimentConfig) -> list[dict]:
     results = _pmap(_worker_single_failure, _sweep_tasks(config), config.jobs)
     rows = []
     per = config.realizations
-    for i, n in enumerate(config.sweep):
-        chunk = results[i * per : (i + 1) * per]
-        skipped = sum(c[0] for c in chunk)
-        failures = sum(c[1] for c in chunk)
-        total = sum(c[2] for c in chunk)
-        lows = [c[3] for c in chunk if c[1]]
-        highs = [c[4] for c in chunk if c[1]]
-        zeros = sum(c[5] for c in chunk)
-        violations = sum(c[6] for c in chunk)
-        unclean = sum(c[7] for c in chunk)
+    for n, chunk in zip(config.sweep, _chunks(results, per)):
+        outcomes = [d for c in chunk if c is not None for d in c]
+        diffs = [d for d in outcomes if d is not None]
+        failures = len(diffs)
         rows.append(
             {
                 "n": n,
                 "realizations": per,
-                "skipped": skipped,
+                "skipped": chunk.count(None),
                 "failures": failures,
-                "unclean": unclean,
-                "mean_diff": total / failures if failures else 0.0,
-                "min_diff": min(lows) if lows else 0,
-                "max_diff": max(highs) if highs else 0,
-                "frac_zero": zeros / failures if failures else 0.0,
-                "violations": violations,
+                "unclean": len(outcomes) - failures,
+                "mean_diff": sum(diffs) / failures if failures else 0.0,
+                "min_diff": min(diffs, default=0),
+                "max_diff": max(diffs, default=0),
+                "frac_zero": diffs.count(0) / failures if failures else 0.0,
+                "violations": sum(1 for d in diffs if d > 1),
             }
         )
-    columns = (
-        "n",
-        "realizations",
-        "skipped",
-        "failures",
-        "unclean",
-        "mean_diff",
-        "min_diff",
-        "max_diff",
-        "frac_zero",
-        "violations",
-    )
-    return columns, rows
+    return rows
 
 
-def run_multi_gap(config: ExperimentConfig) -> tuple[tuple, list[dict]]:
+def run_multi_gap(config: ExperimentConfig) -> list[dict]:
     spec_dict = config.deployment.to_dict()
     tasks = [
         (spec_dict, m, r, config.base_seed)
@@ -743,10 +555,7 @@ def run_multi_gap(config: ExperimentConfig) -> tuple[tuple, list[dict]]:
     results = _pmap(_worker_multi_gap, tasks, config.jobs)
     rows = []
     per = config.realizations
-    for i, m in enumerate(config.sweep):
-        chunk = results[i * per : (i + 1) * per]
-        resamples = sum(c[2] for c in chunk)
-        unclean = sum(1 for c in chunk if not c[3])
+    for m, chunk in zip(config.sweep, _chunks(results, per)):
         clean = [(c[0], c[1]) for c in chunk if c[3]]
         extras = [c[0] for c in clean]
         gaps = [c[1] for c in clean]
@@ -755,8 +564,8 @@ def run_multi_gap(config: ExperimentConfig) -> tuple[tuple, list[dict]]:
             {
                 "m": m,
                 "realizations": per,
-                "resamples": resamples,
-                "unclean": unclean,
+                "resamples": sum(c[2] for c in chunk),
+                "unclean": sum(1 for c in chunk if not c[3]),
                 "mean_gaps": sum(gaps) / len(clean) if clean else 0.0,
                 "mean_extra": sum(extras) / len(clean) if clean else 0.0,
                 "min_extra": min(extras) if extras else 0,
@@ -764,32 +573,12 @@ def run_multi_gap(config: ExperimentConfig) -> tuple[tuple, list[dict]]:
                 "violations": sum(1 for e in extras if e > bound),
             }
         )
-    columns = (
-        "m",
-        "realizations",
-        "resamples",
-        "unclean",
-        "mean_gaps",
-        "mean_extra",
-        "min_extra",
-        "max_extra",
-        "violations",
-    )
-    return columns, rows
-
-
-_RUNNERS = {
-    "coverage_curve": run_coverage_curve,
-    "intersection_sweep": run_intersection_sweep,
-    "k_barrier": run_k_barrier,
-    "single_failure": run_single_failure,
-    "multi_gap": run_multi_gap,
-}
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     start = time.perf_counter()
-    columns, rows = _RUNNERS[config.experiment](config)
+    rows = _EXPERIMENTS[config.experiment][0](config)
     wall = time.perf_counter() - start
     metadata = {
         "package": "barriercover",
@@ -798,67 +587,64 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     }
     return ExperimentReport(
         config=config,
-        columns=tuple(columns),
+        columns=tuple(rows[0]),
         records=tuple(rows),
         metadata=metadata,
         wall_time_s=wall,
     )
 
 
+# each experiment's runner and its stock deployment, sweep and realizations
+_EXPERIMENTS = {
+    "coverage_curve": (
+        run_coverage_curve,
+        DeploymentSpec(n=30, width=1000.0, radius=10.0, fov=90.0),
+        (30, 300, 3000),
+        1,
+    ),
+    "intersection_sweep": (
+        run_intersection_sweep,
+        DeploymentSpec(n=30, width=1000.0, radius=10.0, fov=90.0),
+        (30, 300, 3000),
+        20,
+    ),
+    "k_barrier": (
+        run_k_barrier,
+        DeploymentSpec(n=50, width=100.0, radius=10.0, fov=45.0),
+        (50, 100, 200),
+        20,
+    ),
+    "single_failure": (
+        run_single_failure,
+        DeploymentSpec(n=200, width=1000.0, kind="poisson", radius=10.0, fov=45.0),
+        tuple(range(200, 2001, 200)),
+        1000,
+    ),
+    "multi_gap": (
+        run_multi_gap,
+        DeploymentSpec(n=1000, width=100.0, kind="poisson", radius=2.0, fov=45.0),
+        (1, 2, 3, 4, 5, 6),
+        200,
+    ),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
 def default_config(
     experiment: str, *, base_seed: int = 0, jobs: int = 1
 ) -> ExperimentConfig:
     """The stock configuration for each experiment."""
-    if experiment == "coverage_curve":
-        return ExperimentConfig(
-            experiment=experiment,
-            deployment=DeploymentSpec(n=30, width=1000.0, radius=10.0, fov=90.0),
-            sweep=(30, 300, 3000),
-            realizations=1,
-            base_seed=base_seed,
-            jobs=jobs,
+    if experiment not in _EXPERIMENTS:
+        raise ParameterError(
+            f"unknown experiment {experiment!r}; "
+            f"expected one of {', '.join(EXPERIMENTS)}"
         )
-    if experiment == "intersection_sweep":
-        return ExperimentConfig(
-            experiment=experiment,
-            deployment=DeploymentSpec(n=30, width=1000.0, radius=10.0, fov=90.0),
-            sweep=(30, 300, 3000),
-            realizations=20,
-            base_seed=base_seed,
-            jobs=jobs,
-        )
-    if experiment == "k_barrier":
-        return ExperimentConfig(
-            experiment=experiment,
-            deployment=DeploymentSpec(n=50, width=100.0, radius=10.0, fov=45.0),
-            sweep=(50, 100, 200),
-            realizations=20,
-            base_seed=base_seed,
-            k_values=(2, 4),
-            jobs=jobs,
-        )
-    if experiment == "single_failure":
-        return ExperimentConfig(
-            experiment=experiment,
-            deployment=DeploymentSpec(
-                n=200, width=1000.0, kind="poisson", radius=10.0, fov=45.0
-            ),
-            sweep=tuple(range(200, 2001, 200)),
-            realizations=1000,
-            base_seed=base_seed,
-            jobs=jobs,
-        )
-    if experiment == "multi_gap":
-        return ExperimentConfig(
-            experiment=experiment,
-            deployment=DeploymentSpec(
-                n=1000, width=100.0, kind="poisson", radius=2.0, fov=45.0
-            ),
-            sweep=(1, 2, 3, 4, 5, 6),
-            realizations=200,
-            base_seed=base_seed,
-            jobs=jobs,
-        )
-    raise ParameterError(
-        f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}"
+    _runner, deployment, sweep, realizations = _EXPERIMENTS[experiment]
+    return ExperimentConfig(
+        experiment=experiment,
+        deployment=deployment,
+        sweep=sweep,
+        realizations=realizations,
+        base_seed=base_seed,
+        jobs=jobs,
     )

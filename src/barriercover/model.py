@@ -123,10 +123,6 @@ class ProjectedInterval:
         if not (self.u <= self.v):
             raise ParameterError(f"interval needs u <= v, got [{self.u}, {self.v}]")
 
-    @property
-    def length(self) -> float:
-        return self.v - self.u
-
     def covers(self, x: float) -> bool:
         return self.u <= x <= self.v
 

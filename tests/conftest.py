@@ -11,7 +11,13 @@ from itertools import combinations
 
 import numpy as np
 
+from barriercover.algorithms import (
+    SelectionResult,
+    SelectionStep,
+    augment_with_gap_sensors,
+)
 from barriercover.model import (
+    ProjectedInterval,
     Sensor,
     SensorField,
     TargetSet,
@@ -33,6 +39,21 @@ def make_field(pairs, domain=None):
     if domain is None:
         domain = (min(u for u, _ in pairs), max(v for _, v in pairs))
     return SensorField.build(sensors, domain)
+
+
+def table_field(pairs, domain):
+    """Field whose canonical intervals are exactly the pairs, as given.
+
+    Skips projection and clipping so that zero-length spans, duplicates
+    and adjacent doubles reach the selectors unchanged; each sensor
+    carries a placeholder pose.
+    """
+    intervals = sorted(
+        (ProjectedInterval(u, v, i) for i, (u, v) in enumerate(pairs)),
+        key=lambda iv: (iv.u, iv.v, iv.sensor_id),
+    )
+    sensors = tuple(Sensor.omni(i, 0.0, 0.0, 1.0) for i in range(len(pairs)))
+    return SensorField(sensors=sensors, intervals=tuple(intervals), domain=domain)
 
 
 def multiplicity(intervals, x):
@@ -150,3 +171,126 @@ def oracle_instance(seed, *, k=1, n_max=12, max_targets=20):
         if 1 <= len(xs) <= max_targets:
             return field, TargetSet(tuple(xs))
     raise AssertionError(f"no feasible instance for seed {seed}")
+
+
+def _naive_walks(intervals, stretches, selected, virtual_spans, next_vid):
+    """The continuous frontier rule by full scans, stretch by stretch.
+
+    Candidates at frontier f are the intervals with u <= f < v; the winner
+    has the largest (v, v - u, -index). With no candidate, a virtual
+    sensor bridges to the nearest start of a positive-extent interval
+    beyond f, or to the stretch end. ``comparisons`` is one per interval
+    in the table plus one per step.
+    """
+    steps = []
+    for start, end in stretches:
+        f = start
+        while f < end:
+            cands = [i for i, iv in enumerate(intervals) if iv.u <= f < iv.v]
+            if cands:
+                win = intervals[
+                    max(
+                        cands,
+                        key=lambda i: (
+                            intervals[i].v,
+                            intervals[i].v - intervals[i].u,
+                            -i,
+                        ),
+                    )
+                ]
+                sid, reach = win.sensor_id, win.v
+            else:
+                resumes = [iv.u for iv in intervals if iv.u > f and iv.v > iv.u]
+                sid, reach = next_vid, min(resumes + [end])
+                next_vid += 1
+                virtual_spans[sid] = (f, reach)
+            ids = tuple(sorted(intervals[i].sensor_id for i in cands))
+            steps.append(SelectionStep(f, ids, sid, reach))
+            if sid not in selected:
+                selected.append(sid)
+            f = reach
+    return SelectionResult(
+        selected_ids=tuple(selected),
+        virtual_ids=tuple(virtual_spans),
+        virtual_spans=virtual_spans,
+        trace=tuple(steps),
+        fully_covered=not virtual_spans,
+        comparisons=len(intervals) + len(steps),
+    )
+
+
+def naive_oga_continuous(field, domain):
+    """Reference for ``oga_continuous``."""
+    return _naive_walks(field.intervals, [domain], [], {}, field.max_id + 1)
+
+
+def naive_logm(previous, gaps, field, failed):
+    """Reference for ``logm``: the same walks over never-selected sensors."""
+    before = set(previous.selected_ids)
+    survivors = [sid for sid in previous.selected_ids if sid not in failed]
+    pool = [iv for iv in field.intervals if iv.sensor_id not in before]
+    return _naive_walks(
+        pool,
+        sorted((g.u, g.v) for g in gaps),
+        survivors,
+        {
+            sid: previous.virtual_spans[sid]
+            for sid in survivors
+            if sid in previous.virtual_ids
+        },
+        max(field.max_id, max(before, default=-1)) + 1,
+    )
+
+
+def naive_k_oga(field, targets, k):
+    """Reference for ``k_oga`` by counting loops over the augmented field.
+
+    Round s covers the targets still covered fewer than s times. At the
+    leftmost such target the candidates are the unused intervals covering
+    it; the winner has the largest (needed targets covered from there on,
+    needed targets covered in total, -index). ``comparisons`` is one per
+    unused interval at the start of each round plus one per step.
+    """
+    augmented = augment_with_gap_sensors(field, targets, k)
+    intervals = augmented.intervals
+    virtual = {s.id: s.span for s in augmented.sensors if s.virtual}
+    xs = list(targets)
+    selected, steps = [], []
+    comparisons = 0
+    for s in range(1, k + 1):
+        chosen = [iv for iv in intervals if iv.sensor_id in selected]
+        need = [t for t, x in enumerate(xs) if multiplicity(chosen, x) < s]
+        if need:
+            comparisons += len(intervals) - len(selected)
+        pos = 0
+        while pos < len(need):
+            x = xs[need[pos]]
+            cands = [
+                i
+                for i, iv in enumerate(intervals)
+                if iv.sensor_id not in selected and iv.u <= x <= iv.v
+            ]
+
+            def key(i):
+                iv = intervals[i]
+                right = sum(1 for t in need[pos:] if xs[t] <= iv.v)
+                total = sum(1 for t in need if iv.u <= xs[t] <= iv.v)
+                return (right, total, -i)
+
+            win = max(cands, key=key)
+            right = key(win)[0]
+            sid = intervals[win].sensor_id
+            ids = tuple(sorted(intervals[i].sensor_id for i in cands))
+            steps.append(SelectionStep(need[pos], ids, sid, need[pos + right - 1]))
+            selected.append(sid)
+            pos += right
+    comparisons += len(steps)
+    virtual_ids = tuple(sid for sid in selected if sid in virtual)
+    return SelectionResult(
+        selected_ids=tuple(selected),
+        virtual_ids=virtual_ids,
+        virtual_spans={sid: virtual[sid] for sid in virtual_ids},
+        trace=tuple(steps),
+        fully_covered=not virtual_ids,
+        comparisons=comparisons,
+    )

@@ -275,15 +275,21 @@ class TestDiagnostics:
 
     def test_malformed_json_line_is_located(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(
-            '{"id": 0, "kind": "omni", "x": 1.0, "y": 0.0, "radius": 2.0}\n'
-            "{not json}\n"
-        )
-        code, _, err = run_main(
-            capsys, ["cover", "--field", str(bad), "--domain", "0", "10"]
-        )
-        assert code == 1
-        assert "line 2" in err
+        for second in (
+            "{not json}",
+            '{"id": 1, "kind": "omni", "x": Infinity, "y": 0.0, "radius": 2.0}',
+            '{"id": 1, "kind": "omni", "x": NaN, "y": 0.0, "radius": 2.0}',
+            '{"id": Infinity, "kind": "omni", "x": 3.0, "y": 0.0, "radius": 2.0}',
+        ):
+            bad.write_text(
+                '{"id": 0, "kind": "omni", "x": 1.0, "y": 0.0, "radius": 2.0}\n'
+                + second + "\n"
+            )
+            code, _, err = run_main(
+                capsys, ["cover", "--field", str(bad), "--domain", "0", "10"]
+            )
+            assert code == 1, second
+            assert "line 2" in err, second
 
     def test_unknown_key_is_located(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -298,11 +304,12 @@ class TestDiagnostics:
         assert "line 1" in err
 
     def test_empty_domain_rejected(self, capsys):
-        code, _, err = run_main(
-            capsys, ["cover", "--field", FIELD8, "--domain", "5", "5"]
-        )
-        assert code == 1
-        assert "domain" in err
+        for a, b in (("5", "5"), ("0", "inf"), ("nan", "20")):
+            code, _, err = run_main(
+                capsys, ["cover", "--field", FIELD8, "--domain", a, b]
+            )
+            assert code == 1, (a, b)
+            assert "domain" in err, (a, b)
 
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         code, _, _ = run_main(capsys, ["teleport"])
