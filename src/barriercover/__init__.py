@@ -64,6 +64,7 @@ from .harness import (
 from .model import (
     Domain,
     ParameterError,
+    Poses,
     ProjectedInterval,
     Sensor,
     SensorField,
@@ -92,6 +93,7 @@ __all__ = [
     "InstanceTooLargeError",
     "LEFT",
     "ParameterError",
+    "Poses",
     "ProjectedInterval",
     "RIGHT",
     "SelectionResult",

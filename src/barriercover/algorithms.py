@@ -33,7 +33,6 @@ import numpy as np
 from .model import (
     Domain,
     ParameterError,
-    ProjectedInterval,
     SensorField,
     TargetSet,
     complement_segments,
@@ -132,14 +131,10 @@ class Gap:
             raise ParameterError(f"gap needs u < v, got [{self.u}, {self.v}]")
 
 
-def _target_spans(
-    intervals: Sequence[ProjectedInterval], xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per interval, the first target it covers and one past the last,
-    as indices into the sorted targets ``xs``."""
-    us = np.array([iv.u for iv in intervals], dtype=float)
-    vs = np.array([iv.v for iv in intervals], dtype=float)
-    return np.searchsorted(xs, us, "left"), np.searchsorted(xs, vs, "right")
+def _target_spans(field: SensorField, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per interval of the field, the first target it covers and one past
+    the last, as indices into the sorted targets ``xs``."""
+    return np.searchsorted(xs, field.us, "left"), np.searchsorted(xs, field.vs, "right")
 
 
 def _depth(first: np.ndarray, last: np.ndarray, m: int) -> np.ndarray:
@@ -164,7 +159,7 @@ def augment_with_gap_sensors(
     m = len(xs)
     if m == 0:
         return field
-    cov = _depth(*_target_spans(field.intervals, np.asarray(xs)), m)
+    cov = _depth(*_target_spans(field, np.asarray(xs)), m)
     short = np.flatnonzero(cov < k)
     spans: list[tuple[float, float]] = []
     for run in np.split(short, np.flatnonzero(np.diff(short) > 1) + 1):
@@ -198,13 +193,11 @@ class _Frontier:
     the first needed target it covers and one past the last.
     """
 
-    def __init__(self, us: Sequence, vs: Sequence, ids: Sequence) -> None:
-        # us, vs and ids are kept as given, so that reaches and ids come
-        # back as the caller's own objects; the prefix tables are arrays
-        self.us, self.vs, self.ids = us, vs, ids
-        self.m = m = len(us)
-        u = np.asarray(us)
-        v = np.asarray(vs)
+    def __init__(self, u: np.ndarray, v: np.ndarray, ids: np.ndarray) -> None:
+        # the prefix tables are arrays; the table itself is kept as lists
+        # too, so that bisection and lookups yield plain Python numbers
+        self.us, self.vs, self.ids = u.tolist(), v.tolist(), ids.tolist()
+        self.m = m = len(u)
         self.best = np.maximum.accumulate(v)
         before = np.concatenate(([-np.inf], self.best))[:-1]
         new = v > before
@@ -221,12 +214,9 @@ class _Frontier:
         self._active: list[int] = []
 
     @classmethod
-    def over(cls, intervals: Sequence[ProjectedInterval]) -> "_Frontier":
-        return cls(
-            [iv.u for iv in intervals],
-            [iv.v for iv in intervals],
-            [iv.sensor_id for iv in intervals],
-        )
+    def over(cls, field: SensorField, rows=slice(None)) -> "_Frontier":
+        """The table of the field's intervals at the given rows."""
+        return cls(field.us[rows], field.vs[rows], field.ids[rows])
 
     def step(self, f, end) -> tuple[int, float]:
         """The winner at f and its reach; winner -1 is a virtual bridge.
@@ -280,7 +270,7 @@ class _Frontier:
             i += 1
         self._entered = i
         self._active = active
-        return tuple(sorted(int(self.ids[i]) for i in active))
+        return tuple(sorted(self.ids[i] for i in active))
 
 
 def _cover(
@@ -348,13 +338,12 @@ def k_oga(
     if len(targets) == 0:
         raise ParameterError("targets must be non-empty")
     augmented = augment_with_gap_sensors(field, targets, k)
-    virtual_all = {s.id: s.span for s in augmented.sensors if s.virtual}
-    intervals = augmented.intervals
+    virtual_all = augmented.virtual_spans
     xs = np.asarray(targets.xs)
-    first, last = _target_spans(intervals, xs)
-    ids = np.array([iv.sensor_id for iv in intervals], dtype=np.int64)
+    first, last = _target_spans(augmented, xs)
+    ids = augmented.ids
     cov = np.zeros(len(xs), dtype=np.int64)
-    unused = np.ones(len(intervals), dtype=bool)
+    unused = np.ones(len(ids), dtype=bool)
     selected: list[int] = []
     steps: list[SelectionStep] = []
     comparisons = 0
@@ -385,7 +374,7 @@ def k_oga(
                     SelectionStep(
                         current_target=need.item(f),
                         candidate_ids=frontier.candidates(f),
-                        chosen_id=ids.item(rows[winner]),
+                        chosen_id=frontier.ids[winner],
                         reach=need.item(reach - 1),
                     )
                 )
@@ -433,7 +422,7 @@ def oga_continuous(
     if not a < b:
         raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
     return _cover(
-        _Frontier.over(field.intervals),
+        _Frontier.over(field),
         [(a, b)],
         [],
         {},
@@ -528,9 +517,8 @@ def logm(
         for sid in surviving
         if sid in previous.virtual_ids
     }
-    pool = [iv for iv in field.intervals if iv.sensor_id not in previously]
     return _cover(
-        _Frontier.over(pool),
+        _Frontier.over(field, ~np.isin(field.ids, list(previously))),
         [(g.u, g.v) for g in sorted(gaps, key=lambda g: g.u)],
         surviving,
         virtual_spans,

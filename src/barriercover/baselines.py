@@ -58,15 +58,15 @@ def greedy_max_coverage(
         raise ParameterError("targets must be non-empty")
     xs = np.asarray(targets.xs, dtype=float)
     m = len(xs)
-    virtual = {s.id for s in field.sensors if s.virtual}
-    real = [iv for iv in field.intervals if iv.sensor_id not in virtual]
-    n = len(real)
+    real = ~np.isin(field.ids, list(field.virtual_spans))
+    ids = field.ids[real].tolist()
+    n = len(ids)
     if n == 0:
         return SelectionResult(
             selected_ids=(), fully_covered=False, trace=(), comparisons=0
         )
-    lo = np.searchsorted(xs, [iv.u for iv in real], side="left")
-    hi = np.searchsorted(xs, [iv.v for iv in real], side="right")
+    lo = np.searchsorted(xs, field.us[real], side="left")
+    hi = np.searchsorted(xs, field.vs[real], side="right")
     uncovered = np.ones(m, dtype=np.int64)
     available = np.ones(n, dtype=bool)
     selected: list[int] = []
@@ -84,19 +84,18 @@ def greedy_max_coverage(
             frontier = int(np.argmax(uncovered))
             candidates = tuple(
                 sorted(
-                    real[i].sensor_id
-                    for i in np.nonzero((gains > 0) & available)[0]
+                    ids[i] for i in np.nonzero((gains > 0) & available)[0]
                 )
             )
             steps.append(
                 SelectionStep(
                     current_target=frontier,
                     candidate_ids=candidates,
-                    chosen_id=real[best].sensor_id,
+                    chosen_id=ids[best],
                     reach=int(hi[best]) - 1,
                 )
             )
-        selected.append(real[best].sensor_id)
+        selected.append(ids[best])
         available[best] = False
         uncovered[lo[best] : hi[best]] = 0
     return SelectionResult(
@@ -131,14 +130,13 @@ def build_barrier_graph(field: SensorField, domain: Domain) -> BarrierGraph:
     a, b = domain
     if not a < b:
         raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
-    virtual = {s.id for s in field.sensors if s.virtual}
     spans: dict[int, tuple[float, float]] = {LEFT: (a, a), RIGHT: (b, b)}
     nodes = [LEFT, RIGHT]
-    for iv in field.intervals:
-        if iv.sensor_id in virtual:
+    for sid, u, v in zip(field.ids.tolist(), field.us.tolist(), field.vs.tolist()):
+        if sid in field.virtual_spans:
             continue
-        spans[iv.sensor_id] = (iv.u, iv.v)
-        nodes.append(iv.sensor_id)
+        spans[sid] = (u, v)
+        nodes.append(sid)
     return BarrierGraph(nodes=tuple(nodes), spans=spans, domain=domain)
 
 
@@ -221,8 +219,7 @@ def brute_force_min_kcover(
         raise ParameterError(f"k must be >= 1, got {k}")
     if not isinstance(targets, TargetSet):
         targets = TargetSet(tuple(targets))
-    intervals = field.intervals
-    n = len(intervals)
+    n = field.ids.size
     if n > 20:
         raise InstanceTooLargeError(
             f"exhaustive enumeration capped at 20 sensors, got {n}"
@@ -233,9 +230,9 @@ def brute_force_min_kcover(
     masks = []
     from bisect import bisect_left, bisect_right
 
-    for iv in intervals:
-        lo = bisect_left(xs, iv.u)
-        hi = bisect_right(xs, iv.v)
+    for u, v in zip(field.us.tolist(), field.vs.tolist()):
+        lo = bisect_left(xs, u)
+        hi = bisect_right(xs, v)
         masks.append(((1 << hi) - 1) ^ ((1 << lo) - 1))
     for size in range(0, n + 1):
         for combo in combinations(range(n), size):

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ParameterError, Sensor, SensorField, SensorKind
+from .model import ParameterError, Poses, SensorField, SensorKind
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -126,7 +126,11 @@ class DeploymentSpec:
 
 
 def generate(spec: DeploymentSpec) -> SensorField:
-    """Deploy ``spec.n`` sensors; domain is [0, width]."""
+    """Deploy ``spec.n`` sensors with ids 0..n-1; domain is [0, width].
+
+    The draws go straight into the field's pose arrays; ``Sensor`` objects
+    are made only if ``field.sensors`` is read.
+    """
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     xs = rng.uniform(0.0, spec.width, n)
@@ -134,16 +138,18 @@ def generate(spec: DeploymentSpec) -> SensorField:
         ys = rng.normal(0.0, spec.line_sigma, n)
     else:
         ys = rng.uniform(0.0, spec.strip_height, n)
-    sensors = []
-    if spec.sensor_kind is SensorKind.DIRECTIONAL:
-        dirs = rng.uniform(0.0, 360.0, n)
-        for i in range(n):
-            sensors.append(
-                Sensor.directional(
-                    i, float(xs[i]), float(ys[i]), spec.radius, spec.fov, float(dirs[i])
-                )
-            )
+    directional = spec.sensor_kind is SensorKind.DIRECTIONAL
+    if directional:
+        fov, direction = spec.fov, rng.uniform(0.0, 360.0, n)
     else:
-        for i in range(n):
-            sensors.append(Sensor.omni(i, float(xs[i]), float(ys[i]), spec.radius))
-    return SensorField.build(sensors, (0.0, spec.width))
+        fov, direction = np.nan, np.full(n, np.nan)
+    poses = Poses(
+        ids=np.arange(n, dtype=np.int64),
+        x=xs,
+        y=ys,
+        radius=np.full(n, spec.radius, dtype=float),
+        fov=np.full(n, fov, dtype=float),
+        direction=direction,
+        directional=np.full(n, directional),
+    )
+    return SensorField.from_poses(poses, (0.0, spec.width))

@@ -80,8 +80,10 @@ def _sensor_from_obj(obj: dict, line_no: int) -> Sensor:
 
 
 def read_sensors(path: str | Path) -> list[Sensor]:
-    """Parse a sensor-field file; errors carry the 1-based line number."""
+    """Parse a sensor-field file; errors carry the 1-based line number,
+    and a repeated id is reported on the line that repeats it."""
     sensors = []
+    seen: set[int] = set()
     with open(path, "r", encoding="utf-8") as fp:
         for line_no, line in enumerate(fp, start=1):
             line = line.strip()
@@ -91,15 +93,16 @@ def read_sensors(path: str | Path) -> list[Sensor]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FieldFormatError(line_no, f"invalid JSON: {exc.msg}") from None
-            sensors.append(_sensor_from_obj(obj, line_no))
+            sensor = _sensor_from_obj(obj, line_no)
+            if sensor.id in seen:
+                raise FieldFormatError(line_no, f"duplicate sensor id {sensor.id}")
+            seen.add(sensor.id)
+            sensors.append(sensor)
     return sensors
 
 
 def read_field(path: str | Path, domain: Domain) -> SensorField:
-    try:
-        return SensorField.build(read_sensors(path), domain)
-    except ParameterError as exc:
-        raise FieldFormatError(0, str(exc)) from None
+    return SensorField.build(read_sensors(path), domain)
 
 
 def sensor_to_obj(sensor: Sensor) -> dict:

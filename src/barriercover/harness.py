@@ -309,15 +309,16 @@ def single_failure_counts(
     a, b = domain
     if not a < b:
         raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
-    whole = _Frontier.over(field.intervals)
+    whole = _Frontier.over(field)
     steps = list(whole.walk(a, b))
     if any(winner < 0 for _f, winner, _reach in steps):
         return None
     picks = [winner for _f, winner, _reach in steps]
     sel = [whole.ids[p] for p in picks]
     n_sel = len(sel)
-    chosen = set(sel)
-    pool = _Frontier.over([iv for iv in field.intervals if iv.sensor_id not in chosen])
+    unpicked = np.ones(whole.m, dtype=bool)
+    unpicked[picks] = False
+    pool = _Frontier.over(field, unpicked)
     memo: dict = {}
 
     # leftmost left-endpoint among later picks: coverage resumes there

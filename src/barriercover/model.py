@@ -6,6 +6,14 @@ x axis. This module owns that projection, clipping to the segment of
 interest, the canonical deterministic interval ordering, conversion of a
 continuous segment into a finite set of representative target points, and
 coverage measurement.
+
+A ``SensorField`` is arrays, not objects: the sensor poses as parallel
+columns (``Poses``) and the clipped projections as ``us``, ``vs`` and
+``ids`` in canonical order. One vectorized kernel projects, checks and
+clips every sensor at once; ``project`` and ``clip`` are one-row calls of
+it. ``Sensor`` and ``ProjectedInterval`` objects for a field are built
+only when asked for, through ``SensorField.sensors`` (file output) and
+``SensorField.intervals``.
 """
 
 from __future__ import annotations
@@ -13,7 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 Domain = tuple[float, float]
 
@@ -54,6 +65,8 @@ class Sensor:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ParameterError(f"sensor id must be >= 0, got {self.id}")
+        if self.id >= 2**63:
+            raise ParameterError(f"sensor id must be < 2**63, got {self.id}")
         if self.virtual:
             if self.span is None:
                 raise ParameterError("virtual sensors need an explicit span")
@@ -123,55 +136,164 @@ class ProjectedInterval:
         if not (self.u <= self.v):
             raise ParameterError(f"interval needs u <= v, got [{self.u}, {self.v}]")
 
-    def covers(self, x: float) -> bool:
-        return self.u <= x <= self.v
 
-    def overlaps(self, other: "ProjectedInterval") -> bool:
-        """True when the two closed intervals share at least one point."""
-        return self.u <= other.v and other.u <= self.v
+class Poses(NamedTuple):
+    """Real sensor poses as parallel arrays, in the order they were given.
+
+    ``fov`` and ``direction`` are NaN where ``directional`` is False.
+    """
+
+    ids: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    radius: np.ndarray
+    fov: np.ndarray
+    direction: np.ndarray
+    directional: np.ndarray
+
+    @classmethod
+    def of(cls, sensors: Sequence[Sensor]) -> "Poses":
+        """The poses of the given real sensors."""
+        directional = [s.kind is SensorKind.DIRECTIONAL for s in sensors]
+        nan = math.nan
+        return cls(
+            np.array([s.id for s in sensors], dtype=np.int64),
+            np.array([s.position[0] for s in sensors], dtype=float),
+            np.array([s.position[1] for s in sensors], dtype=float),
+            np.array([s.radius for s in sensors], dtype=float),
+            np.array(
+                [s.fov if d else nan for s, d in zip(sensors, directional)],
+                dtype=float,
+            ),
+            np.array(
+                [s.direction if d else nan for s, d in zip(sensors, directional)],
+                dtype=float,
+            ),
+            np.array(directional, dtype=bool),
+        )
+
+    def take(self, rows: np.ndarray) -> "Poses":
+        return Poses(*(column[rows] for column in self))
+
+    def sensors(self) -> list[Sensor]:
+        return [
+            Sensor.directional(i, x, y, r, fov, d) if directional
+            else Sensor.omni(i, x, y, r)
+            for i, x, y, r, fov, d, directional in zip(*(c.tolist() for c in self))
+        ]
 
 
-def _angle_inside(theta: float, center: float, half: float) -> bool:
-    # circular distance between theta and center, in degrees
-    d = abs((theta - center + 180.0) % 360.0 - 180.0)
-    return d <= half
+def _check_poses(poses: Poses) -> None:
+    """The checks ``Sensor`` makes, over whole columns; the first offending
+    sensor is reported with the message ``Sensor`` would give."""
+    on = poses.directional
+    with np.errstate(invalid="ignore"):
+        rules = (
+            (poses.ids < 0, "sensor id must be >= 0, got {}", poses.ids),
+            (~(poses.radius > 0), "radius must be > 0, got {}", poses.radius),
+            (
+                on & ~((poses.fov > 0) & (poses.fov <= 360)),
+                "fov must be in (0, 360], got {}",
+                poses.fov,
+            ),
+            (
+                on & ~((poses.direction >= 0) & (poses.direction < 360)),
+                "direction must be in [0, 360), got {}",
+                poses.direction,
+            ),
+        )
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _, _ in rules]))
+    if bad.size:
+        i = bad[0]
+        for mask, message, column in rules:
+            if mask[i]:
+                raise ParameterError(message.format(column[i].item()))
+
+
+def _check_unique(ids: np.ndarray) -> None:
+    """Report the first id, in the given order, that was seen before."""
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if repeats.size:
+        raise ParameterError(f"duplicate sensor id {ids[repeats.min()].item()}")
+
+
+def _check_ordered(us: np.ndarray, vs: np.ndarray, message: str) -> None:
+    bad = np.flatnonzero(~(us <= vs))
+    if bad.size:
+        i = bad[0]
+        raise ParameterError(f"{message} [{us[i].item()}, {vs[i].item()}]")
+
+
+def _project(poses: Poses) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal projections [u, v] of every pose onto the x axis.
+
+    Omnidirectional: [x - r, x + r]. Directional: the x extent of the
+    sector, i.e. the min/max over the apex, the two arc edge endpoints,
+    and the arc points at angle 0 or 180 degrees when those directions
+    fall inside the sector. The extremes are folded in that order with
+    strict comparisons, so a tie keeps the earlier value, signed zeros
+    included.
+    """
+    with np.errstate(all="ignore"):
+        u = poses.x - poses.radius
+        v = poses.x + poses.radius
+        rows = np.flatnonzero(poses.directional)
+        if rows.size:
+            x, r, c = poses.x[rows], poses.radius[rows], poses.direction[rows]
+            half = poses.fov[rows] / 2.0
+            lo = hi = x
+            for edge in (c - half, c + half):
+                end = x + r * np.cos(np.radians(edge))
+                lo = np.where(end < lo, end, lo)
+                hi = np.where(end > hi, end, hi)
+            # the sector contains theta when the circular distance from
+            # its center is at most half the fov
+            for theta, end in ((0.0, v[rows]), (180.0, u[rows])):
+                inside = np.abs((theta - c + 180.0) % 360.0 - 180.0) <= half
+                lo = np.where(inside & (end < lo), end, lo)
+                hi = np.where(inside & (end > hi), end, hi)
+            u[rows] = lo
+            v[rows] = hi
+    return u, v
+
+
+def _clip(
+    us: np.ndarray, vs: np.ndarray, domain: Domain
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intersect each [u, v] with [a, b]; the mask marks non-void results."""
+    a, b = domain
+    us = np.where(a > us, a, us)
+    vs = np.where(b < vs, b, vs)
+    return us, vs, ~(us > vs)
+
+
+def _check_domain(domain: Domain) -> None:
+    a, b = domain
+    if a > b:
+        raise ParameterError(f"domain needs a <= b, got [{a}, {b}]")
 
 
 def project(sensor: Sensor) -> ProjectedInterval:
     """Orthogonal projection of a sensor footprint onto the x axis.
 
-    Omnidirectional: [x - r, x + r]. Directional: the x extent of the
-    sector, i.e. the min/max over the apex, the two arc edge endpoints,
-    and the arc points at angle 0 or 180 degrees when those directions
-    fall inside the sector.
+    A one-row call of the kernel that projects whole fields.
     """
     if sensor.virtual:
         raise ParameterError("virtual sensors have no pose to project")
-    x, y = sensor.position
-    r = sensor.radius
-    if sensor.kind is SensorKind.OMNI:
-        return ProjectedInterval(x - r, x + r, sensor.id)
-    half = sensor.fov / 2.0
-    xs = [x]
-    for edge in (sensor.direction - half, sensor.direction + half):
-        xs.append(x + r * math.cos(math.radians(edge)))
-    if _angle_inside(0.0, sensor.direction, half):
-        xs.append(x + r)
-    if _angle_inside(180.0, sensor.direction, half):
-        xs.append(x - r)
-    return ProjectedInterval(min(xs), max(xs), sensor.id)
+    us, vs = _project(Poses.of([sensor]))
+    return ProjectedInterval(us.item(), vs.item(), sensor.id)
 
 
 def clip(interval: ProjectedInterval, domain: Domain) -> ProjectedInterval | None:
     """Intersect an interval with [a, b]; None when the intersection is void."""
-    a, b = domain
-    if a > b:
-        raise ParameterError(f"domain needs a <= b, got [{a}, {b}]")
-    u = max(interval.u, a)
-    v = min(interval.v, b)
-    if u > v:
+    _check_domain(domain)
+    us, vs, kept = _clip(
+        np.array([interval.u], dtype=float), np.array([interval.v], dtype=float), domain
+    )
+    if not kept.item():
         return None
-    return ProjectedInterval(u, v, interval.sensor_id)
+    return ProjectedInterval(us.item(), vs.item(), interval.sensor_id)
 
 
 @dataclass(frozen=True)
@@ -193,74 +315,118 @@ class TargetSet:
         return self.xs[i]
 
 
-def _sort_key(iv: ProjectedInterval) -> tuple[float, float, int]:
-    return (iv.u, iv.v, iv.sensor_id)
-
-
-@dataclass(frozen=True)
 class SensorField:
-    """Sensors plus their clipped projections in canonical order.
+    """Sensor poses plus their clipped projections in canonical order.
 
-    ``intervals`` is sorted by (u, v, sensor id) ascending; that position
-    is the sensor's index for every tie-break in the selection algorithms.
-    Projections that miss the domain entirely are dropped. Instances are
-    immutable; derived fields are cached at construction.
+    ``us``, ``vs`` and ``ids`` are the clipped projections sorted by
+    (u, v, sensor id) ascending; that position is the sensor's index for
+    every tie-break in the selection algorithms. Projections that miss
+    the domain entirely are dropped. ``poses`` holds the real sensors in
+    the order they were given, ``virtual_spans`` the virtual ones by id,
+    and ``max_id`` the largest id among both, dropped sensors included.
+    Fields are not changed after construction; ``without`` and
+    ``with_virtual`` return new ones.
+
+    The constructor takes clipped intervals directly and sorts them;
+    ``build`` and ``from_poses`` project sensors first.
     """
 
-    sensors: tuple[Sensor, ...]
-    intervals: tuple[ProjectedInterval, ...]
-    domain: Domain
+    def __init__(
+        self,
+        us: Sequence[float],
+        vs: Sequence[float],
+        ids: Sequence[int],
+        domain: Domain,
+        poses: Poses | None = None,
+        virtual_spans: Mapping[int, tuple[float, float]] | None = None,
+    ) -> None:
+        _check_domain(domain)
+        us = np.asarray(us, dtype=float)
+        vs = np.asarray(vs, dtype=float)
+        ids = np.asarray(ids, dtype=np.int64)
+        _check_ordered(us, vs, "interval needs u <= v, got")
+        order = np.lexsort((ids, vs, us))
+        self.us, self.vs, self.ids = us[order], vs[order], ids[order]
+        self.domain = domain
+        self.poses = Poses.of(()) if poses is None else poses
+        self.virtual_spans = dict(virtual_spans or {})
+        self.max_id = max(
+            self.poses.ids.max(initial=-1).item(),
+            ids.max(initial=-1).item(),
+            max(self.virtual_spans, default=-1),
+        )
 
-    def __post_init__(self) -> None:
-        a, b = self.domain
-        if a > b:
-            raise ParameterError(f"domain needs a <= b, got [{a}, {b}]")
-        spans = {iv.sensor_id: (iv.u, iv.v) for iv in self.intervals}
-        object.__setattr__(self, "_span_by_id", spans)
-        ids = [s.id for s in self.sensors]
-        object.__setattr__(self, "_max_id", max(ids) if ids else -1)
+    @classmethod
+    def from_poses(
+        cls,
+        poses: Poses,
+        domain: Domain,
+        virtual_spans: Mapping[int, tuple[float, float]] | None = None,
+    ) -> "SensorField":
+        """Check, project and clip real sensor poses, plus virtual spans."""
+        _check_poses(poses)
+        us, vs = _project(poses)
+        _check_ordered(us, vs, "interval needs u <= v, got")
+        us, vs, kept = _clip(us, vs, domain)
+        field = cls(us[kept], vs[kept], poses.ids[kept], domain, poses)
+        return field._plus_virtual(virtual_spans or {})
 
     @classmethod
     def build(cls, sensors: Iterable[Sensor], domain: Domain) -> "SensorField":
-        sensors = tuple(sensors)
-        seen: set[int] = set()
-        for s in sensors:
-            if s.id in seen:
-                raise ParameterError(f"duplicate sensor id {s.id}")
-            seen.add(s.id)
-        intervals = []
-        for s in sensors:
-            raw = (
-                ProjectedInterval(s.span[0], s.span[1], s.id)
-                if s.virtual
-                else project(s)
-            )
-            kept = clip(raw, domain)
-            if kept is not None:
-                intervals.append(kept)
-        intervals.sort(key=_sort_key)
-        return cls(sensors=sensors, intervals=tuple(intervals), domain=domain)
+        sensors = list(sensors)
+        _check_unique(np.array([s.id for s in sensors], dtype=np.int64))
+        return cls.from_poses(
+            Poses.of([s for s in sensors if not s.virtual]),
+            domain,
+            {s.id: s.span for s in sensors if s.virtual},
+        )
 
-    @property
-    def max_id(self) -> int:
-        return self._max_id
+    @cached_property
+    def sensors(self) -> tuple[Sensor, ...]:
+        """The real sensors in the order given, then the virtual ones.
+
+        Built from the arrays on first use, for file output and callers
+        that want objects.
+        """
+        virtual = [Sensor.gap(i, u, v) for i, (u, v) in self.virtual_spans.items()]
+        return tuple(self.poses.sensors() + virtual)
+
+    @cached_property
+    def intervals(self) -> tuple[ProjectedInterval, ...]:
+        """The canonical intervals as objects, built on first use."""
+        columns = (self.us.tolist(), self.vs.tolist(), self.ids.tolist())
+        return tuple(map(ProjectedInterval, *columns))
+
+    @cached_property
+    def _rows_by_id(self) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.argsort(self.ids)
+        return self.ids[rows], rows
 
     def interval_of(self, sensor_id: int) -> ProjectedInterval | None:
-        span = self._span_by_id.get(sensor_id)
+        span = self.span_of(sensor_id)
         if span is None:
             return None
         return ProjectedInterval(span[0], span[1], sensor_id)
 
     def span_of(self, sensor_id: int) -> tuple[float, float] | None:
-        return self._span_by_id.get(sensor_id)
+        ids, rows = self._rows_by_id
+        i = np.searchsorted(ids, sensor_id)
+        if i == ids.size or ids[i] != sensor_id:
+            return None
+        return self.us.item(rows[i]), self.vs.item(rows[i])
 
     def without(self, sensor_ids: Iterable[int]) -> "SensorField":
         """A copy of the field with the given sensors removed."""
         drop = set(sensor_ids)
+        gone = list(drop)
+        kept = ~np.isin(self.ids, gone)
         return SensorField(
-            sensors=tuple(s for s in self.sensors if s.id not in drop),
-            intervals=tuple(iv for iv in self.intervals if iv.sensor_id not in drop),
-            domain=self.domain,
+            self.us[kept],
+            self.vs[kept],
+            self.ids[kept],
+            self.domain,
+            self.poses.take(~np.isin(self.poses.ids, gone)),
+            {i: s for i, s in self.virtual_spans.items() if i not in drop},
         )
 
     def with_virtual(
@@ -272,22 +438,27 @@ class SensorField:
         """
         if not spans:
             return self, ()
-        next_id = self.max_id + 1
-        new_sensors = []
-        new_intervals = []
-        for i, (u, v) in enumerate(spans):
-            s = Sensor.gap(next_id + i, u, v)
-            new_sensors.append(s)
-            kept = clip(ProjectedInterval(u, v, s.id), self.domain)
-            if kept is not None:
-                new_intervals.append(kept)
-        intervals = sorted(self.intervals + tuple(new_intervals), key=_sort_key)
-        field = SensorField(
-            sensors=self.sensors + tuple(new_sensors),
-            intervals=tuple(intervals),
-            domain=self.domain,
+        start = self.max_id + 1
+        new = {start + i: (u, v) for i, (u, v) in enumerate(spans)}
+        return self._plus_virtual(new), tuple(new)
+
+    def _plus_virtual(
+        self, spans: Mapping[int, tuple[float, float]]
+    ) -> "SensorField":
+        """This field with virtual sensors of the given ids and spans added."""
+        if not spans:
+            return self
+        ends = np.array(list(spans.values()), dtype=float)
+        _check_ordered(ends[:, 0], ends[:, 1], "invalid span")
+        us, vs, kept = _clip(ends[:, 0], ends[:, 1], self.domain)
+        return SensorField(
+            np.concatenate((self.us, us[kept])),
+            np.concatenate((self.vs, vs[kept])),
+            np.concatenate((self.ids, np.array(list(spans), dtype=np.int64)[kept])),
+            self.domain,
+            self.poses,
+            {**self.virtual_spans, **spans},
         )
-        return field, tuple(s.id for s in new_sensors)
 
 
 def discretize(field: SensorField) -> TargetSet:
@@ -299,16 +470,11 @@ def discretize(field: SensorField) -> TargetSet:
     exactly when it covers the whole continuous segment, because interval
     endpoints never fall strictly inside an elementary sub-interval.
     """
-    if not field.intervals:
+    if not field.ids.size:
         raise ParameterError("discretize needs a field with at least one interval")
-    a, b = field.domain
-    pts = {a, b}
-    for iv in field.intervals:
-        pts.add(iv.u)
-        pts.add(iv.v)
-    grid = sorted(pts)
-    xs = [(p + q) / 2.0 for p, q in zip(grid, grid[1:])]
-    return TargetSet(tuple(xs))
+    grid = np.sort(np.concatenate((field.domain, field.us, field.vs)))
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
+    return TargetSet(tuple(((grid[:-1] + grid[1:]) / 2.0).tolist()))
 
 
 def merge_segments(

@@ -7,6 +7,7 @@ can certify it.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -16,10 +17,11 @@ from barriercover.algorithms import (
     SelectionStep,
     augment_with_gap_sensors,
 )
+from barriercover.deployment import DeploymentKind
 from barriercover.model import (
-    ProjectedInterval,
     Sensor,
     SensorField,
+    SensorKind,
     TargetSet,
     discretize,
 )
@@ -45,15 +47,85 @@ def table_field(pairs, domain):
     """Field whose canonical intervals are exactly the pairs, as given.
 
     Skips projection and clipping so that zero-length spans, duplicates
-    and adjacent doubles reach the selectors unchanged; each sensor
-    carries a placeholder pose.
+    and adjacent doubles reach the selectors unchanged; sensor i owns the
+    i-th pair and has no pose.
     """
-    intervals = sorted(
-        (ProjectedInterval(u, v, i) for i, (u, v) in enumerate(pairs)),
-        key=lambda iv: (iv.u, iv.v, iv.sensor_id),
+    pairs = list(pairs)
+    return SensorField(
+        [u for u, _ in pairs], [v for _, v in pairs], range(len(pairs)), domain
     )
-    sensors = tuple(Sensor.omni(i, 0.0, 0.0, 1.0) for i in range(len(pairs)))
-    return SensorField(sensors=sensors, intervals=tuple(intervals), domain=domain)
+
+
+def _angle_inside(theta, center, half):
+    # circular distance between theta and center, in degrees
+    d = abs((theta - center + 180.0) % 360.0 - 180.0)
+    return d <= half
+
+
+def oracle_project(sensor):
+    """Per-sensor projection, the package's former scalar code path.
+
+    Omnidirectional: [x - r, x + r]. Directional: min and max over the
+    apex, the two arc edge endpoints, and the arc points at 0 and 180
+    degrees when the sector contains them. Returns (u, v).
+    """
+    x, _y = sensor.position
+    r = sensor.radius
+    if sensor.kind is SensorKind.OMNI:
+        return x - r, x + r
+    half = sensor.fov / 2.0
+    xs = [x]
+    for edge in (sensor.direction - half, sensor.direction + half):
+        xs.append(x + r * math.cos(math.radians(edge)))
+    if _angle_inside(0.0, sensor.direction, half):
+        xs.append(x + r)
+    if _angle_inside(180.0, sensor.direction, half):
+        xs.append(x - r)
+    return min(xs), max(xs)
+
+
+def oracle_clip(span, domain):
+    """Scalar intersection of (u, v) with [a, b]; None when void."""
+    a, b = domain
+    u = max(span[0], a)
+    v = min(span[1], b)
+    if u > v:
+        return None
+    return u, v
+
+
+def oracle_table(sensors, domain):
+    """Canonical (u, v, id) rows of a field built the scalar way: project,
+    clip, drop the void, sort by (u, v, id)."""
+    rows = []
+    for s in sensors:
+        span = s.span if s.virtual else oracle_project(s)
+        kept = oracle_clip(span, domain)
+        if kept is not None:
+            rows.append((kept[0], kept[1], s.id))
+    return sorted(rows)
+
+
+def oracle_generate(spec):
+    """The sensors of ``generate(spec)``, drawn and built one at a time."""
+    rng = np.random.default_rng(spec.seed)
+    xs = rng.uniform(0.0, spec.width, spec.n)
+    if spec.kind is DeploymentKind.LINE:
+        ys = rng.normal(0.0, spec.line_sigma, spec.n)
+    else:
+        ys = rng.uniform(0.0, spec.strip_height, spec.n)
+    if spec.sensor_kind is SensorKind.OMNI:
+        return [
+            Sensor.omni(i, float(xs[i]), float(ys[i]), spec.radius)
+            for i in range(spec.n)
+        ]
+    dirs = rng.uniform(0.0, 360.0, spec.n)
+    return [
+        Sensor.directional(
+            i, float(xs[i]), float(ys[i]), spec.radius, spec.fov, float(dirs[i])
+        )
+        for i in range(spec.n)
+    ]
 
 
 def multiplicity(intervals, x):

@@ -291,6 +291,18 @@ class TestDiagnostics:
             assert code == 1, second
             assert "line 2" in err, second
 
+    def test_duplicate_id_is_located(self, capsys, tmp_path):
+        bad = tmp_path / "dup.jsonl"
+        bad.write_text(
+            '{"id": 0, "kind": "omni", "x": 1.0, "y": 0.0, "radius": 2.0}\n'
+            '{"id": 0, "kind": "omni", "x": 5.0, "y": 0.0, "radius": 2.0}\n'
+        )
+        code, _, err = run_main(
+            capsys, ["cover", "--field", str(bad), "--domain", "0", "20"]
+        )
+        assert code == 1
+        assert err == "error: line 2: duplicate sensor id 0\n"
+
     def test_unknown_key_is_located(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(

@@ -1,0 +1,47 @@
+"""Byte-identical command output for fixed seeds.
+
+The files under ``data/golden`` were written by the per-sensor scalar
+implementation that the array-backed field replaced, with the commands
+listed here; every later version must reproduce them byte for byte.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from barriercover.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+FIELD = str(GOLDEN / "gen_directional.jsonl")
+
+COMMANDS = {
+    "gen_directional.jsonl": [
+        "gen", "--n", "40", "--width", "100", "--radius", "10", "--fov", "90",
+        "--seed", "7",
+    ],
+    "gen_omni.jsonl": [
+        "gen", "--n", "30", "--width", "100", "--kind", "poisson",
+        "--sensor-kind", "omni", "--radius", "5", "--seed", "3",
+    ],
+    "single_failure.json": [
+        "experiment", "--name", "single_failure", "--realizations", "2",
+        "--format", "json",
+    ],
+    "multi_gap.json": [
+        "experiment", "--name", "multi_gap", "--realizations", "2",
+        "--format", "json",
+    ],
+    "cover_directional.json": ["cover", "--field", FIELD, "--domain", "0", "100"],
+    "kcover_directional.json": [
+        "kcover", "--field", FIELD, "--domain", "0", "100", "--k", "2",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_is_byte_identical(capsys, name):
+    assert main(COMMANDS[name]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -162,10 +162,11 @@ class TestIntervalBasics:
             ProjectedInterval(3.0, 2.0, 0)
 
     def test_closed_cover_and_overlap(self):
-        iv = ProjectedInterval(1.0, 3.0, 0)
-        assert iv.covers(1.0) and iv.covers(3.0) and not iv.covers(3.1)
-        assert iv.overlaps(ProjectedInterval(3.0, 5.0, 1))
-        assert not iv.overlaps(ProjectedInterval(3.5, 5.0, 1))
+        # closed intervals: sharing one endpoint leaves no hole between
+        assert complement_segments([(1.0, 3.0), (3.0, 5.0)], (1.0, 5.0)) == []
+        assert complement_segments([(1.0, 3.0), (3.5, 5.0)], (1.0, 5.0)) == [
+            (3.0, 3.5)
+        ]
 
     def test_targets_sorted_and_indexable(self):
         ts = TargetSet((3.0, 1.0, 2.0))
