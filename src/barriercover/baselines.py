@@ -9,7 +9,13 @@ Two baselines to compare the frontier greedy against:
   benchmark. Sensors become nodes of a complete graph with two terminals;
   an edge costs 0 when the projected intervals overlap and 1 otherwise
   (one bridging gap sensor). k rounds of cheapest-path extraction with
-  node removal yield k vertex-disjoint barriers.
+  node removal yield k vertex-disjoint barriers. The terminal edge
+  LEFT->RIGHT costs 1 with two nodes, and no longer path with a weight-1
+  edge beats it, so the cheapest path is either gap-free, with the
+  fewest sensors and the smallest ids on ties, or that lone edge. A
+  round is therefore one breadth-first search over the overlap edges:
+  one vectorized pass over the sensors per sensor on the path, O(n L)
+  for n sensors and an L-sensor path.
 
 ``brute_force_min_kcover`` certifies optimality claims by exhaustive
 subset enumeration, smallest subsets first.
@@ -17,8 +23,8 @@ subset enumeration, smallest subsets first.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping
 
@@ -106,18 +112,34 @@ def greedy_max_coverage(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarrierGraph:
     """Complete weighted graph over sensor nodes plus LEFT/RIGHT terminals.
 
-    ``spans`` maps each node to its interval; the terminals carry the
-    degenerate intervals [a, a] and [b, b]. An edge weighs 0 when the two
-    spans share a point and 1 otherwise (one bridging gap sensor).
+    ``us``, ``vs`` and ``ids`` are the real sensors' spans in the field's
+    canonical order; ``nodes`` and ``spans`` list them with the terminals,
+    which carry the degenerate intervals [a, a] and [b, b]. An edge weighs
+    0 when the two spans share a point and 1 otherwise (one bridging gap
+    sensor). ``first_free_id`` is the lowest id above every sensor of the
+    field, virtual ones included, for the gap sensors a selection adds.
     """
 
-    nodes: tuple[int, ...]
-    spans: Mapping[int, tuple[float, float]]
+    us: np.ndarray
+    vs: np.ndarray
+    ids: np.ndarray
     domain: Domain
+    first_free_id: int
+
+    @cached_property
+    def nodes(self) -> tuple[int, ...]:
+        return (LEFT, RIGHT, *self.ids.tolist())
+
+    @cached_property
+    def spans(self) -> Mapping[int, tuple[float, float]]:
+        a, b = self.domain
+        spans = {LEFT: (a, a), RIGHT: (b, b)}
+        spans.update(zip(self.ids.tolist(), zip(self.us.tolist(), self.vs.tolist())))
+        return spans
 
     def weight(self, i: int, j: int) -> int:
         ui, vi = self.spans[i]
@@ -130,40 +152,44 @@ def build_barrier_graph(field: SensorField, domain: Domain) -> BarrierGraph:
     a, b = domain
     if not a < b:
         raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
-    spans: dict[int, tuple[float, float]] = {LEFT: (a, a), RIGHT: (b, b)}
-    nodes = [LEFT, RIGHT]
-    for sid, u, v in zip(field.ids.tolist(), field.us.tolist(), field.vs.tolist()):
-        if sid in field.virtual_spans:
-            continue
-        spans[sid] = (u, v)
-        nodes.append(sid)
-    return BarrierGraph(nodes=tuple(nodes), spans=spans, domain=domain)
+    real = ~np.isin(field.ids, list(field.virtual_spans))
+    return BarrierGraph(
+        field.us[real], field.vs[real], field.ids[real], domain, field.max_id + 1
+    )
 
 
-def _cheapest_path(graph: BarrierGraph, removed: set[int]) -> tuple[int, ...]:
-    """Cheapest LEFT->RIGHT path by (total weight, node count, node ids)."""
-    best_seen: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-    heap: list[tuple[int, int, tuple[int, ...]]] = [(0, 1, (LEFT,))]
-    settled: set[int] = set()
-    while heap:
-        dist, length, path = heapq.heappop(heap)
-        node = path[-1]
-        if node == RIGHT:
-            return path
-        if node in settled:
-            continue
-        settled.add(node)
-        for other in graph.nodes:
-            if other == node or other == LEFT or other in removed:
-                continue
-            if other in settled:
-                continue
-            cand = (dist + graph.weight(node, other), length + 1, path + (other,))
-            seen = best_seen.get(other)
-            if seen is None or cand < seen:
-                best_seen[other] = cand
-                heapq.heappush(heap, cand)
-    raise RuntimeError("no LEFT->RIGHT path; the direct terminal edge is missing")
+def _gap_free_path(graph: BarrierGraph, alive: np.ndarray) -> list[int] | None:
+    """Rows of the gap-free LEFT->RIGHT path with the fewest sensors.
+
+    Ties go to the lexicographically smallest id sequence; None when the
+    alive sensors hold no gap-free path. Breadth-first levels group the
+    sensors by how many it takes from each one to RIGHT. The union of the
+    spans reached so far is one interval [lo, hi] around b, and a closed
+    span meets the union exactly when it meets a member, so each level is
+    one mask. The walk from LEFT then takes, level by level, the smallest
+    id among the sensors that meet the one before.
+    """
+    us, vs, ids = graph.us, graph.vs, graph.ids
+    a, b = graph.domain
+    unseen = alive.copy()
+    levels = []
+    lo = hi = b
+    while lo > a:
+        new = np.flatnonzero(unseen & (us <= hi) & (vs >= lo))
+        if not new.size:
+            return None
+        levels.append(new)
+        unseen[new] = False
+        lo = min(lo, us[new].min())
+        hi = max(hi, vs[new].max())
+    rows = []
+    u = v = a
+    for level in reversed(levels):
+        step = level[(us[level] <= v) & (vs[level] >= u)]
+        row = step[np.argmin(ids[step])]
+        rows.append(row)
+        u, v = us[row], vs[row]
+    return rows
 
 
 def k_disjoint_paths(graph: BarrierGraph, k: int) -> SelectionResult:
@@ -171,35 +197,32 @@ def k_disjoint_paths(graph: BarrierGraph, k: int) -> SelectionResult:
 
     Each round picks the LEFT->RIGHT path minimizing total gap sensors,
     breaking ties by fewer nodes and then lexicographic node ids, and
-    removes its sensor nodes from later rounds. Weight-1 edges materialize
-    as virtual sensors spanning the stretch between the two spans. The
-    result counts real and virtual sensors together; subtract the virtual
-    ones for the real count.
+    removes its sensor nodes from later rounds. That path is the
+    gap-free one with the fewest sensors or, when the surviving sensors
+    hold none, the terminal edge, bridged by one virtual sensor over the
+    whole domain; node removal then leaves every later round the same.
+    Virtual ids count up from ``graph.first_free_id``. The result counts
+    real and virtual sensors together; subtract the virtual ones for the
+    real count.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    removed: set[int] = set()
+    alive = np.ones(graph.ids.size, dtype=bool)
     selected: list[int] = []
-    virtual_ids: list[int] = []
-    virtual_spans: dict[int, tuple[float, float]] = {}
-    next_vid = max((n for n in graph.nodes if n >= 0), default=-1) + 1
-    for _ in range(k):
-        path = _cheapest_path(graph, removed)
-        for node in path[1:-1]:
-            selected.append(node)
-            removed.add(node)
-        for i, j in zip(path, path[1:]):
-            if graph.weight(i, j) == 1:
-                lo = min(graph.spans[i][1], graph.spans[j][1])
-                hi = max(graph.spans[i][0], graph.spans[j][0])
-                virtual_ids.append(next_vid)
-                selected.append(next_vid)
-                virtual_spans[next_vid] = (lo, hi)
-                next_vid += 1
+    rounds = 0
+    while rounds < k:
+        rows = _gap_free_path(graph, alive)
+        if rows is None:
+            break
+        alive[rows] = False
+        selected += graph.ids[rows].tolist()
+        rounds += 1
+    a, b = graph.domain
+    virtual_ids = tuple(range(graph.first_free_id, graph.first_free_id + k - rounds))
     return SelectionResult(
-        selected_ids=tuple(selected),
-        virtual_ids=tuple(virtual_ids),
-        virtual_spans=virtual_spans,
+        selected_ids=tuple(selected) + virtual_ids,
+        virtual_ids=virtual_ids,
+        virtual_spans={vid: (a, b) for vid in virtual_ids},
         trace=(),
         fully_covered=not virtual_ids,
         comparisons=0,

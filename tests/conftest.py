@@ -7,6 +7,7 @@ can certify it.
 
 from __future__ import annotations
 
+import heapq
 import math
 from itertools import combinations
 
@@ -17,8 +18,10 @@ from barriercover.algorithms import (
     SelectionStep,
     augment_with_gap_sensors,
 )
+from barriercover.baselines import LEFT, RIGHT
 from barriercover.deployment import DeploymentKind
 from barriercover.model import (
+    ParameterError,
     Sensor,
     SensorField,
     SensorKind,
@@ -365,4 +368,68 @@ def naive_k_oga(field, targets, k):
         trace=tuple(steps),
         fully_covered=not virtual_ids,
         comparisons=comparisons,
+    )
+
+
+def _oracle_cheapest_path(graph, removed):
+    """Cheapest LEFT->RIGHT path by (total weight, node count, node ids).
+
+    Dijkstra over the complete graph with whole path tuples as labels, so
+    the heap order is the tie-break itself.
+    """
+    best_seen = {}
+    heap = [(0, 1, (LEFT,))]
+    settled = set()
+    while heap:
+        dist, length, path = heapq.heappop(heap)
+        node = path[-1]
+        if node == RIGHT:
+            return path
+        if node in settled:
+            continue
+        settled.add(node)
+        for other in graph.nodes:
+            if other == node or other == LEFT or other in removed:
+                continue
+            if other in settled:
+                continue
+            cand = (dist + graph.weight(node, other), length + 1, path + (other,))
+            seen = best_seen.get(other)
+            if seen is None or cand < seen:
+                best_seen[other] = cand
+                heapq.heappush(heap, cand)
+    raise RuntimeError("no LEFT->RIGHT path; the direct terminal edge is missing")
+
+
+def oracle_k_disjoint_paths(graph, k):
+    """Reference for ``k_disjoint_paths``: the package's former
+    path-tuple Dijkstra, one per round, with virtual ids counted from the
+    largest real node id."""
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    removed = set()
+    selected = []
+    virtual_ids = []
+    virtual_spans = {}
+    next_vid = max((n for n in graph.nodes if n >= 0), default=-1) + 1
+    for _ in range(k):
+        path = _oracle_cheapest_path(graph, removed)
+        for node in path[1:-1]:
+            selected.append(node)
+            removed.add(node)
+        for i, j in zip(path, path[1:]):
+            if graph.weight(i, j) == 1:
+                lo = min(graph.spans[i][1], graph.spans[j][1])
+                hi = max(graph.spans[i][0], graph.spans[j][0])
+                virtual_ids.append(next_vid)
+                selected.append(next_vid)
+                virtual_spans[next_vid] = (lo, hi)
+                next_vid += 1
+    return SelectionResult(
+        selected_ids=tuple(selected),
+        virtual_ids=tuple(virtual_ids),
+        virtual_spans=virtual_spans,
+        trace=(),
+        fully_covered=not virtual_ids,
+        comparisons=0,
     )

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from barriercover.algorithms import oga, oga_continuous
 from barriercover.baselines import (
@@ -15,6 +19,7 @@ from barriercover.baselines import (
     greedy_max_coverage,
     k_disjoint_paths,
 )
+from barriercover.deployment import DeploymentSpec, generate
 from barriercover.model import (
     ParameterError,
     Sensor,
@@ -22,7 +27,51 @@ from barriercover.model import (
     TargetSet,
     discretize,
 )
-from conftest import exhaustive_min_kcover, make_field, oracle_instance
+from conftest import (
+    exhaustive_min_kcover,
+    make_field,
+    oracle_instance,
+    oracle_k_disjoint_paths,
+    table_field,
+)
+
+DOMAIN = (0.0, 10.0)
+
+
+def _neighbours(x):
+    """x and its two neighbouring doubles, those that lie on DOMAIN."""
+    ys = (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
+    return [y for y in ys if DOMAIN[0] <= y <= DOMAIN[1]]
+
+
+# a coarse grid on DOMAIN, each point's neighbouring doubles and two
+# subnormals, so that drawn spans are zero-length, duplicate, touch, miss
+# by one double, and end exactly on a or b
+_GRID = (0.0, 5e-324, 1e-323, 2.0, 2.5, 4.0, 5.0, 7.5, 10.0)
+ENDPOINTS = sorted({y for g in _GRID for y in _neighbours(g)})
+AFTER_5 = math.nextafter(5.0, math.inf)
+
+
+@st.composite
+def barrier_tables(draw):
+    """Fields on DOMAIN: chains of spans from about a to about b whose
+    links overlap, touch or miss by one double, plus spans drawn from
+    ENDPOINTS, plus repeats."""
+    pairs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        cuts = sorted(draw(st.lists(st.sampled_from(_GRID), max_size=4)))
+        points = [DOMAIN[0], *cuts, DOMAIN[1]]
+        for lo, hi in zip(points, points[1:]):
+            u = draw(st.sampled_from(_neighbours(lo)))
+            v = draw(st.sampled_from(_neighbours(hi)))
+            pairs.append((min(u, v), max(u, v)))
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        u = draw(st.sampled_from(ENDPOINTS))
+        v = draw(st.sampled_from([x for x in ENDPOINTS if x >= u]))
+        pairs.append((u, v))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return table_field(pairs, DOMAIN)
 
 
 def cheapest_path_oracle(graph):
@@ -192,6 +241,41 @@ class TestKDisjointPaths:
         graph = build_barrier_graph(field, (0.0, 10.0))
         with pytest.raises(ParameterError):
             k_disjoint_paths(graph, 0)
+
+    def test_virtual_ids_start_above_the_fields_virtual_sensors(self):
+        field = make_field([(0.0, 4.0), (6.0, 10.0)], domain=(0.0, 10.0))
+        field, held = field.with_virtual([(4.0, 6.0)])
+        assert held == (2,)
+        graph = build_barrier_graph(field, field.domain)
+        result = k_disjoint_paths(graph, 1)
+        assert result.virtual_ids == (3,)
+        assert result.virtual_spans == {3: (0.0, 10.0)}
+        assert field.virtual_spans == {2: (4.0, 6.0)}
+
+    @settings(max_examples=400, deadline=None)
+    @given(barrier_tables(), st.integers(min_value=1, max_value=5))
+    @example(table_field([(0.0, 10.0), (0.0, 10.0)], DOMAIN), 1)
+    @example(table_field([(5.0, 10.0), (0.0, 5.0), (5.0, 10.0)], DOMAIN), 2)
+    @example(table_field([(0.0, 5.0), (AFTER_5, 10.0)], DOMAIN), 1)
+    @example(table_field([(0.0, 2.0), (2.5, 10.0), (0.0, 10.0)], DOMAIN), 3)
+    @example(table_field([(5.0, 5.0), (0.0, 5.0), (5.0, 10.0)], DOMAIN), 2)
+    @example(table_field([], DOMAIN), 2)
+    def test_matches_path_tuple_dijkstra(self, field, k):
+        graph = build_barrier_graph(field, field.domain)
+        assert k_disjoint_paths(graph, k) == oracle_k_disjoint_paths(graph, k)
+
+    @pytest.mark.parametrize(
+        "n, seeds", [(50, 6), (100, 6), (200, 4), (400, 2), (800, 1)]
+    )
+    def test_stock_k_barrier_fields_match_path_tuple_dijkstra(self, n, seeds):
+        for seed in range(seeds):
+            spec = DeploymentSpec(
+                n=n, width=100.0, radius=10.0, fov=45.0, seed=seed
+            )
+            field = generate(spec)
+            graph = build_barrier_graph(field, field.domain)
+            result = k_disjoint_paths(graph, 5)
+            assert result == oracle_k_disjoint_paths(graph, 5)
 
     def test_matches_path_enumeration_oracle(self):
         import sys

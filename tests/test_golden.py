@@ -1,8 +1,10 @@
 """Byte-identical command output for fixed seeds.
 
-The files under ``data/golden`` were written by the per-sensor scalar
-implementation that the array-backed field replaced, with the commands
-listed here; every later version must reproduce them byte for byte.
+The files under ``data/golden`` were written with the commands listed
+here: the first six by the per-sensor scalar implementation that the
+array-backed field replaced, ``k_barrier.json`` and ``kpaths_k*.json`` by
+the path-tuple Dijkstra that the breadth-first k-paths benchmark
+replaced. Every later version must reproduce them byte for byte.
 """
 
 from __future__ import annotations
@@ -36,6 +38,18 @@ COMMANDS = {
     "cover_directional.json": ["cover", "--field", FIELD, "--domain", "0", "100"],
     "kcover_directional.json": [
         "kcover", "--field", FIELD, "--domain", "0", "100", "--k", "2",
+    ],
+    "k_barrier.json": [
+        "experiment", "--name", "k_barrier", "--realizations", "2",
+        "--format", "json",
+    ],
+    "kpaths_k2.json": [
+        "baseline", "--field", FIELD, "--domain", "0", "100",
+        "--algorithm", "kpaths", "--k", "2",
+    ],
+    "kpaths_k4.json": [
+        "baseline", "--field", FIELD, "--domain", "0", "100",
+        "--algorithm", "kpaths", "--k", "4",
     ],
 }
 
