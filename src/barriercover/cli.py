@@ -26,7 +26,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Callable, Sequence
 
 from .algorithms import SelectionResult, find_gaps, k_oga, logm, oga, oga_continuous
 from .baselines import (
@@ -62,6 +62,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
+
+
+def _read_json(path: str, what: str, parse: Callable):
+    """``parse`` applied to the JSON object in a file; a malformed file is
+    a ParameterError naming it."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        return parse(data)
+    except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
+        raise ParameterError(f"malformed {what} file {path}: {exc!r}") from None
 
 
 def _load_field(args: argparse.Namespace) -> SensorField:
@@ -138,11 +150,7 @@ def cmd_kcover(args: argparse.Namespace) -> int:
 
 def cmd_mend(args: argparse.Namespace) -> int:
     field = _load_field(args)
-    try:
-        data = json.loads(Path(args.result).read_text(encoding="utf-8"))
-        previous = SelectionResult.from_dict(data)
-    except (KeyError, TypeError) as exc:
-        raise ParameterError(f"malformed result file {args.result}: {exc!r}")
+    previous = _read_json(args.result, "result", SelectionResult.from_dict)
     failed = _int_list(args.failed)
     gaps = find_gaps(previous, failed, field, field.domain)
     mended = logm(previous, gaps, field, field.domain, failed_ids=failed)
@@ -182,11 +190,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     if args.config is not None:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        try:
-            config = ExperimentConfig.from_dict(data)
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(f"malformed config file {args.config}: {exc!r}")
+        config = _read_json(args.config, "config", ExperimentConfig.from_dict)
     elif args.name is not None:
         config = default_config(args.name)
     else:

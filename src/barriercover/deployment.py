@@ -16,7 +16,7 @@ child seed per (base seed, sweep index, realization, attempt) through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -103,26 +103,12 @@ class DeploymentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DeploymentSpec":
-        known = {
-            "n",
-            "width",
-            "strip_height",
-            "kind",
-            "line_sigma",
-            "radius",
-            "fov",
-            "sensor_kind",
-            "seed",
-        }
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise TypeError(f"deployment must be a JSON object, got {data!r}")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ParameterError(f"unknown deployment fields: {sorted(unknown)}")
-        fields = dict(data)
-        if "kind" in fields:
-            fields["kind"] = DeploymentKind(fields["kind"])
-        if "sensor_kind" in fields:
-            fields["sensor_kind"] = SensorKind(fields["sensor_kind"])
-        return cls(**fields)
+        return cls(**data)
 
 
 def generate(spec: DeploymentSpec) -> SensorField:

@@ -1,11 +1,12 @@
 """Seeded Monte-Carlo studies over random deployments.
 
-Each experiment sweeps one parameter over freshly generated fields and
-reduces the per-realization outcomes into one record per sweep point
-(or per curve step). Every random draw is keyed by
-``child_seed(base_seed, <labels>)``, and results are reduced in task
-order, so reports are byte-identical for a given configuration no matter
-how many worker processes run the realizations.
+An experiment is a worker plus a reduction, one row of ``_EXPERIMENTS``.
+``run_experiment`` runs the worker once per (sweep value, realization) on
+a freshly generated field, and hands each sweep value's outcomes, in
+realization order, to the reduction, which returns that value's report
+rows. Every random draw is keyed by ``child_seed(base_seed, <labels>)``,
+so reports are byte-identical for a given configuration no matter how
+many worker processes run the realizations.
 
 Experiments
 -----------
@@ -15,7 +16,7 @@ Experiments
 * ``intersection_sweep``: selection sizes of the two greedies per field
   size, plus where their coverage curves meet.
 * ``k_barrier``: selection sizes of ``k_oga`` vs. the k-disjoint-paths
-  benchmark for several coverage multiplicities.
+  benchmark for several coverage multiplicities, every k on the same field.
 * ``single_failure``: for every selected sensor, the cost of mending its
   failure locally (``logm``) vs. re-selecting from scratch.
 * ``multi_gap``: the same comparison when several selected sensors fail
@@ -70,6 +71,8 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "sweep", tuple(int(x) for x in self.sweep))
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
+        for name in ("realizations", "base_seed", "jobs"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not self.sweep:
             raise ParameterError("sweep must not be empty")
         if any(x < 1 for x in self.sweep):
@@ -103,17 +106,9 @@ class ExperimentConfig:
         if missing:
             raise ParameterError(f"experiment config needs fields: {missing}")
         dep = data["deployment"]
-        if isinstance(dep, dict):
+        if not isinstance(dep, DeploymentSpec):
             dep = DeploymentSpec.from_dict(dep)
-        return cls(
-            experiment=data["experiment"],
-            deployment=dep,
-            sweep=tuple(data["sweep"]),
-            realizations=int(data.get("realizations", 1)),
-            base_seed=int(data.get("base_seed", 0)),
-            k_values=tuple(data.get("k_values", (2, 4))),
-            jobs=int(data.get("jobs", 1)),
-        )
+        return cls(**{**data, "deployment": dep})
 
 
 @dataclass(frozen=True)
@@ -180,14 +175,13 @@ class ExperimentReport:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _pmap(fn: Callable, tasks: Sequence, jobs: int) -> list:
-    """map() preserving task order, optionally over worker processes."""
-    tasks = list(tasks)
+def _pmap(fn: Callable, tasks: Sequence[tuple], jobs: int) -> list:
+    """``fn(*task)`` for every task in order, optionally over worker processes."""
     if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+        return [fn(*t) for t in tasks]
     chunk = max(1, len(tasks) // (jobs * 8))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
 
 
 def prefix_coverage(field: SensorField, selected_ids, domain: Domain) -> list[float]:
@@ -336,118 +330,41 @@ def single_failure_counts(
 
 
 # --------------------------------------------------------------------------
-# experiment workers (top level so process pools can pickle them)
+# experiments: a worker (top level so process pools can pickle it) runs
+# one ``(config, sweep value, realization)`` task; a reduction turns one
+# sweep value's outcomes into report rows, the first row's keys giving the
+# report's columns
 # --------------------------------------------------------------------------
 
 
-def _worker_curves(args: tuple) -> tuple:
-    spec_dict, n, r = args
-    spec = DeploymentSpec.from_dict(spec_dict)
-    field = generate(spec)
+def _field(config: ExperimentConfig, n: int, r: int) -> SensorField:
+    """Realization r of the deployment template with n sensors."""
+    seed = child_seed(config.base_seed, n, r)
+    return generate(config.deployment.with_(n=n, seed=seed))
+
+
+def _mean(values: Sequence, empty: float | None = 0.0) -> float | None:
+    return sum(values) / len(values) if values else empty
+
+
+def _curves(config: ExperimentConfig, n: int, r: int) -> tuple:
+    """Coverage curves of frontier and plain greedy selection, and whether
+    the frontier selection covered the segment."""
+    field = _field(config, n, r)
     targets = discretize(field)
     frontier = oga(field, targets, record_trace=False)
     plain = greedy_max_coverage(field, targets, record_trace=False)
-    oga_curve = prefix_coverage(field, frontier.selected_ids, field.domain)
-    greedy_curve = prefix_coverage(field, plain.selected_ids, field.domain)
-    return n, r, oga_curve, greedy_curve, frontier.fully_covered
-
-
-def _worker_intersection(args: tuple) -> tuple:
-    n, r, oga_curve, greedy_curve, coverable = _worker_curves(args)
-    crossing = curve_intersection(oga_curve, greedy_curve) if coverable else None
-    return coverable, len(oga_curve) - 1, len(greedy_curve) - 1, crossing
-
-
-def _worker_kbarrier(args: tuple) -> tuple:
-    spec_dict, n, k, r = args
-    spec = DeploymentSpec.from_dict(spec_dict)
-    field = generate(spec)
-    targets = discretize(field)
-    rounds = k_oga(field, targets, k, record_trace=False)
-    graph = build_barrier_graph(field, field.domain)
-    bench = k_disjoint_paths(graph, k)
-    return rounds.count, rounds.fully_covered, bench.count, bench.fully_covered
-
-
-def _worker_single_failure(args: tuple) -> list | None:
-    """Mended minus fresh size per failure, None where either side
-    needed virtual sensors; None for a field that is not coverable."""
-    spec_dict, n, r = args
-    spec = DeploymentSpec.from_dict(spec_dict)
-    field = generate(spec)
-    rows = single_failure_counts(field, field.domain)
-    if rows is None:
-        return None
-    return [mended - fresh if clean else None for _sid, mended, fresh, clean in rows]
-
-
-def _worker_multi_gap(args: tuple) -> tuple:
-    spec_dict, m, r, base_seed = args
-    template = DeploymentSpec.from_dict(spec_dict)
-    field = None
-    selection = None
-    real_ids: list[int] = []
-    attempt = 0
-    for attempt in range(200):
-        spec = template.with_(seed=child_seed(base_seed, m, r, attempt, 0))
-        field = generate(spec)
-        selection = oga_continuous(field, field.domain, record_trace=False)
-        if not selection.fully_covered:
-            continue
-        real_ids = list(selection.selected_ids)
-        if len(real_ids) >= m:
-            break
-    else:
-        raise RuntimeError(
-            f"no deployment with at least {m} selected sensors in 200 attempts"
-        )
-    rng = np.random.default_rng(child_seed(base_seed, m, r, attempt, 1))
-    failed = sorted(
-        int(x) for x in rng.choice(np.asarray(real_ids), size=m, replace=False)
+    return (
+        prefix_coverage(field, frontier.selected_ids, field.domain),
+        prefix_coverage(field, plain.selected_ids, field.domain),
+        frontier.fully_covered,
     )
-    gaps = find_gaps(selection, failed, field, field.domain)
-    mended = logm(
-        selection, gaps, field, field.domain, failed_ids=failed, record_trace=False
-    )
-    fresh = oga_continuous(field.without(failed), field.domain, record_trace=False)
-    extra = mended.count - fresh.count
-    clean = mended.fully_covered and fresh.fully_covered
-    return extra, len(gaps), attempt, clean
 
 
-# --------------------------------------------------------------------------
-# experiment runners
-#
-# Each runner returns its report rows; the first row's key order gives the
-# report's columns.
-# --------------------------------------------------------------------------
-
-
-def _spec(config: ExperimentConfig, n: int, r: int) -> dict:
-    """The deployment of realization r at sweep value n."""
-    spec = config.deployment.with_(n=n, seed=child_seed(config.base_seed, n, r))
-    return spec.to_dict()
-
-
-def _sweep_tasks(config: ExperimentConfig) -> list[tuple]:
-    return [
-        (_spec(config, n, r), n, r)
-        for n in config.sweep
-        for r in range(config.realizations)
-    ]
-
-
-def _chunks(results: list, per: int) -> list[list]:
-    """Consecutive runs of ``per`` results: the realizations of one point."""
-    return [results[i : i + per] for i in range(0, len(results), per)]
-
-
-def run_coverage_curve(config: ExperimentConfig) -> list[dict]:
-    results = _pmap(_worker_curves, _sweep_tasks(config), config.jobs)
+def _coverage_rows(config: ExperimentConfig, n: int, outcomes: list) -> list[dict]:
     rows = []
-    for n, r, oga_curve, greedy_curve, _coverable in results:
-        top = max(len(oga_curve), len(greedy_curve))
-        for step in range(top):
+    for r, (oga_curve, greedy_curve, _coverable) in enumerate(outcomes):
+        for step in range(max(len(oga_curve), len(greedy_curve))):
             rows.append(
                 {
                     "n": n,
@@ -462,124 +379,155 @@ def run_coverage_curve(config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def run_intersection_sweep(config: ExperimentConfig) -> list[dict]:
-    results = _pmap(_worker_intersection, _sweep_tasks(config), config.jobs)
-    rows = []
-    per = config.realizations
-    for n, chunk in zip(config.sweep, _chunks(results, per)):
-        ok = [c for c in chunk if c[0]]
-        crossings = [c[3] for c in ok if c[3] is not None]
-        rows.append(
-            {
-                "n": n,
-                "realizations": per,
-                "coverable": len(ok),
-                "oga_mean": sum(c[1] for c in ok) / len(ok) if ok else 0.0,
-                "greedy_mean": sum(c[2] for c in ok) / len(ok) if ok else 0.0,
-                "oga_wins": sum(1 for c in ok if c[1] < c[2]),
-                "crossed": len(crossings),
-                "crossing_mean": (
-                    sum(crossings) / len(crossings) if crossings else 0.0
-                ),
-            }
-        )
-    return rows
-
-
-def run_k_barrier(config: ExperimentConfig) -> list[dict]:
-    points = [(n, k) for n in config.sweep for k in config.k_values]
-    tasks = [
-        (_spec(config, n, r), n, k, r)
-        for n, k in points
-        for r in range(config.realizations)
+def _intersection_rows(
+    config: ExperimentConfig, n: int, outcomes: list
+) -> list[dict]:
+    ok = [(o, g) for o, g, coverable in outcomes if coverable]
+    sizes = [(len(o) - 1, len(g) - 1) for o, g in ok]
+    crossings = [c for c in (curve_intersection(o, g) for o, g in ok) if c is not None]
+    return [
+        {
+            "n": n,
+            "realizations": len(outcomes),
+            "coverable": len(ok),
+            "oga_mean": _mean([o for o, _g in sizes]),
+            "greedy_mean": _mean([g for _o, g in sizes]),
+            "oga_wins": sum(1 for o, g in sizes if o < g),
+            "crossed": len(crossings),
+            "crossing_mean": _mean(crossings),
+        }
     ]
-    results = _pmap(_worker_kbarrier, tasks, config.jobs)
+
+
+def _k_barrier(config: ExperimentConfig, n: int, r: int) -> list[tuple]:
+    """Per k of the config: k_oga and benchmark sizes and whether each
+    covered k times, all on the same field."""
+    field = _field(config, n, r)
+    targets = discretize(field)
+    graph = build_barrier_graph(field, field.domain)
+    out = []
+    for k in config.k_values:
+        rounds = k_oga(field, targets, k, record_trace=False)
+        bench = k_disjoint_paths(graph, k)
+        out.append(
+            (rounds.count, rounds.fully_covered, bench.count, bench.fully_covered)
+        )
+    return out
+
+
+def _k_barrier_rows(config: ExperimentConfig, n: int, outcomes: list) -> list[dict]:
     rows = []
-    per = config.realizations
-    for (n, k), chunk in zip(points, _chunks(results, per)):
-        oga_total = sum(c[0] for c in chunk)
-        bench_total = sum(c[2] for c in chunk)
-        both = [c for c in chunk if c[1] and c[3]]
+    for k, per_k in zip(config.k_values, zip(*outcomes)):
+        oga_sizes, oga_full, bench_sizes, bench_full = zip(*per_k)
+        both = [i for i, full in enumerate(zip(oga_full, bench_full)) if all(full)]
         rows.append(
             {
                 "n": n,
                 "k": k,
-                "realizations": per,
-                "oga_mean": oga_total / per,
-                "benchmark_mean": bench_total / per,
-                "oga_full_frac": sum(1 for c in chunk if c[1]) / per,
-                "benchmark_full_frac": sum(1 for c in chunk if c[3]) / per,
+                "realizations": len(per_k),
+                "oga_mean": _mean(oga_sizes),
+                "benchmark_mean": _mean(bench_sizes),
+                "oga_full_frac": _mean(oga_full),
+                "benchmark_full_frac": _mean(bench_full),
                 "coverable": len(both),
-                "oga_mean_cov": (
-                    sum(c[0] for c in both) / len(both) if both else None
-                ),
-                "benchmark_mean_cov": (
-                    sum(c[2] for c in both) / len(both) if both else None
-                ),
+                "oga_mean_cov": _mean([oga_sizes[i] for i in both], None),
+                "benchmark_mean_cov": _mean([bench_sizes[i] for i in both], None),
             }
         )
     return rows
 
 
-def run_single_failure(config: ExperimentConfig) -> list[dict]:
-    results = _pmap(_worker_single_failure, _sweep_tasks(config), config.jobs)
-    rows = []
-    per = config.realizations
-    for n, chunk in zip(config.sweep, _chunks(results, per)):
-        outcomes = [d for c in chunk if c is not None for d in c]
-        diffs = [d for d in outcomes if d is not None]
-        failures = len(diffs)
-        rows.append(
-            {
-                "n": n,
-                "realizations": per,
-                "skipped": chunk.count(None),
-                "failures": failures,
-                "unclean": len(outcomes) - failures,
-                "mean_diff": sum(diffs) / failures if failures else 0.0,
-                "min_diff": min(diffs, default=0),
-                "max_diff": max(diffs, default=0),
-                "frac_zero": diffs.count(0) / failures if failures else 0.0,
-                "violations": sum(1 for d in diffs if d > 1),
-            }
-        )
-    return rows
+def _single_failure(config: ExperimentConfig, n: int, r: int) -> list | None:
+    """Mended minus fresh size per failure, None where either side
+    needed virtual sensors; None for a field that is not coverable."""
+    field = _field(config, n, r)
+    rows = single_failure_counts(field, field.domain)
+    if rows is None:
+        return None
+    return [mended - fresh if clean else None for _sid, mended, fresh, clean in rows]
 
 
-def run_multi_gap(config: ExperimentConfig) -> list[dict]:
-    spec_dict = config.deployment.to_dict()
-    tasks = [
-        (spec_dict, m, r, config.base_seed)
-        for m in config.sweep
-        for r in range(config.realizations)
+def _single_failure_rows(
+    config: ExperimentConfig, n: int, outcomes: list
+) -> list[dict]:
+    per_failure = [d for o in outcomes if o is not None for d in o]
+    diffs = [d for d in per_failure if d is not None]
+    return [
+        {
+            "n": n,
+            "realizations": len(outcomes),
+            "skipped": outcomes.count(None),
+            "failures": len(diffs),
+            "unclean": len(per_failure) - len(diffs),
+            "mean_diff": _mean(diffs),
+            "min_diff": min(diffs, default=0),
+            "max_diff": max(diffs, default=0),
+            "frac_zero": _mean([d == 0 for d in diffs]),
+            "violations": sum(1 for d in diffs if d > 1),
+        }
     ]
-    results = _pmap(_worker_multi_gap, tasks, config.jobs)
-    rows = []
-    per = config.realizations
-    for m, chunk in zip(config.sweep, _chunks(results, per)):
-        clean = [(c[0], c[1]) for c in chunk if c[3]]
-        extras = [c[0] for c in clean]
-        gaps = [c[1] for c in clean]
-        bound = 2 * m - 1
-        rows.append(
-            {
-                "m": m,
-                "realizations": per,
-                "resamples": sum(c[2] for c in chunk),
-                "unclean": sum(1 for c in chunk if not c[3]),
-                "mean_gaps": sum(gaps) / len(clean) if clean else 0.0,
-                "mean_extra": sum(extras) / len(clean) if clean else 0.0,
-                "min_extra": min(extras) if extras else 0,
-                "max_extra": max(extras) if extras else 0,
-                "violations": sum(1 for e in extras if e > bound),
-            }
+
+
+def _multi_gap(config: ExperimentConfig, m: int, r: int) -> tuple:
+    """Fail m selected sensors of a fully covered template field, resampled
+    until its selection has at least m. Returns mended minus fresh size,
+    the gap count, the resamples, and whether both sides managed without
+    virtual sensors."""
+    for attempt in range(200):
+        seed = child_seed(config.base_seed, m, r, attempt, 0)
+        field = generate(config.deployment.with_(seed=seed))
+        selection = oga_continuous(field, field.domain, record_trace=False)
+        if selection.fully_covered and len(selection.selected_ids) >= m:
+            break
+    else:
+        raise ParameterError(
+            f"no deployment with at least {m} selected sensors in 200 attempts"
         )
-    return rows
+    rng = np.random.default_rng(child_seed(config.base_seed, m, r, attempt, 1))
+    failed = sorted(
+        int(x)
+        for x in rng.choice(np.asarray(selection.selected_ids), size=m, replace=False)
+    )
+    gaps = find_gaps(selection, failed, field, field.domain)
+    mended = logm(
+        selection, gaps, field, field.domain, failed_ids=failed, record_trace=False
+    )
+    fresh = oga_continuous(field.without(failed), field.domain, record_trace=False)
+    clean = mended.fully_covered and fresh.fully_covered
+    return mended.count - fresh.count, len(gaps), attempt, clean
+
+
+def _multi_gap_rows(config: ExperimentConfig, m: int, outcomes: list) -> list[dict]:
+    clean = [(extra, gaps) for extra, gaps, _attempt, ok in outcomes if ok]
+    extras = [extra for extra, _gaps in clean]
+    return [
+        {
+            "m": m,
+            "realizations": len(outcomes),
+            "resamples": sum(o[2] for o in outcomes),
+            "unclean": len(outcomes) - len(clean),
+            "mean_gaps": _mean([gaps for _extra, gaps in clean]),
+            "mean_extra": _mean(extras),
+            "min_extra": min(extras, default=0),
+            "max_extra": max(extras, default=0),
+            "violations": sum(1 for e in extras if e > 2 * m - 1),
+        }
+    ]
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Run every realization of every sweep value, then reduce each
+    value's outcomes into its report rows."""
+    worker, reduce = _EXPERIMENTS[config.experiment][:2]
+    per = config.realizations
     start = time.perf_counter()
-    rows = _EXPERIMENTS[config.experiment][0](config)
+    tasks = [(config, x, r) for x in config.sweep for r in range(per)]
+    outcomes = _pmap(worker, tasks, config.jobs)
+    rows = [
+        row
+        for i, x in enumerate(config.sweep)
+        for row in reduce(config, x, outcomes[i * per : (i + 1) * per])
+    ]
     wall = time.perf_counter() - start
     metadata = {
         "package": "barriercover",
@@ -595,34 +543,40 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-# each experiment's runner and its stock deployment, sweep and realizations
+# each experiment's worker and reduction, and its stock deployment, sweep
+# and realizations
 _EXPERIMENTS = {
     "coverage_curve": (
-        run_coverage_curve,
+        _curves,
+        _coverage_rows,
         DeploymentSpec(n=30, width=1000.0, radius=10.0, fov=90.0),
         (30, 300, 3000),
         1,
     ),
     "intersection_sweep": (
-        run_intersection_sweep,
+        _curves,
+        _intersection_rows,
         DeploymentSpec(n=30, width=1000.0, radius=10.0, fov=90.0),
         (30, 300, 3000),
         20,
     ),
     "k_barrier": (
-        run_k_barrier,
+        _k_barrier,
+        _k_barrier_rows,
         DeploymentSpec(n=50, width=100.0, radius=10.0, fov=45.0),
         (50, 100, 200),
         20,
     ),
     "single_failure": (
-        run_single_failure,
+        _single_failure,
+        _single_failure_rows,
         DeploymentSpec(n=200, width=1000.0, kind="poisson", radius=10.0, fov=45.0),
         tuple(range(200, 2001, 200)),
         1000,
     ),
     "multi_gap": (
-        run_multi_gap,
+        _multi_gap,
+        _multi_gap_rows,
         DeploymentSpec(n=1000, width=100.0, kind="poisson", radius=2.0, fov=45.0),
         (1, 2, 3, 4, 5, 6),
         200,
@@ -640,7 +594,7 @@ def default_config(
             f"unknown experiment {experiment!r}; "
             f"expected one of {', '.join(EXPERIMENTS)}"
         )
-    _runner, deployment, sweep, realizations = _EXPERIMENTS[experiment]
+    _worker, _reduce, deployment, sweep, realizations = _EXPERIMENTS[experiment]
     return ExperimentConfig(
         experiment=experiment,
         deployment=deployment,

@@ -323,6 +323,60 @@ class TestDiagnostics:
             assert code == 1, (a, b)
             assert "domain" in err, (a, b)
 
+    def test_config_deployment_must_be_an_object(self, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(
+            {"experiment": "k_barrier", "deployment": 5, "sweep": [60]}
+        ))
+        code, _, err = run_main(capsys, ["experiment", "--config", str(cfg)])
+        assert code == 1
+        assert err.startswith(f"error: malformed config file {cfg}: ")
+
+    def test_result_file_must_be_a_selection_object(self, capsys, tmp_path):
+        sel = tmp_path / "sel.json"
+        for text in ("[0, 1, 2]", '{"selected": [0], "virtual_spans": []}'):
+            sel.write_text(text + "\n")
+            code, _, err = run_main(
+                capsys, ["mend", "--result", str(sel), "--failed", "0"] + F8
+            )
+            assert code == 1, text
+            assert err.startswith(f"error: malformed result file {sel}: "), text
+
+    def test_non_json_config_and_result_name_the_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json}\n")
+        for argv, what in (
+            (["experiment", "--config", str(bad)], "config"),
+            (["mend", "--result", str(bad), "--failed", "1"] + F8, "result"),
+        ):
+            code, _, err = run_main(capsys, argv)
+            assert code == 1, what
+            assert err.startswith(f"error: malformed {what} file {bad}: "), what
+            assert "line 1 column 2" in err, what
+
+    def test_unknown_deployment_kind_in_config(self, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "experiment": "k_barrier",
+            "deployment": {"n": 50, "width": 100.0, "kind": "grid"},
+            "sweep": [60],
+        }))
+        code, _, err = run_main(capsys, ["experiment", "--config", str(cfg)])
+        assert code == 1
+        assert err == "error: unknown deployment kind 'grid'\n"
+
+    def test_infeasible_multi_gap_sweep_is_a_parameter_error(self, capsys):
+        code, _, err = run_main(
+            capsys,
+            ["experiment", "--name", "multi_gap", "--sweep", "400",
+             "--realizations", "1"],
+        )
+        assert code == 1
+        assert err == (
+            "error: no deployment with at least 400 selected sensors"
+            " in 200 attempts\n"
+        )
+
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         code, _, _ = run_main(capsys, ["teleport"])
         assert code != 0

@@ -4,7 +4,10 @@ The files under ``data/golden`` were written with the commands listed
 here: the first six by the per-sensor scalar implementation that the
 array-backed field replaced, ``k_barrier.json`` and ``kpaths_k*.json`` by
 the path-tuple Dijkstra that the breadth-first k-paths benchmark
-replaced. Every later version must reproduce them byte for byte.
+replaced, ``coverage_curve.csv`` and ``intersection_sweep.json`` by the
+per-experiment runners that the single sweep driver replaced. Every later
+version must reproduce them byte for byte, and every ``experiment`` file
+also at ``--jobs 2``.
 """
 
 from __future__ import annotations
@@ -51,11 +54,27 @@ COMMANDS = {
         "baseline", "--field", FIELD, "--domain", "0", "100",
         "--algorithm", "kpaths", "--k", "4",
     ],
+    "coverage_curve.csv": [
+        "experiment", "--name", "coverage_curve", "--sweep", "30,300",
+        "--realizations", "2", "--format", "csv",
+    ],
+    "intersection_sweep.json": [
+        "experiment", "--name", "intersection_sweep", "--sweep", "30,3000",
+        "--realizations", "3", "--format", "json",
+    ],
 }
+EXPERIMENTS = sorted(n for n, cmd in COMMANDS.items() if cmd[0] == "experiment")
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_output_is_byte_identical(capsys, name):
     assert main(COMMANDS[name]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_experiment_is_byte_identical_across_jobs(capsys, name):
+    assert main(COMMANDS[name] + ["--jobs", "2"]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from barriercover import harness
 from barriercover.algorithms import find_gaps, logm, oga_continuous
 from barriercover.deployment import DeploymentSpec, child_seed, generate
 from barriercover.harness import (
@@ -149,6 +150,21 @@ class TestRunners:
             assert rec["oga_mean_cov"] <= rec["benchmark_mean_cov"]
         else:
             assert rec["oga_mean_cov"] is None
+
+    def test_k_barrier_generates_each_field_once(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec.seed)
+            return generate(spec)
+
+        monkeypatch.setattr(harness, "generate", counted)
+        config = tiny_config(
+            "k_barrier", sweep=[50, 100], realizations=2, k_values=[2, 4]
+        )
+        report = run_experiment(config)
+        assert len(report.records) == 4
+        assert len(calls) == 4
 
     def test_single_failure_diff_bounds(self):
         config = tiny_config(
