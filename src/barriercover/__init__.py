@@ -49,6 +49,7 @@ from .fieldio import (
     FieldFormatError,
     read_field,
     read_sensors,
+    write_field,
     write_sensors,
 )
 from .harness import (
@@ -127,6 +128,7 @@ __all__ = [
     "read_sensors",
     "run_experiment",
     "single_failure_counts",
+    "write_field",
     "write_sensors",
     "__version__",
 ]

@@ -36,7 +36,7 @@ from .baselines import (
     k_disjoint_paths,
 )
 from .deployment import DeploymentSpec, generate
-from .fieldio import read_field, write_sensors
+from .fieldio import read_field, write_field
 from .harness import EXPERIMENTS, ExperimentConfig, default_config, run_experiment
 from .model import ParameterError, SensorField, TargetSet, discretize
 
@@ -123,11 +123,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         sensor_kind=args.sensor_kind,
         seed=args.seed,
     )
-    field = generate(spec)
-    if args.out is None or args.out == "-":
-        write_sensors(field.sensors, sys.stdout)
-    else:
-        write_sensors(field.sensors, args.out)
+    out = sys.stdout if args.out is None or args.out == "-" else args.out
+    write_field(generate(spec), out)
     return 0
 
 

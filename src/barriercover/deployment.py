@@ -16,6 +16,8 @@ child seed per (base seed, sweep index, realization, attempt) through
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
@@ -68,6 +70,15 @@ class DeploymentSpec:
                 raise ParameterError(
                     f"unknown sensor kind {self.sensor_kind!r}"
                 ) from None
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        for name in ("width", "strip_height", "line_sigma", "radius", "fov"):
+            value = getattr(self, name)
+            # fov is None for omni sensors
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.n < 0:
             raise ParameterError(f"n must be >= 0, got {self.n}")
         if not self.width > 0:

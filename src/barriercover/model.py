@@ -12,7 +12,7 @@ columns (``Poses``) and the clipped projections as ``us``, ``vs`` and
 ``ids`` in canonical order. One vectorized kernel projects, checks and
 clips every sensor at once; ``project`` and ``clip`` are one-row calls of
 it. ``Sensor`` and ``ProjectedInterval`` objects for a field are built
-only when asked for, through ``SensorField.sensors`` (file output) and
+only when asked for, through ``SensorField.sensors`` and
 ``SensorField.intervals``.
 """
 
@@ -183,13 +183,16 @@ class Poses(NamedTuple):
         ]
 
 
-def _check_poses(poses: Poses) -> None:
-    """The checks ``Sensor`` makes, over whole columns; the first offending
-    sensor is reported with the message ``Sensor`` would give."""
+def _pose_rules(poses: Poses) -> list[tuple[np.ndarray, str, np.ndarray]]:
+    """The checks ``Sensor`` makes, in its order, over whole columns: one
+    (mask of failing rows, message, column holding the value) per check."""
     on = poses.directional
     with np.errstate(invalid="ignore"):
-        rules = (
+        return [
             (poses.ids < 0, "sensor id must be >= 0, got {}", poses.ids),
+            # ids only reach 2**63 in an object column; 2**63 - 1 compares
+            # exactly with int64 under every numpy version
+            (poses.ids > 2**63 - 1, "sensor id must be < 2**63, got {}", poses.ids),
             (~(poses.radius > 0), "radius must be > 0, got {}", poses.radius),
             (
                 on & ~((poses.fov > 0) & (poses.fov <= 360)),
@@ -201,21 +204,43 @@ def _check_poses(poses: Poses) -> None:
                 "direction must be in [0, 360), got {}",
                 poses.direction,
             ),
-        )
+        ]
+
+
+def _first_fault(
+    rules: Sequence[tuple[np.ndarray, str, np.ndarray]]
+) -> tuple[int, str] | None:
+    """The first row that any rule marks, with the message of the first
+    rule that marks it; None when no row fails."""
     bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _, _ in rules]))
-    if bad.size:
-        i = bad[0]
-        for mask, message, column in rules:
-            if mask[i]:
-                raise ParameterError(message.format(column[i].item()))
+    if not bad.size:
+        return None
+    i = bad[0].item()
+    message, column = next((m, c) for mask, m, c in rules if mask[i])
+    return i, message.format(column.item(i))
+
+
+def _check_poses(poses: Poses) -> None:
+    """The checks ``Sensor`` makes, over whole columns; the first offending
+    sensor is reported with the message ``Sensor`` would give."""
+    fault = _first_fault(_pose_rules(poses))
+    if fault is not None:
+        raise ParameterError(fault[1])
+
+
+def _repeats(ids: np.ndarray) -> np.ndarray:
+    """Mask of the entries whose id occurs earlier in ``ids``."""
+    order = np.argsort(ids, kind="stable")
+    mask = np.zeros(ids.size, dtype=bool)
+    mask[order[1:][ids[order[1:]] == ids[order[:-1]]]] = True
+    return mask
 
 
 def _check_unique(ids: np.ndarray) -> None:
     """Report the first id, in the given order, that was seen before."""
-    order = np.argsort(ids, kind="stable")
-    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    repeats = np.flatnonzero(_repeats(ids))
     if repeats.size:
-        raise ParameterError(f"duplicate sensor id {ids[repeats.min()].item()}")
+        raise ParameterError(f"duplicate sensor id {ids.item(repeats[0])}")
 
 
 def _check_ordered(us: np.ndarray, vs: np.ndarray, message: str) -> None:
@@ -385,8 +410,8 @@ class SensorField:
     def sensors(self) -> tuple[Sensor, ...]:
         """The real sensors in the order given, then the virtual ones.
 
-        Built from the arrays on first use, for file output and callers
-        that want objects.
+        Built from the arrays on first use, for callers that want
+        objects.
         """
         virtual = [Sensor.gap(i, u, v) for i, (u, v) in self.virtual_spans.items()]
         return tuple(self.poses.sensors() + virtual)

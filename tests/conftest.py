@@ -8,6 +8,7 @@ can certify it.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from barriercover.algorithms import (
 )
 from barriercover.baselines import LEFT, RIGHT
 from barriercover.deployment import DeploymentKind
+from barriercover.fieldio import FieldFormatError
 from barriercover.model import (
     ParameterError,
     Sensor,
@@ -433,3 +435,101 @@ def oracle_k_disjoint_paths(graph, k):
         fully_covered=not virtual_ids,
         comparisons=0,
     )
+
+
+# The field-file reader and writer as they were before the column parser
+# and formatter: one validated ``Sensor`` per line, one dict per sensor.
+
+_ORACLE_REQUIRED = ("id", "kind", "x", "y", "radius")
+_ORACLE_NUMBERS = {
+    SensorKind.OMNI: ("x", "y", "radius"),
+    SensorKind.DIRECTIONAL: ("x", "y", "radius", "fov", "direction"),
+}
+
+
+def _oracle_sensor_from_obj(obj: dict, line_no: int) -> Sensor:
+    if not isinstance(obj, dict):
+        raise FieldFormatError(line_no, "expected a JSON object")
+    missing = [k for k in _ORACLE_REQUIRED if k not in obj]
+    if missing:
+        raise FieldFormatError(line_no, f"missing fields: {missing}")
+    known = set(_ORACLE_REQUIRED) | {"fov", "direction"}
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise FieldFormatError(line_no, f"unknown fields: {unknown}")
+    try:
+        kind = SensorKind(obj["kind"])
+    except ValueError:
+        raise FieldFormatError(
+            line_no, f"kind must be 'omni' or 'directional', got {obj['kind']!r}"
+        ) from None
+    if kind is SensorKind.DIRECTIONAL:
+        if "fov" not in obj or "direction" not in obj:
+            raise FieldFormatError(
+                line_no, "directional sensors need fov and direction"
+            )
+    elif "fov" in obj or "direction" in obj:
+        raise FieldFormatError(
+            line_no, "fov/direction apply to directional sensors only"
+        )
+    keys = _ORACLE_NUMBERS[kind]
+    try:
+        sensor_id = int(obj["id"])
+        nums = [float(obj[key]) for key in keys]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FieldFormatError(line_no, f"bad value: {exc}") from None
+    if not all(map(math.isfinite, nums)):
+        key, value = next(kv for kv in zip(keys, nums) if not math.isfinite(kv[1]))
+        raise FieldFormatError(line_no, f"{key} must be finite, got {value}")
+    try:
+        if kind is SensorKind.DIRECTIONAL:
+            return Sensor.directional(sensor_id, *nums)
+        return Sensor.omni(sensor_id, *nums)
+    except ParameterError as exc:
+        raise FieldFormatError(line_no, str(exc)) from None
+
+
+def oracle_read_sensors(path) -> list[Sensor]:
+    """Parse a sensor-field file; errors carry the 1-based line number,
+    and a repeated id is reported on the line that repeats it."""
+    sensors = []
+    seen: set[int] = set()
+    with open(path, "r", encoding="utf-8") as fp:
+        for line_no, line in enumerate(fp, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FieldFormatError(line_no, f"invalid JSON: {exc.msg}") from None
+            sensor = _oracle_sensor_from_obj(obj, line_no)
+            if sensor.id in seen:
+                raise FieldFormatError(line_no, f"duplicate sensor id {sensor.id}")
+            seen.add(sensor.id)
+            sensors.append(sensor)
+    return sensors
+
+
+def oracle_read_field(path, domain) -> SensorField:
+    return SensorField.build(oracle_read_sensors(path), domain)
+
+
+def _oracle_sensor_to_obj(sensor: Sensor) -> dict:
+    if sensor.virtual:
+        raise ParameterError("virtual sensors never appear in field files")
+    obj = {
+        "id": sensor.id,
+        "kind": sensor.kind.value,
+        "x": sensor.position[0],
+        "y": sensor.position[1],
+        "radius": sensor.radius,
+    }
+    if sensor.kind is SensorKind.DIRECTIONAL:
+        obj["fov"] = sensor.fov
+        obj["direction"] = sensor.direction
+    return obj
+
+
+def oracle_field_lines(sensors) -> str:
+    return "".join(json.dumps(_oracle_sensor_to_obj(s)) + "\n" for s in sensors)

@@ -280,6 +280,9 @@ class TestDiagnostics:
             '{"id": 1, "kind": "omni", "x": Infinity, "y": 0.0, "radius": 2.0}',
             '{"id": 1, "kind": "omni", "x": NaN, "y": 0.0, "radius": 2.0}',
             '{"id": Infinity, "kind": "omni", "x": 3.0, "y": 0.0, "radius": 2.0}',
+            '{"id": 1.7, "kind": "omni", "x": 3.0, "y": 0.0, "radius": 2.0}',
+            '{"id": true, "kind": "omni", "x": 3.0, "y": 0.0, "radius": 2.0}',
+            '{"id": "2", "kind": "omni", "x": 3.0, "y": 0.0, "radius": 2.0}',
         ):
             bad.write_text(
                 '{"id": 0, "kind": "omni", "x": 1.0, "y": 0.0, "radius": 2.0}\n'
@@ -376,6 +379,36 @@ class TestDiagnostics:
             "error: no deployment with at least 400 selected sensors"
             " in 200 attempts\n"
         )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--width", "inf"], "width must be finite, got inf"),
+            (["--kind", "poisson", "--strip-height", "nan"],
+             "strip_height must be finite, got nan"),
+            (["--line-sigma", "nan"], "line_sigma must be finite, got nan"),
+            (["--radius", "inf"], "radius must be finite, got inf"),
+        ],
+        ids=["width", "strip_height", "line_sigma", "radius"],
+    )
+    def test_gen_rejects_non_finite_deployments(self, capsys, flags, message):
+        argv = ["gen", "--n", "4", "--width", "50", "--seed", "1"] + flags
+        code, out, err = run_main(capsys, argv)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+    def test_config_n_must_be_an_integer(self, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "experiment": "multi_gap",
+            "deployment": {"n": 1000.5, "width": 100.0, "kind": "poisson",
+                           "radius": 2.0, "fov": 45.0},
+            "sweep": [1],
+        }))
+        code, _, err = run_main(capsys, ["experiment", "--config", str(cfg)])
+        assert code == 1
+        assert err == "error: n must be an integer, got 1000.5\n"
 
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         code, _, _ = run_main(capsys, ["teleport"])

@@ -64,6 +64,14 @@ class TestSpecValidation:
             DeploymentSpec(n=10, width=100.0, fov=None)
         with pytest.raises(ParameterError):
             DeploymentSpec(n=10, width=100.0, kind="hexagonal")
+        for bad in (
+            {"n": 10.5}, {"n": True}, {"seed": 1.5}, {"width": math.inf},
+            {"strip_height": math.nan}, {"line_sigma": math.inf},
+            {"radius": math.inf}, {"fov": math.nan},
+            {"fov": math.nan, "sensor_kind": "omni"},
+        ):
+            with pytest.raises(ParameterError):
+                DeploymentSpec(**{"n": 10, "width": 100.0, **bad})
 
     def test_omni_needs_no_fov(self):
         spec = DeploymentSpec(n=10, width=100.0, sensor_kind="omni", fov=None)
