@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -184,9 +185,14 @@ class _Frontier:
     * ``best[i]`` and ``arg[i]``: the furthest reach over positions 0..i
       and the first position holding it;
     * ``second[i]``: the furthest reach over positions 0..i other than
-      ``arg[i]``, for walks with one position removed;
+      ``arg[i]``, for walks with one position removed, built on their
+      first step;
     * ``nxt[i]``: the first position at or after i with positive extent,
       where coverage resumes after a virtual bridge.
+
+    ``best``, ``arg`` and ``second`` end in one sentinel entry (no reach,
+    no position), which is what index i - 1 = -1 reads when no interval
+    starts at or before the frontier.
 
     The same table serves coordinates (continuous cover and mending) and
     target indices (the discrete rounds), where an interval's u and v are
@@ -194,19 +200,18 @@ class _Frontier:
     """
 
     def __init__(self, u: np.ndarray, v: np.ndarray, ids: np.ndarray) -> None:
-        # the prefix tables are arrays; the table itself is kept as lists
-        # too, so that bisection and lookups yield plain Python numbers
-        self.us, self.vs, self.ids = u.tolist(), v.tolist(), ids.tolist()
+        self.u, self.v, self._ids = u, v, ids
         self.m = m = len(u)
-        self.best = np.maximum.accumulate(v)
-        before = np.concatenate(([-np.inf], self.best))[:-1]
-        new = v > before
-        self.arg = np.maximum.accumulate(np.where(new, np.arange(m), 0))
-        # a new maximum hands the old one down as runner-up; every earlier
-        # reach is at most that, so a plain running maximum suffices
-        self.second = np.maximum.accumulate(np.where(new, before, v))
+        self.best = np.concatenate((np.maximum.accumulate(v), [-np.inf]))
+        new = v > self.best[np.arange(-1, m - 1)]
+        arg = np.maximum.accumulate(np.where(new, np.arange(m), 0))
+        self.arg = np.concatenate((arg, [-1]))
         starts = np.where(v > u, np.arange(m), m)
         self.nxt = np.append(np.minimum.accumulate(starts[::-1])[::-1], m)
+        # the table as lists, for the scalar steps; ``walk`` builds them
+        self.us: list = []
+        self.vs: list = []
+        self.ids: list = []
         # candidate listing for traces: the positions with u <= f < v for
         # the last f asked about, and how far the table has been entered
         self._listed_at = -np.inf
@@ -218,6 +223,14 @@ class _Frontier:
         """The table of the field's intervals at the given rows."""
         return cls(field.us[rows], field.vs[rows], field.ids[rows])
 
+    @cached_property
+    def second(self) -> np.ndarray:
+        # a new maximum hands the old one down as runner-up; every earlier
+        # reach is at most that, so a plain running maximum suffices
+        before = self.best[np.arange(-1, self.m - 1)]
+        runner_up = np.where(self.v > before, before, self.v)
+        return np.concatenate((np.maximum.accumulate(runner_up), [-np.inf]))
+
     def step(self, f, end) -> tuple[int, float]:
         """The winner at f and its reach; winner -1 is a virtual bridge.
 
@@ -225,31 +238,62 @@ class _Frontier:
         starts, or to ``end`` when that is sooner or there is none.
         """
         pos = bisect_right(self.us, f)
-        if pos and self.best.item(pos - 1) > f:
+        if self.best.item(pos - 1) > f:
             winner = self.arg.item(pos - 1)
             return winner, self.vs[winner]
         p = self.nxt.item(pos)
         return -1, min(self.us[p], end) if p < self.m else end
 
+    def step_all(
+        self, f: np.ndarray, end, skip: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``step`` from every frontier in f at once: the reaches, and
+        whether a real interval made each.
+
+        ``end`` is one stretch end or one per frontier. With ``skip``,
+        frontier f[i] steps as if table position skip[i] were absent: the
+        runner-up wins where the skipped position would have, and a bridge
+        passes over it to the next position with positive extent.
+        """
+        pos = np.searchsorted(self.u, f, "right")
+        reach = self.best[pos - 1]
+        p = self.nxt[pos]
+        if skip is not None:
+            reach = np.where(self.arg[pos - 1] == skip, self.second[pos - 1], reach)
+            hit = p == skip
+            p[hit] = self.nxt[p[hit] + 1]
+        real = reach > f
+        bridge = np.minimum(np.append(self.u, np.inf)[p], end)
+        return np.where(real, reach, bridge), real
+
+    def covers(self, a, b) -> bool:
+        """Whether ``walk(a, b)`` never bridges.
+
+        Between consecutive starts, u[i - 1] <= f < u[i], the furthest
+        reach is best[i - 1]; the walk bridges exactly when that reach is
+        short of min(u[i], b) on a stretch that meets [a, b).
+        """
+        ends = np.minimum(np.append(self.u, b), b)
+        reach = self.best[np.arange(-1, self.m)]
+        return not ((reach < ends) & (ends > a)).any()
+
+    def winners(self, f: np.ndarray) -> np.ndarray:
+        """The winning position at every frontier in f that some interval
+        covers; other entries are arbitrary."""
+        return self.arg[np.searchsorted(self.u, f, "right") - 1]
+
     def walk(self, f, end) -> Iterator[tuple[float, int, float]]:
         """(frontier, winner, reach) for each step from f until end is covered."""
+        if len(self.us) < self.m:
+            # built on first scalar use, so that bisection and lookups yield
+            # plain Python numbers; the array forms never need them
+            self.us, self.vs, self.ids = (
+                self.u.tolist(), self.v.tolist(), self._ids.tolist()
+            )
         while f < end:
             winner, reach = self.step(f, end)
             yield f, winner, reach
             f = reach
-
-    def step_without(self, f, end, skip: int) -> tuple[float, bool]:
-        """The reach of one step from f as if position ``skip`` were absent,
-        and whether a real interval made it."""
-        pos = bisect_right(self.us, f)
-        if pos:
-            table = self.second if self.arg.item(pos - 1) == skip else self.best
-            if table.item(pos - 1) > f:
-                return table.item(pos - 1), True
-        p = self.nxt.item(pos)
-        if p == skip:
-            p = self.nxt.item(p + 1)
-        return (min(self.us[p], end) if p < self.m else end), False
 
     def candidates(self, f) -> tuple[int, ...]:
         """Sorted ids of the candidates at f, for traces.

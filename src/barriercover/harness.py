@@ -237,53 +237,35 @@ def curve_intersection(
 # onward, so exactly one hole opens. Mending it and re-running selection
 # from scratch both advance a frontier by "furthest reach among intervals
 # touching it", which depends only on the frontier position, never on
-# tie-breaking among equal reaches. That makes selection *sizes* computable
-# by memoized frontier walks instead of re-running the full selector once
-# per failed sensor. ``single_failure_counts`` is cross-checked against the
-# plain ``find_gaps`` + ``logm`` + fresh ``oga_continuous`` route in the
-# test suite.
+# tie-breaking among equal reaches: the chain is Markov in the frontier.
+#
+# So one successor table per field answers every failure at once. Its
+# states are the table positions: state i stands for the frontier at
+# v[i], the only values a winning step reaches, and its successor is the
+# position that wins from there. Pointer jumping (Wyllie 1979) gives every
+# state its number of steps to b in about log2(chain length) rounds of
+# gathers, and the selection is the chain of successors from the winner
+# at a. The from-scratch count for pick t is t, plus the few steps that
+# walk past the failed interval with it removed, plus the steps to b from
+# where that walk leaves off. The mend is a walk over the never-selected
+# sensors from the pick's frontier to where the later picks resume. Both
+# walks advance every pick at once, one array step per round, and end
+# within a few rounds. ``single_failure_counts`` is cross-checked against
+# the plain ``find_gaps`` + ``logm`` + fresh ``oga_continuous`` route and
+# against the former memoized per-pick walks in the test suite.
 # --------------------------------------------------------------------------
 
 
-def _count_to(
-    frontier: _Frontier, memo: dict, f: float, end: float
-) -> tuple[int, bool]:
-    """Steps to carry the frontier from f to end, and whether none bridged.
-
-    ``memo`` maps frontiers already walked to the same pair.
-    """
-    path: list[tuple[float, bool]] = []
-    count, clean = 0, True
-    for g, winner, _reach in frontier.walk(f, end):
-        if g in memo:
-            count, clean = memo[g]
-            break
-        path.append((g, winner >= 0))
-    for g, real in reversed(path):
-        count += 1
-        clean = clean and real
-        memo[g] = (count, clean)
-    return count, clean
-
-
-def _count_without(
-    frontier: _Frontier, memo: dict, f: float, end: float, skip: int
-) -> tuple[int, bool]:
-    """``_count_to`` as if table position ``skip`` were absent.
-
-    Once the frontier passes the skipped interval's right endpoint that
-    interval can never win or resume coverage again, so the walk continues
-    on the shared memo.
-    """
-    count, clean = 0, True
-    while f < end:
-        if f >= frontier.vs[skip]:
-            tail, tail_clean = _count_to(frontier, memo, f, end)
-            return count + tail, clean and tail_clean
-        f, real = frontier.step_without(f, end, skip)
-        count += 1
-        clean = clean and real
-    return count, clean
+def _steps_to_root(succ: np.ndarray) -> np.ndarray:
+    """Per node of a successor forest, the links to its root (a node that
+    is its own successor), by pointer jumping."""
+    jump = succ
+    dist = (succ != np.arange(succ.size)).astype(np.int64)
+    ahead = jump[jump]
+    while (ahead != jump).any():
+        dist += dist[jump]
+        jump, ahead = ahead, ahead[ahead]
+    return dist
 
 
 def single_failure_counts(
@@ -297,6 +279,11 @@ def single_failure_counts(
     that sensor's hole, the size of a fresh selection over the surviving
     field, and whether both sides managed without virtual gap sensors.
     Returns None when the initial selection itself is not fully covered.
+
+    Works on one successor table over the field's positions (see the
+    comment above): the selection is a chain of successors, the steps to
+    b come from pointer jumping, and every pick's skip walk and mend walk
+    advance together, one array step per round.
     """
     if domain is None:
         domain = field.domain
@@ -304,29 +291,70 @@ def single_failure_counts(
     if not a < b:
         raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
     whole = _Frontier.over(field)
-    steps = list(whole.walk(a, b))
-    if any(winner < 0 for _f, winner, _reach in steps):
+    if not whole.covers(a, b):
         return None
-    picks = [winner for _f, winner, _reach in steps]
-    sel = [whole.ids[p] for p in picks]
-    n_sel = len(sel)
+    # state i is the frontier at v[i]. With no hole in [a, b), a real
+    # interval wins every step from there, and its position is the
+    # successor; depth[i] is the number of steps from v[i] on to b
+    v = whole.v
+    live = np.flatnonzero((a <= v) & (v < b))
+    succ = np.arange(whole.m)
+    succ[live] = whole.winners(v[live])
+    depth = _steps_to_root(succ)
+
+    # the selection: the winner at a, then its successors; at[t] is the
+    # frontier that pick t was made at
+    pick = whole.winners(np.array([a])).item()
+    chain = [pick]
+    links = succ.tolist()
+    for _ in range(depth.item(pick)):
+        pick = links[pick]
+        chain.append(pick)
+    picks = np.array(chain)
+    n_sel = picks.size
+    at = np.append(a, v[picks[:-1]])
+
+    # from scratch without pick t: step with it removed until the
+    # frontier passes its right end, then follow the table
+    f = at.copy()
+    skipped = np.zeros(n_sel, dtype=np.int64)
+    clean = np.ones(n_sel, dtype=bool)
+    right = v[picks]
+    walking = np.arange(n_sel)
+    while walking.size:
+        f[walking], real = whole.step_all(f[walking], b, picks[walking])
+        skipped[walking] += 1
+        clean[walking] &= real
+        walking = walking[(f[walking] < b) & (f[walking] < right[walking])]
+    # the walk stops at a value, not at a state (a runner-up's v, or a u
+    # after a bridge), so take one table step from there first
+    rest = np.where(f < b, 1 + depth[whole.winners(f)], 0)
+    fresh = np.arange(n_sel) + skipped + rest
+
+    # the mend: never-selected sensors from the pick's frontier to the
+    # leftmost left end among the later picks, where coverage resumes
     unpicked = np.ones(whole.m, dtype=bool)
     unpicked[picks] = False
     pool = _Frontier.over(field, unpicked)
-    memo: dict = {}
+    resume = np.minimum.accumulate(whole.u[picks][::-1])[::-1]
+    end = np.minimum(np.append(resume[1:], b), b)
+    f = at.copy()
+    mend = np.zeros(n_sel, dtype=np.int64)
+    walking = np.flatnonzero(f < end)
+    while walking.size:
+        f[walking], real = pool.step_all(f[walking], end[walking])
+        mend[walking] += 1
+        clean[walking] &= real
+        walking = walking[f[walking] < end[walking]]
 
-    # leftmost left-endpoint among later picks: coverage resumes there
-    resume = [b] * (n_sel + 1)
-    for t in range(n_sel - 1, -1, -1):
-        resume[t] = min(whole.us[picks[t]], resume[t + 1])
-
-    out = []
-    for t, (f, pick, _reach) in enumerate(steps):
-        mend = [winner for _g, winner, _r in pool.walk(f, resume[t + 1])]
-        tail, fresh_clean = _count_without(whole, memo, f, b, pick)
-        clean = fresh_clean and all(winner >= 0 for winner in mend)
-        out.append((sel[t], n_sel - 1 + len(mend), t + tail, clean))
-    return out
+    return list(
+        zip(
+            field.ids[picks].tolist(),
+            (n_sel - 1 + mend).tolist(),
+            fresh.tolist(),
+            clean.tolist(),
+        )
+    )
 
 
 # --------------------------------------------------------------------------

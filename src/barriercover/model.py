@@ -80,6 +80,16 @@ class Sensor:
             raise ParameterError("span is reserved for virtual sensors")
         if self.position is None:
             raise ParameterError("real sensors need a position")
+        x, y = self.position
+        r = self.radius
+        finite = math.isfinite
+        if not (finite(x) and finite(y) and (r is None or finite(r))):
+            name, value = next(
+                (name, value)
+                for name, value in (("x", x), ("y", y), ("radius", r))
+                if not finite(value)
+            )
+            raise ParameterError(f"{name} must be finite, got {value}")
         if self.radius is None or not self.radius > 0:
             raise ParameterError(f"radius must be > 0, got {self.radius}")
         if self.kind is SensorKind.DIRECTIONAL:
@@ -193,6 +203,9 @@ def _pose_rules(poses: Poses) -> list[tuple[np.ndarray, str, np.ndarray]]:
             # ids only reach 2**63 in an object column; 2**63 - 1 compares
             # exactly with int64 under every numpy version
             (poses.ids > 2**63 - 1, "sensor id must be < 2**63, got {}", poses.ids),
+            (~np.isfinite(poses.x), "x must be finite, got {}", poses.x),
+            (~np.isfinite(poses.y), "y must be finite, got {}", poses.y),
+            (~np.isfinite(poses.radius), "radius must be finite, got {}", poses.radius),
             (~(poses.radius > 0), "radius must be > 0, got {}", poses.radius),
             (
                 on & ~((poses.fov > 0) & (poses.fov <= 360)),
@@ -391,7 +404,6 @@ class SensorField:
         """Check, project and clip real sensor poses, plus virtual spans."""
         _check_poses(poses)
         us, vs = _project(poses)
-        _check_ordered(us, vs, "interval needs u <= v, got")
         us, vs, kept = _clip(us, vs, domain)
         field = cls(us[kept], vs[kept], poses.ids[kept], domain, poses)
         return field._plus_virtual(virtual_spans or {})

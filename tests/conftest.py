@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from bisect import bisect_right
 from itertools import combinations
 
 import numpy as np
@@ -17,12 +18,14 @@ import numpy as np
 from barriercover.algorithms import (
     SelectionResult,
     SelectionStep,
+    _Frontier,
     augment_with_gap_sensors,
 )
 from barriercover.baselines import LEFT, RIGHT
 from barriercover.deployment import DeploymentKind
 from barriercover.fieldio import FieldFormatError
 from barriercover.model import (
+    Domain,
     ParameterError,
     Sensor,
     SensorField,
@@ -46,6 +49,14 @@ def make_field(pairs, domain=None):
     if domain is None:
         domain = (min(u for u, _ in pairs), max(v for _, v in pairs))
     return SensorField.build(sensors, domain)
+
+
+# endpoints on a coarse grid over [0, 10], their neighbouring doubles and
+# two subnormals, so that drawn tables touch, duplicate and nearly touch
+_GRID = (0.0, 5e-324, 1e-323, 1.0, 2.5, 4.0, 7.0, 10.0)
+ENDPOINTS = sorted(
+    {x for g in _GRID for x in (g, math.nextafter(g, 0.0), math.nextafter(g, 10.0))}
+)
 
 
 def table_field(pairs, domain):
@@ -533,3 +544,109 @@ def _oracle_sensor_to_obj(sensor: Sensor) -> dict:
 
 def oracle_field_lines(sensors) -> str:
     return "".join(json.dumps(_oracle_sensor_to_obj(s)) + "\n" for s in sensors)
+
+
+# --------------------------------------------------------------------------
+# the per-pick single-failure walks that the successor-table version of
+# ``single_failure_counts`` replaced: a memo of frontier walks, one skip
+# walk and one pool walk per pick, stepping through the package's
+# ``_Frontier`` one scalar step at a time
+# --------------------------------------------------------------------------
+
+
+def _oracle_step_without(frontier, f, end, skip: int) -> tuple[float, bool]:
+    """The reach of one step from f as if position ``skip`` were absent,
+    and whether a real interval made it."""
+    pos = bisect_right(frontier.us, f)
+    if pos:
+        table = frontier.second if frontier.arg.item(pos - 1) == skip else frontier.best
+        if table.item(pos - 1) > f:
+            return table.item(pos - 1), True
+    p = frontier.nxt.item(pos)
+    if p == skip:
+        p = frontier.nxt.item(p + 1)
+    return (min(frontier.us[p], end) if p < frontier.m else end), False
+
+
+def _oracle_count_to(
+    frontier: _Frontier, memo: dict, f: float, end: float
+) -> tuple[int, bool]:
+    """Steps to carry the frontier from f to end, and whether none bridged.
+
+    ``memo`` maps frontiers already walked to the same pair.
+    """
+    path: list[tuple[float, bool]] = []
+    count, clean = 0, True
+    for g, winner, _reach in frontier.walk(f, end):
+        if g in memo:
+            count, clean = memo[g]
+            break
+        path.append((g, winner >= 0))
+    for g, real in reversed(path):
+        count += 1
+        clean = clean and real
+        memo[g] = (count, clean)
+    return count, clean
+
+
+def _oracle_count_without(
+    frontier: _Frontier, memo: dict, f: float, end: float, skip: int
+) -> tuple[int, bool]:
+    """``_oracle_count_to`` as if table position ``skip`` were absent.
+
+    Once the frontier passes the skipped interval's right endpoint that
+    interval can never win or resume coverage again, so the walk continues
+    on the shared memo.
+    """
+    count, clean = 0, True
+    while f < end:
+        if f >= frontier.vs[skip]:
+            tail, tail_clean = _oracle_count_to(frontier, memo, f, end)
+            return count + tail, clean and tail_clean
+        f, real = _oracle_step_without(frontier, f, end, skip)
+        count += 1
+        clean = clean and real
+    return count, clean
+
+
+def oracle_single_failure_counts(
+    field: SensorField, domain: Domain | None = None
+) -> list[tuple[int, int, int, bool]] | None:
+    """Mended vs. from-scratch selection sizes for every single failure.
+
+    Runs the continuous frontier selection once, then for each selected
+    sensor in turn reports ``(failed_id, mended_total, fresh_total,
+    clean)``: the total selection size after locating and locally mending
+    that sensor's hole, the size of a fresh selection over the surviving
+    field, and whether both sides managed without virtual gap sensors.
+    Returns None when the initial selection itself is not fully covered.
+    """
+    if domain is None:
+        domain = field.domain
+    a, b = domain
+    if not a < b:
+        raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
+    whole = _Frontier.over(field)
+    steps = list(whole.walk(a, b))
+    if any(winner < 0 for _f, winner, _reach in steps):
+        return None
+    picks = [winner for _f, winner, _reach in steps]
+    sel = [whole.ids[p] for p in picks]
+    n_sel = len(sel)
+    unpicked = np.ones(whole.m, dtype=bool)
+    unpicked[picks] = False
+    pool = _Frontier.over(field, unpicked)
+    memo: dict = {}
+
+    # leftmost left-endpoint among later picks: coverage resumes there
+    resume = [b] * (n_sel + 1)
+    for t in range(n_sel - 1, -1, -1):
+        resume[t] = min(whole.us[picks[t]], resume[t + 1])
+
+    out = []
+    for t, (f, pick, _reach) in enumerate(steps):
+        mend = [winner for _g, winner, _r in pool.walk(f, resume[t + 1])]
+        tail, fresh_clean = _oracle_count_without(whole, memo, f, b, pick)
+        clean = fresh_clean and all(winner >= 0 for winner in mend)
+        out.append((sel[t], n_sel - 1 + len(mend), t + tail, clean))
+    return out

@@ -22,7 +22,7 @@ from barriercover.fieldio import (
     write_field,
     write_sensors,
 )
-from barriercover.model import ParameterError, Sensor, SensorField
+from barriercover.model import ParameterError, Poses, Sensor, SensorField
 from conftest import oracle_field_lines, oracle_read_field, oracle_read_sensors
 
 DOMAIN = (-50.0, 50.0)
@@ -327,13 +327,18 @@ def test_writers_match_the_json_dumps_formatter(sensors):
 
 def test_writers_refuse_what_could_not_be_read_back(tmp_path):
     path = tmp_path / "field.jsonl"
-    for sensor, message in (
-        (Sensor.omni(3, 1.0, math.inf, 2.0), "sensor id 3: y must be finite, got inf"),
-        (Sensor.omni(4, math.nan, 0.0, 2.0), "sensor id 4: x must be finite, got nan"),
-        (Sensor.gap(5, 0.0, 1.0), "virtual sensors never appear in field files"),
+    poses = Poses.of([Sensor.omni(0, 1.0, 0.0, 2.0), Sensor.omni(3, 1.0, 0.0, 2.0)])
+    for column, value, message in (
+        ("y", math.inf, "sensor id 3: y must be finite, got inf"),
+        ("x", math.nan, "sensor id 3: x must be finite, got nan"),
     ):
+        # a Sensor cannot hold such a number; a field built straight from
+        # unchecked columns can
+        bad = poses._replace(**{column: np.array([1.0, value])})
         with pytest.raises(ParameterError, match=f"^{message}$"):
-            write_sensors([Sensor.omni(0, 1.0, 0.0, 2.0), sensor], path)
+            write_field(SensorField((), (), (), DOMAIN, bad), path)
+    with pytest.raises(ParameterError, match="^virtual sensors never appear"):
+        write_sensors([Sensor.omni(0, 1.0, 0.0, 2.0), Sensor.gap(5, 0.0, 1.0)], path)
     field, _ = SensorField.build([Sensor.omni(0, 1.0, 0.0, 2.0)], DOMAIN).with_virtual(
         [(3.0, 4.0)]
     )

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from barriercover import harness
 from barriercover.algorithms import find_gaps, logm, oga_continuous
@@ -20,7 +24,7 @@ from barriercover.harness import (
     single_failure_counts,
 )
 from barriercover.model import ParameterError
-from conftest import make_field
+from conftest import ENDPOINTS, make_field, oracle_single_failure_counts, table_field
 
 
 def tiny_config(experiment, **overrides):
@@ -247,7 +251,63 @@ class TestReports:
         assert "jobs" not in json.loads(solo.json_text())["config"]
 
 
+@st.composite
+def failure_tables(draw):
+    """Fields on [0, 10]: a chain of touching spans from a to b, one link
+    of it dropped half the time, plus spans with zero length, duplicate,
+    touching and adjacent-double or subnormal ends."""
+    cuts = draw(st.lists(st.sampled_from(ENDPOINTS[1:-1]), unique=True, max_size=6))
+    ends = [0.0, *sorted(cuts), 10.0]
+    pairs = list(zip(ends, ends[1:]))
+    if draw(st.booleans()):
+        pairs.pop(draw(st.integers(min_value=0, max_value=len(pairs) - 1)))
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        u = draw(st.sampled_from(ENDPOINTS))
+        v = draw(st.sampled_from([x for x in ENDPOINTS if x >= u]))
+        pairs.append((u, v))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return table_field(draw(st.permutations(pairs)), (0.0, 10.0))
+
+
+# one double past 1.0, and the smallest subnormal
+AFTER_1 = math.nextafter(1.0, 2.0)
+TINY = 5e-324
+
+
 class TestSingleFailureCounts:
+    @settings(max_examples=400, deadline=None)
+    @given(failure_tables())
+    @example(table_field([(0.0, 1.0), (AFTER_1, 10.0)], (0.0, 10.0)))
+    @example(table_field([(0.0, 1.0), (1.0, 10.0), (0.0, 1.0), (1.0, 1.0)], (0.0, 10.0)))
+    @example(table_field([(0.0, TINY), (0.0, 4.0), (TINY, 10.0), (4.0, 10.0)], (0.0, 10.0)))
+    @example(table_field([(0.0, 10.0), (0.0, 10.0), (10.0, 10.0)], (0.0, 10.0)))
+    def test_matches_the_per_pick_walks(self, field):
+        expected = oracle_single_failure_counts(field, field.domain)
+        assert single_failure_counts(field, field.domain) == expected
+
+    def test_matches_the_per_pick_walks_on_stock_fields(self):
+        config = default_config("single_failure")
+        coverable = 0
+        for base_seed in range(1, 7):
+            seeded = dataclasses.replace(config, base_seed=base_seed)
+            for n in config.sweep:
+                field = harness._field(seeded, n, 0)
+                expected = oracle_single_failure_counts(field, field.domain)
+                assert single_failure_counts(field, field.domain) == expected
+                coverable += expected is not None
+        assert coverable >= 20
+
+    def test_matches_the_per_pick_walks_at_n_1e5(self):
+        spec = DeploymentSpec(
+            n=100_000, width=100_000 / 3, kind="poisson", radius=10.0,
+            fov=90.0, seed=1,
+        )
+        field = generate(spec)
+        expected = oracle_single_failure_counts(field, field.domain)
+        assert expected is not None
+        assert single_failure_counts(field, field.domain) == expected
+
     def test_unclean_initial_selection_is_none(self):
         field = generate(
             DeploymentSpec(n=6, width=500.0, kind="poisson", radius=5.0,

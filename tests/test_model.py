@@ -47,6 +47,24 @@ class TestSensorValidation:
         with pytest.raises(ParameterError):
             Sensor.omni(0, 0.0, 0.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Sensor.omni(1, 5.0, math.inf, 1.0), "y must be finite, got inf"),
+            (lambda: Sensor.omni(0, math.nan, 0.0, 1.0), "x must be finite, got nan"),
+            (lambda: Sensor.omni(2, 1.0, 0.0, math.inf), "radius must be finite, got inf"),
+            (lambda: Sensor.omni(3, 1.0, 0.0, math.nan), "radius must be finite, got nan"),
+            (
+                lambda: Sensor.directional(4, -math.inf, 0.0, 1.0, 90.0, 0.0),
+                "x must be finite, got -inf",
+            ),
+        ],
+        ids=["y-inf", "x-nan", "radius-inf", "radius-nan", "directional-x"],
+    )
+    def test_rejects_non_finite_numbers(self, make, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            make()
+
     def test_rejects_bad_fov(self):
         for fov in (0.0, -10.0, 361.0):
             with pytest.raises(ParameterError):

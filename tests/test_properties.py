@@ -26,7 +26,9 @@ from barriercover import (
     oga,
     oga_continuous,
 )
+from barriercover.algorithms import _Frontier
 from conftest import (
+    ENDPOINTS,
     exhaustive_min_kcover,
     markov_equality_holds,
     multiplicity,
@@ -80,14 +82,6 @@ def small_fields(draw):
     field = SensorField.build(sensors, (0.0, WIDTH))
     assume(field.intervals)
     return field
-
-
-# endpoints on a coarse grid, their neighbouring doubles and two
-# subnormals, so that drawn tables touch, duplicate and nearly touch
-_GRID = (0.0, 5e-324, 1e-323, 1.0, 2.5, 4.0, 7.0, 10.0)
-ENDPOINTS = sorted(
-    {x for g in _GRID for x in (g, math.nextafter(g, 0.0), math.nextafter(g, 10.0))}
-)
 
 
 @st.composite
@@ -283,6 +277,36 @@ class TestFailureMending:
 
 class TestFrontierAgainstNaiveScans:
     """Every selector and the mender against full-scan references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(interval_tables())
+    def test_array_step_matches_naive_scans(self, field):
+        """``step_all`` from every grid frontier, with each position in
+        turn removed and with none, against full scans of the table."""
+        frontier = _Frontier.over(field)
+        spans = list(zip(field.us.tolist(), field.vs.tolist()))
+        end = 10.0
+        f = np.array([x for x in ENDPOINTS if x < end])
+        for removed in (None, *range(frontier.m)):
+            skip = None if removed is None else np.full(f.size, removed)
+            reach, real = frontier.step_all(f, end, skip)
+            rows = [(u, v) for i, (u, v) in enumerate(spans) if i != removed]
+            for x, got, made in zip(f.tolist(), reach.tolist(), real.tolist()):
+                reaches = [v for u, v in rows if u <= x < v]
+                resumes = [u for u, v in rows if u > x and v > u]
+                if reaches:
+                    assert (got, made) == (max(reaches), True)
+                else:
+                    assert (got, made) == (min(resumes + [end]), False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(interval_tables())
+    def test_covers_means_the_walk_never_bridges(self, field):
+        frontier = _Frontier.over(field)
+        for a in ENDPOINTS:
+            for b in (x for x in ENDPOINTS if x > a):
+                bridged = any(w < 0 for _f, w, _r in frontier.walk(a, b))
+                assert frontier.covers(a, b) == (not bridged)
 
     @staticmethod
     def both_ways(select, expected):
