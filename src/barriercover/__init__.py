@@ -66,17 +66,14 @@ from .model import (
     Domain,
     ParameterError,
     Poses,
-    ProjectedInterval,
     Sensor,
     SensorField,
     SensorKind,
     TargetSet,
-    clip,
     complement_segments,
     coverage_fraction,
     discretize,
     merge_segments,
-    project,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +92,6 @@ __all__ = [
     "LEFT",
     "ParameterError",
     "Poses",
-    "ProjectedInterval",
     "RIGHT",
     "SelectionResult",
     "SelectionStep",
@@ -107,7 +103,6 @@ __all__ = [
     "brute_force_min_kcover",
     "build_barrier_graph",
     "child_seed",
-    "clip",
     "complement_segments",
     "coverage_fraction",
     "curve_intersection",
@@ -123,7 +118,6 @@ __all__ = [
     "oga",
     "oga_continuous",
     "prefix_coverage",
-    "project",
     "read_field",
     "read_sensors",
     "run_experiment",

@@ -24,6 +24,7 @@ covered only when no virtual sensor was needed.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -76,6 +77,28 @@ class SelectionResult:
     def count(self) -> int:
         return len(self.selected_ids)
 
+    def selected_spans(
+        self, field: SensorField
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The u and v of every selected sensor, in selection order, and a
+        mask of those the field holds; the others take their spans from
+        ``virtual_spans``."""
+        rows = field._rows_of(self.selected_ids)
+        real = rows >= 0
+        us = np.zeros(rows.size)
+        vs = np.zeros(rows.size)
+        us[real] = field.us[rows[real]]
+        vs[real] = field.vs[rows[real]]
+        for i in np.flatnonzero(~real).tolist():
+            span = self.virtual_spans.get(self.selected_ids[i])
+            if span is None:
+                raise ParameterError(
+                    f"selected sensor {self.selected_ids[i]} has no interval in "
+                    "the field or in the previous result's virtual ledger"
+                )
+            us[i], vs[i] = span
+        return us, vs, real
+
     def to_dict(self) -> dict:
         return {
             "selected": list(self.selected_ids),
@@ -98,25 +121,46 @@ class SelectionResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SelectionResult":
+        """The result ``to_dict`` wrote. Ids must be integers in
+        [0, 2**63), every virtual id needs its span, and spans must be
+        finite with u <= v; a fault raises TypeError or ValueError."""
         trace = tuple(
             SelectionStep(
                 current_target=s["current_target"],
-                candidate_ids=tuple(s.get("candidate_ids", ())),
-                chosen_id=s["chosen_id"],
+                candidate_ids=_json_ids(s.get("candidate_ids", ()), "candidate"),
+                chosen_id=_json_ids([s["chosen_id"]], "chosen")[0],
                 reach=s["reach"],
             )
             for s in data.get("trace", ())
         )
+        spans = {}
+        for key, span in data.get("virtual_spans", {}).items():
+            u, v = map(float, span)
+            if not (math.isfinite(u) and math.isfinite(v) and u <= v):
+                raise ValueError(f"virtual span {key} must be finite with u <= v, "
+                                 f"got [{u}, {v}]")
+            spans[int(key)] = (u, v)
+        virtual = _json_ids(data.get("virtual", ()), "virtual")
+        lacking = [vid for vid in virtual if vid not in spans]
+        if lacking:
+            raise ValueError(f"virtual sensor {lacking[0]} has no virtual span")
         return cls(
-            selected_ids=tuple(data["selected"]),
-            virtual_ids=tuple(data.get("virtual", ())),
-            virtual_spans={
-                int(k): (float(v[0]), float(v[1]))
-                for k, v in data.get("virtual_spans", {}).items()
-            },
+            selected_ids=_json_ids(data["selected"], "selected"),
+            virtual_ids=virtual,
+            virtual_spans=spans,
             trace=trace,
             fully_covered=bool(data.get("fully_covered", True)),
         )
+
+
+def _json_ids(values, what: str) -> tuple[int, ...]:
+    """Ids read from a result file: JSON integers, never booleans, in the
+    range sensor ids take."""
+    ids = tuple(values)
+    for i in ids:
+        if type(i) is not int or not 0 <= i < 2**63:
+            raise TypeError(f"{what} ids must be integers in [0, 2**63), got {i!r}")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -132,10 +176,12 @@ class Gap:
             raise ParameterError(f"gap needs u < v, got [{self.u}, {self.v}]")
 
 
-def _target_spans(field: SensorField, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per interval of the field, the first target it covers and one past
+def _target_spans(
+    us: np.ndarray, vs: np.ndarray, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per interval [us[i], vs[i]], the first target it covers and one past
     the last, as indices into the sorted targets ``xs``."""
-    return np.searchsorted(xs, field.us, "left"), np.searchsorted(xs, field.vs, "right")
+    return np.searchsorted(xs, us, "left"), np.searchsorted(xs, vs, "right")
 
 
 def _depth(first: np.ndarray, last: np.ndarray, m: int) -> np.ndarray:
@@ -160,7 +206,7 @@ def augment_with_gap_sensors(
     m = len(xs)
     if m == 0:
         return field
-    cov = _depth(*_target_spans(field, np.asarray(xs)), m)
+    cov = _depth(*_target_spans(field.us, field.vs, np.asarray(xs)), m)
     short = np.flatnonzero(cov < k)
     spans: list[tuple[float, float]] = []
     for run in np.split(short, np.flatnonzero(np.diff(short) > 1) + 1):
@@ -384,7 +430,7 @@ def k_oga(
     augmented = augment_with_gap_sensors(field, targets, k)
     virtual_all = augmented.virtual_spans
     xs = np.asarray(targets.xs)
-    first, last = _target_spans(augmented, xs)
+    first, last = _target_spans(augmented.us, augmented.vs, xs)
     ids = augmented.ids
     cov = np.zeros(len(xs), dtype=np.int64)
     unused = np.ones(len(ids), dtype=bool)
@@ -475,20 +521,6 @@ def oga_continuous(
     )
 
 
-def _span_of_selected(
-    previous: SelectionResult, field: SensorField, sensor_id: int
-) -> tuple[float, float]:
-    span = field.span_of(sensor_id)
-    if span is None:
-        span = previous.virtual_spans.get(sensor_id)
-    if span is None:
-        raise ParameterError(
-            f"selected sensor {sensor_id} has no interval in the field "
-            "or in the previous result's virtual ledger"
-        )
-    return span
-
-
 def find_gaps(
     previous: SelectionResult,
     failed_ids: Collection[int],
@@ -508,21 +540,15 @@ def find_gaps(
         raise ParameterError(
             f"failed ids {sorted(failed - selected)} were never selected"
         )
-    surviving = [
-        _span_of_selected(previous, field, sid)
-        for sid in previous.selected_ids
-        if sid not in failed
+    ids = np.array(previous.selected_ids, dtype=np.int64)
+    us, vs, _ = previous.selected_spans(field)
+    down = np.isin(ids, list(failed))
+    lo, hi = complement_segments(us[~down], vs[~down], domain)
+    fu, fv, fids = us[down], vs[down], ids[down]
+    return [
+        Gap(u, v, frozenset(fids[(fu < v) & (fv > u)].tolist()))
+        for u, v in zip(lo.tolist(), hi.tolist())
     ]
-    failed_spans = {
-        sid: _span_of_selected(previous, field, sid) for sid in sorted(failed)
-    }
-    gaps = []
-    for u, v in complement_segments(surviving, domain):
-        touching = frozenset(
-            sid for sid, (fu, fv) in failed_spans.items() if fu < v and fv > u
-        )
-        gaps.append(Gap(u, v, touching))
-    return gaps
 
 
 def logm(

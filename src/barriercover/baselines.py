@@ -36,7 +36,7 @@ from .model import (
     SensorField,
     TargetSet,
 )
-from .algorithms import SelectionResult, SelectionStep
+from .algorithms import SelectionResult, SelectionStep, _target_spans
 
 LEFT = -1
 RIGHT = -2
@@ -71,8 +71,7 @@ def greedy_max_coverage(
         return SelectionResult(
             selected_ids=(), fully_covered=False, trace=(), comparisons=0
         )
-    lo = np.searchsorted(xs, field.us[real], side="left")
-    hi = np.searchsorted(xs, field.vs[real], side="right")
+    lo, hi = _target_spans(field.us[real], field.vs[real], xs)
     uncovered = np.ones(m, dtype=np.int64)
     available = np.ones(n, dtype=bool)
     selected: list[int] = []
@@ -247,16 +246,12 @@ def brute_force_min_kcover(
         raise InstanceTooLargeError(
             f"exhaustive enumeration capped at 20 sensors, got {n}"
         )
-    xs = targets.xs
-    m = len(xs)
-    full = (1 << m) - 1
-    masks = []
-    from bisect import bisect_left, bisect_right
-
-    for u, v in zip(field.us.tolist(), field.vs.tolist()):
-        lo = bisect_left(xs, u)
-        hi = bisect_right(xs, v)
-        masks.append(((1 << hi) - 1) ^ ((1 << lo) - 1))
+    full = (1 << len(targets)) - 1
+    first, last = _target_spans(field.us, field.vs, np.asarray(targets.xs))
+    masks = [
+        ((1 << hi) - 1) ^ ((1 << lo) - 1)
+        for lo, hi in zip(first.tolist(), last.tolist())
+    ]
     for size in range(0, n + 1):
         for combo in combinations(range(n), size):
             levels = [0] * k

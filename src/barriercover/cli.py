@@ -66,13 +66,16 @@ def _emit(text: str, out: str | None) -> None:
 
 def _read_json(path: str, what: str, parse: Callable):
     """``parse`` applied to the JSON object in a file; a malformed file is
-    a ParameterError naming it."""
+    a ParameterError naming it. A ParameterError from ``parse`` is a bad
+    setting in a well-formed file, and its message says which."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise TypeError(f"expected a JSON object, got {type(data).__name__}")
         return parse(data)
-    except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
+    except ParameterError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed {what} file {path}: {exc!r}") from None
 
 
@@ -90,15 +93,12 @@ def _targets_for(args: argparse.Namespace, field: SensorField) -> TargetSet:
 
 
 def _result_csv(field: SensorField, result: SelectionResult) -> str:
+    us, vs, real = result.selected_spans(field)
     lines = ["order,sensor_id,u,v,virtual"]
-    for order, sid in enumerate(result.selected_ids):
-        span = field.span_of(sid)
-        virtual = 0
-        if span is None:
-            span = result.virtual_spans[sid]
-            virtual = 1
-        u, v = span
-        lines.append(f"{order},{sid},{u:.10g},{v:.10g},{virtual}")
+    for order, (sid, u, v, known) in enumerate(
+        zip(result.selected_ids, us.tolist(), vs.tolist(), real.tolist())
+    ):
+        lines.append(f"{order},{sid},{u:.10g},{v:.10g},{int(not known)}")
     return "\n".join(lines) + "\n"
 
 

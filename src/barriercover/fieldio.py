@@ -229,8 +229,5 @@ def write_field(field: SensorField, out: str | Path | IO[str]) -> None:
 
 
 def write_sensors(sensors: Iterable[Sensor], out: str | Path | IO[str]) -> None:
-    """Write real sensors, in the order given, as a field file."""
-    sensors = list(sensors)
-    if any(s.virtual for s in sensors):
-        raise ParameterError("virtual sensors never appear in field files")
-    _write_poses(Poses.of(sensors), out)
+    """Write sensors, in the order given, as a field file."""
+    _write_poses(Poses.of(list(sensors)), out)

@@ -26,6 +26,7 @@ Experiments
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -41,6 +42,7 @@ from .model import (
     Domain,
     ParameterError,
     SensorField,
+    _sum,
     coverage_fraction,
     discretize,
 )
@@ -176,11 +178,14 @@ class ExperimentReport:
 
 
 def _pmap(fn: Callable, tasks: Sequence[tuple], jobs: int) -> list:
-    """``fn(*task)`` for every task in order, optionally over worker processes."""
-    if jobs <= 1 or len(tasks) <= 1:
+    """``fn(*task)`` for every task in order, optionally over worker
+    processes: at most ``jobs``, one per task and one per core, since a
+    pool starts all of its workers at once."""
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(*t) for t in tasks]
-    chunk = max(1, len(tasks) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
 
 
@@ -189,15 +194,10 @@ def prefix_coverage(field: SensorField, selected_ids, domain: Domain) -> list[fl
 
     Virtual gap sensors contribute no coverage and add no curve step.
     """
-    chosen = []
-    curve = [0.0]
-    for sid in selected_ids:
-        iv = field.interval_of(sid)
-        if iv is None:
-            continue
-        chosen.append(iv)
-        curve.append(coverage_fraction(chosen, domain))
-    return curve
+    rows = field._rows_of(selected_ids)
+    rows = rows[rows >= 0]
+    us, vs = field.us[rows], field.vs[rows]
+    return [coverage_fraction(us[:i], vs[:i], domain) for i in range(rows.size + 1)]
 
 
 def curve_intersection(
@@ -372,7 +372,7 @@ def _field(config: ExperimentConfig, n: int, r: int) -> SensorField:
 
 
 def _mean(values: Sequence, empty: float | None = 0.0) -> float | None:
-    return sum(values) / len(values) if values else empty
+    return _sum(values) / len(values) if values else empty
 
 
 def _curves(config: ExperimentConfig, n: int, r: int) -> tuple:

@@ -5,23 +5,27 @@ Every selection algorithm in this package works on closed intervals
 x axis. This module owns that projection, clipping to the segment of
 interest, the canonical deterministic interval ordering, conversion of a
 continuous segment into a finite set of representative target points, and
-coverage measurement.
+the union of intervals with the coverage it measures.
 
-A ``SensorField`` is arrays, not objects: the sensor poses as parallel
-columns (``Poses``) and the clipped projections as ``us``, ``vs`` and
-``ids`` in canonical order. One vectorized kernel projects, checks and
-clips every sensor at once; ``project`` and ``clip`` are one-row calls of
-it. ``Sensor`` and ``ProjectedInterval`` objects for a field are built
-only when asked for, through ``SensorField.sensors`` and
-``SensorField.intervals``.
+An interval is a row of arrays, never an object. A ``SensorField`` holds
+the sensor poses as parallel columns (``Poses``) and the clipped
+projections as ``us``, ``vs`` and ``ids`` in canonical order; one
+vectorized kernel projects, checks and clips every sensor at once.
+Virtual gap sensors are spans only: they enter a field through
+``from_poses(..., virtual_spans)`` or ``with_virtual``. ``Sensor``
+objects are the real sensors of a field, built only when
+``SensorField.sensors`` is read. ``merge_segments``,
+``complement_segments`` and ``coverage_fraction`` take and return
+columns of segment ends.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -40,17 +44,13 @@ class SensorKind(str, Enum):
 
 @dataclass(frozen=True)
 class Sensor:
-    """A deployed sensor, or a virtual stand-in for an uncoverable stretch.
+    """A deployed sensor: ``position`` and ``radius``, plus ``fov`` and
+    ``direction`` (degrees) when directional.
 
-    Real sensors carry a pose: ``position`` and ``radius``, plus ``fov``
-    and ``direction`` (degrees) when directional. The sensing footprint of
-    a directional sensor is the circular sector with apex at ``position``,
-    radius ``radius``, spanning ``fov/2`` either side of ``direction``
-    (measured counterclockwise from the +x axis).
-
-    Virtual sensors have no pose. They exist so that selection can always
-    terminate on fields with holes, and carry their 1D extent directly in
-    ``span``.
+    The sensing footprint of a directional sensor is the circular sector
+    with apex at ``position``, radius ``radius``, spanning ``fov/2``
+    either side of ``direction`` (measured counterclockwise from the +x
+    axis).
     """
 
     id: int
@@ -59,27 +59,14 @@ class Sensor:
     radius: float | None = None
     fov: float | None = None
     direction: float | None = None
-    virtual: bool = False
-    span: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ParameterError(f"sensor id must be >= 0, got {self.id}")
         if self.id >= 2**63:
             raise ParameterError(f"sensor id must be < 2**63, got {self.id}")
-        if self.virtual:
-            if self.span is None:
-                raise ParameterError("virtual sensors need an explicit span")
-            if self.position is not None or self.radius is not None:
-                raise ParameterError("virtual sensors carry no pose")
-            u, v = self.span
-            if not (u <= v):
-                raise ParameterError(f"invalid span [{u}, {v}]")
-            return
-        if self.span is not None:
-            raise ParameterError("span is reserved for virtual sensors")
         if self.position is None:
-            raise ParameterError("real sensors need a position")
+            raise ParameterError("sensors need a position")
         x, y = self.position
         r = self.radius
         finite = math.isfinite
@@ -125,27 +112,6 @@ class Sensor:
             direction=direction,
         )
 
-    @classmethod
-    def gap(cls, sensor_id: int, u: float, v: float) -> "Sensor":
-        """A virtual sensor spanning exactly [u, v]."""
-        return cls(id=sensor_id, virtual=True, span=(u, v))
-
-
-@dataclass(frozen=True)
-class ProjectedInterval:
-    """Closed interval [u, v] on the x axis owned by one sensor.
-
-    Intervals are closed: a point exactly at an endpoint counts as covered.
-    """
-
-    u: float
-    v: float
-    sensor_id: int
-
-    def __post_init__(self) -> None:
-        if not (self.u <= self.v):
-            raise ParameterError(f"interval needs u <= v, got [{self.u}, {self.v}]")
-
 
 class Poses(NamedTuple):
     """Real sensor poses as parallel arrays, in the order they were given.
@@ -163,7 +129,7 @@ class Poses(NamedTuple):
 
     @classmethod
     def of(cls, sensors: Sequence[Sensor]) -> "Poses":
-        """The poses of the given real sensors."""
+        """The poses of the given sensors."""
         directional = [s.kind is SensorKind.DIRECTIONAL for s in sensors]
         nan = math.nan
         return cls(
@@ -312,28 +278,6 @@ def _check_domain(domain: Domain) -> None:
         raise ParameterError(f"domain needs a <= b, got [{a}, {b}]")
 
 
-def project(sensor: Sensor) -> ProjectedInterval:
-    """Orthogonal projection of a sensor footprint onto the x axis.
-
-    A one-row call of the kernel that projects whole fields.
-    """
-    if sensor.virtual:
-        raise ParameterError("virtual sensors have no pose to project")
-    us, vs = _project(Poses.of([sensor]))
-    return ProjectedInterval(us.item(), vs.item(), sensor.id)
-
-
-def clip(interval: ProjectedInterval, domain: Domain) -> ProjectedInterval | None:
-    """Intersect an interval with [a, b]; None when the intersection is void."""
-    _check_domain(domain)
-    us, vs, kept = _clip(
-        np.array([interval.u], dtype=float), np.array([interval.v], dtype=float), domain
-    )
-    if not kept.item():
-        return None
-    return ProjectedInterval(us.item(), vs.item(), interval.sensor_id)
-
-
 @dataclass(frozen=True)
 class TargetSet:
     """Finite target points on the segment, kept sorted non-decreasing."""
@@ -341,7 +285,11 @@ class TargetSet:
     xs: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "xs", tuple(sorted(float(x) for x in self.xs)))
+        xs = tuple(map(float, self.xs))
+        if not all(map(math.isfinite, xs)):
+            bad = next(x for x in xs if not math.isfinite(x))
+            raise ParameterError(f"targets must be finite, got {bad}")
+        object.__setattr__(self, "xs", tuple(sorted(xs)))
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -410,47 +358,38 @@ class SensorField:
 
     @classmethod
     def build(cls, sensors: Iterable[Sensor], domain: Domain) -> "SensorField":
-        sensors = list(sensors)
-        _check_unique(np.array([s.id for s in sensors], dtype=np.int64))
-        return cls.from_poses(
-            Poses.of([s for s in sensors if not s.virtual]),
-            domain,
-            {s.id: s.span for s in sensors if s.virtual},
-        )
+        poses = Poses.of(list(sensors))
+        _check_unique(poses.ids)
+        return cls.from_poses(poses, domain)
 
     @cached_property
     def sensors(self) -> tuple[Sensor, ...]:
-        """The real sensors in the order given, then the virtual ones.
+        """The real sensors in the order given.
 
         Built from the arrays on first use, for callers that want
         objects.
         """
-        virtual = [Sensor.gap(i, u, v) for i, (u, v) in self.virtual_spans.items()]
-        return tuple(self.poses.sensors() + virtual)
-
-    @cached_property
-    def intervals(self) -> tuple[ProjectedInterval, ...]:
-        """The canonical intervals as objects, built on first use."""
-        columns = (self.us.tolist(), self.vs.tolist(), self.ids.tolist())
-        return tuple(map(ProjectedInterval, *columns))
+        return tuple(self.poses.sensors())
 
     @cached_property
     def _rows_by_id(self) -> tuple[np.ndarray, np.ndarray]:
         rows = np.argsort(self.ids)
-        return self.ids[rows], rows
+        # a -1 sentinel, which no id can match, is what ids past the end find
+        return np.append(self.ids[rows], -1), np.append(rows, -1)
 
-    def interval_of(self, sensor_id: int) -> ProjectedInterval | None:
-        span = self.span_of(sensor_id)
-        if span is None:
-            return None
-        return ProjectedInterval(span[0], span[1], sensor_id)
+    def _rows_of(self, sensor_ids: Iterable[int]) -> np.ndarray:
+        """The row in ``us``, ``vs`` and ``ids`` of each given id, -1
+        where the field holds no interval for it."""
+        ids, rows = self._rows_by_id
+        sensor_ids = np.asarray(sensor_ids, dtype=np.int64)
+        at = np.searchsorted(ids[:-1], sensor_ids)
+        return np.where(ids[at] == sensor_ids, rows[at], -1)
 
     def span_of(self, sensor_id: int) -> tuple[float, float] | None:
-        ids, rows = self._rows_by_id
-        i = np.searchsorted(ids, sensor_id)
-        if i == ids.size or ids[i] != sensor_id:
+        row = self._rows_of([sensor_id]).item()
+        if row < 0:
             return None
-        return self.us.item(rows[i]), self.vs.item(rows[i])
+        return self.us.item(row), self.vs.item(row)
 
     def without(self, sensor_ids: Iterable[int]) -> "SensorField":
         """A copy of the field with the given sensors removed."""
@@ -514,64 +453,62 @@ def discretize(field: SensorField) -> TargetSet:
     return TargetSet(tuple(((grid[:-1] + grid[1:]) / 2.0).tolist()))
 
 
-def merge_segments(
-    segments: Iterable[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    """Union of closed segments as a sorted list of disjoint closed blocks.
+def _sum(values: Iterable) -> float:
+    """Left-to-right sum, as the built-in ``sum`` adds on Python 3.10 and
+    3.11; from 3.12 on ``sum`` compensates float rounding, which would make
+    report digits depend on the Python version."""
+    return reduce(operator.add, values, 0)
 
-    Touching segments merge: [0, 4] and [4, 8] become [0, 8].
+
+def _first_max(x: np.ndarray) -> np.ndarray:
+    """Running maximum of a non-empty x that keeps the earlier of equal
+    values, as ``max`` does; numpy's keeps the later, which tells -0.0
+    from 0.0."""
+    best = np.maximum.accumulate(x)
+    new = np.append(True, x[1:] > best[:-1])
+    return x[np.maximum.accumulate(np.where(new, np.arange(x.size), 0))]
+
+
+def merge_segments(us, vs) -> tuple[np.ndarray, np.ndarray]:
+    """Union of closed segments [us[i], vs[i]] as the starts and ends of
+    sorted, disjoint closed blocks.
+
+    Touching segments merge: [0, 4] and [4, 8] become [0, 8]. In (u, v)
+    order, a segment starts a block when it begins past the furthest end
+    so far.
     """
-    segs = sorted(segments)
-    merged: list[tuple[float, float]] = []
-    for u, v in segs:
-        if merged and u <= merged[-1][1]:
-            if v > merged[-1][1]:
-                merged[-1] = (merged[-1][0], v)
-        else:
-            merged.append((u, v))
-    return merged
+    us = np.asarray(us, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    order = np.lexsort((vs, us))
+    us, vs = us[order], vs[order]
+    if not us.size:
+        return us, vs
+    reach = _first_max(vs)
+    starts = np.flatnonzero(np.append(True, us[1:] > reach[:-1]))
+    return us[starts], reach[np.append(starts[1:], us.size) - 1]
 
 
-def complement_segments(
-    segments: Iterable[tuple[float, float]], domain: Domain
-) -> list[tuple[float, float]]:
-    """Maximal positive-length stretches of [a, b] not covered by the union."""
+def complement_segments(us, vs, domain: Domain) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the maximal positive-length stretches of [a, b]
+    not covered by the union of the segments."""
     a, b = domain
-    out: list[tuple[float, float]] = []
-    cursor = a
-    for u, v in merge_segments(segments):
-        if v < a or u > b:
-            continue
-        u = max(u, a)
-        v = min(v, b)
-        if u > cursor:
-            out.append((cursor, u))
-        cursor = max(cursor, v)
-    if cursor < b:
-        out.append((cursor, b))
-    return out
+    us, vs = merge_segments(us, vs)
+    meets = (vs >= a) & (us <= b)
+    us, vs, _ = _clip(us[meets], vs[meets], domain)
+    # a stretch runs from the furthest end so far to the next block's start
+    lo = _first_max(np.append(a, vs))
+    hi = np.append(us, b)
+    gap = hi > lo
+    return lo[gap], hi[gap]
 
 
-def coverage_fraction(
-    selected: Iterable[ProjectedInterval],
-    domain: Domain,
-    virtual_ids: frozenset[int] | set[int] = frozenset(),
-) -> float:
-    """Fraction of [a, b] covered by the union of the given intervals.
-
-    Virtual gap sensors never contribute coverage; pass their ids in
-    ``virtual_ids`` to exclude them.
-    """
+def coverage_fraction(us, vs, domain: Domain) -> float:
+    """Fraction of [a, b] covered by the union of the segments."""
     a, b = domain
     if not a < b:
         raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
-    segs = []
-    for iv in selected:
-        if iv.sensor_id in virtual_ids:
-            continue
-        u = max(iv.u, a)
-        v = min(iv.v, b)
-        if u <= v:
-            segs.append((u, v))
-    covered = sum(v - u for u, v in merge_segments(segs))
-    return covered / (b - a)
+    us, vs, kept = _clip(
+        np.asarray(us, dtype=float), np.asarray(vs, dtype=float), domain
+    )
+    us, vs = merge_segments(us[kept], vs[kept])
+    return _sum((vs - us).tolist()) / (b - a)

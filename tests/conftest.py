@@ -12,6 +12,7 @@ import json
 import math
 from bisect import bisect_right
 from itertools import combinations
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,20 @@ from barriercover.model import (
 )
 
 
+class Interval(NamedTuple):
+    """One canonical row of a field, as the oracles read it."""
+
+    u: float
+    v: float
+    sensor_id: int
+
+
+def interval_rows(field):
+    """The field's canonical (u, v, id) rows as records."""
+    columns = (field.us.tolist(), field.vs.tolist(), field.ids.tolist())
+    return tuple(map(Interval, *columns))
+
+
 def make_field(pairs, domain=None):
     """Field of omni sensors whose projections are exactly the pairs.
 
@@ -49,6 +64,16 @@ def make_field(pairs, domain=None):
     if domain is None:
         domain = (min(u for u, _ in pairs), max(v for _, v in pairs))
     return SensorField.build(sensors, domain)
+
+
+def pairs(us, vs):
+    """Columns of segment ends as a list of (u, v) pairs."""
+    return list(zip(us.tolist(), vs.tolist()))
+
+
+def bits(values):
+    """Exact bit patterns; unlike ==, tells -0.0 from 0.0."""
+    return [float(x).hex() for x in values]
 
 
 # endpoints on a coarse grid over [0, 10], their neighbouring doubles and
@@ -115,8 +140,7 @@ def oracle_table(sensors, domain):
     clip, drop the void, sort by (u, v, id)."""
     rows = []
     for s in sensors:
-        span = s.span if s.virtual else oracle_project(s)
-        kept = oracle_clip(span, domain)
+        kept = oracle_clip(oracle_project(s), domain)
         if kept is not None:
             rows.append((kept[0], kept[1], s.id))
     return sorted(rows)
@@ -174,6 +198,76 @@ def union_covers_domain(spans, domain, k=1):
     return True
 
 
+# The segment algebra as it was over lists of tuples and interval
+# records, before the array union replaced it.
+
+
+def oracle_merge_segments(
+    segments: Iterable[tuple[float, float]]
+) -> list[tuple[float, float]]:
+    """Union of closed segments as a sorted list of disjoint closed blocks.
+
+    Touching segments merge: [0, 4] and [4, 8] become [0, 8].
+    """
+    segs = sorted(segments)
+    merged: list[tuple[float, float]] = []
+    for u, v in segs:
+        if merged and u <= merged[-1][1]:
+            if v > merged[-1][1]:
+                merged[-1] = (merged[-1][0], v)
+        else:
+            merged.append((u, v))
+    return merged
+
+
+def oracle_complement_segments(
+    segments: Iterable[tuple[float, float]], domain: Domain
+) -> list[tuple[float, float]]:
+    """Maximal positive-length stretches of [a, b] not covered by the union."""
+    a, b = domain
+    out: list[tuple[float, float]] = []
+    cursor = a
+    for u, v in oracle_merge_segments(segments):
+        if v < a or u > b:
+            continue
+        u = max(u, a)
+        v = min(v, b)
+        if u > cursor:
+            out.append((cursor, u))
+        cursor = max(cursor, v)
+    if cursor < b:
+        out.append((cursor, b))
+    return out
+
+
+def oracle_coverage_fraction(
+    selected: Iterable[Interval],
+    domain: Domain,
+    virtual_ids: frozenset[int] | set[int] = frozenset(),
+) -> float:
+    """Fraction of [a, b] covered by the union of the given intervals.
+
+    Virtual gap sensors never contribute coverage; pass their ids in
+    ``virtual_ids`` to exclude them.
+    """
+    a, b = domain
+    if not a < b:
+        raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
+    segs = []
+    for iv in selected:
+        if iv.sensor_id in virtual_ids:
+            continue
+        u = max(iv.u, a)
+        v = min(iv.v, b)
+        if u <= v:
+            segs.append((u, v))
+    # left to right, as the built-in sum added floats before Python 3.12
+    covered = 0
+    for u, v in oracle_merge_segments(segs):
+        covered += v - u
+    return covered / (b - a)
+
+
 def exhaustive_min_kcover(field, targets, k=1):
     """Smallest number of field sensors k-covering all targets, or None.
 
@@ -181,7 +275,7 @@ def exhaustive_min_kcover(field, targets, k=1):
     enumeration with per-target counting loops.
     """
     xs = list(targets)
-    ivs = field.intervals
+    ivs = interval_rows(field)
     for size in range(len(ivs) + 1):
         for combo in combinations(ivs, size):
             if covers_targets(combo, xs, k):
@@ -254,7 +348,7 @@ def oracle_instance(seed, *, k=1, n_max=12, max_targets=20):
         xs = [
             x
             for x in discretize(field)
-            if multiplicity(field.intervals, x) >= k
+            if multiplicity(interval_rows(field), x) >= k
         ]
         if 1 <= len(xs) <= max_targets:
             return field, TargetSet(tuple(xs))
@@ -309,14 +403,14 @@ def _naive_walks(intervals, stretches, selected, virtual_spans, next_vid):
 
 def naive_oga_continuous(field, domain):
     """Reference for ``oga_continuous``."""
-    return _naive_walks(field.intervals, [domain], [], {}, field.max_id + 1)
+    return _naive_walks(interval_rows(field), [domain], [], {}, field.max_id + 1)
 
 
 def naive_logm(previous, gaps, field, failed):
     """Reference for ``logm``: the same walks over never-selected sensors."""
     before = set(previous.selected_ids)
     survivors = [sid for sid in previous.selected_ids if sid not in failed]
-    pool = [iv for iv in field.intervals if iv.sensor_id not in before]
+    pool = [iv for iv in interval_rows(field) if iv.sensor_id not in before]
     return _naive_walks(
         pool,
         sorted((g.u, g.v) for g in gaps),
@@ -340,8 +434,8 @@ def naive_k_oga(field, targets, k):
     unused interval at the start of each round plus one per step.
     """
     augmented = augment_with_gap_sensors(field, targets, k)
-    intervals = augmented.intervals
-    virtual = {s.id: s.span for s in augmented.sensors if s.virtual}
+    intervals = interval_rows(augmented)
+    virtual = dict(augmented.virtual_spans)
     xs = list(targets)
     selected, steps = [], []
     comparisons = 0
@@ -527,8 +621,6 @@ def oracle_read_field(path, domain) -> SensorField:
 
 
 def _oracle_sensor_to_obj(sensor: Sensor) -> dict:
-    if sensor.virtual:
-        raise ParameterError("virtual sensors never appear in field files")
     obj = {
         "id": sensor.id,
         "kind": sensor.kind.value,

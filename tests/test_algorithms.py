@@ -20,7 +20,6 @@ from barriercover.model import (
     ParameterError,
     SensorField,
     TargetSet,
-    coverage_fraction,
     discretize,
 )
 from conftest import (
@@ -140,22 +139,21 @@ class TestAugment:
     def test_covered_field_unchanged(self):
         field = make_field([(0.0, 6.0), (5.0, 10.0)], domain=(0.0, 10.0))
         aug = augment_with_gap_sensors(field, discretize(field), 1)
-        assert aug is field or not any(s.virtual for s in aug.sensors)
+        assert aug is field or not aug.virtual_spans
 
     def test_deficient_runs_span_first_to_last_target(self):
         field = make_field([(4.0, 6.0)], domain=(0.0, 10.0))
         targets = TargetSet((1.0, 2.0, 5.0, 8.0, 9.0))
         aug = augment_with_gap_sensors(field, targets, 1)
-        spans = sorted(s.span for s in aug.sensors if s.virtual)
+        spans = sorted(aug.virtual_spans.values())
         assert spans == [(1.0, 2.0), (8.0, 9.0)]
 
     def test_deficiency_depth_sets_copy_count(self):
         field = make_field([(0.0, 10.0)], domain=(0.0, 10.0))
         targets = TargetSet((5.0,))
         aug = augment_with_gap_sensors(field, targets, 3)
-        virtuals = [s for s in aug.sensors if s.virtual]
-        assert len(virtuals) == 2
-        assert all(s.span == (5.0, 5.0) for s in virtuals)
+        spans = list(aug.virtual_spans.values())
+        assert spans == [(5.0, 5.0)] * 2
 
 
 class TestOgaContinuous:

@@ -345,6 +345,60 @@ class TestDiagnostics:
             assert code == 1, text
             assert err.startswith(f"error: malformed result file {sel}: "), text
 
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            (
+                '{"selected": [0, true]}',
+                "selected ids must be integers in [0, 2**63), got True",
+            ),
+            (
+                '{"selected": [0, 1.0]}',
+                "selected ids must be integers in [0, 2**63), got 1.0",
+            ),
+            (
+                '{"selected": [0, 20], "virtual": [20], "virtual_spans": {}}',
+                "virtual sensor 20 has no virtual span",
+            ),
+            (
+                '{"selected": [0, 20], "virtual": [20],'
+                ' "virtual_spans": {"20": [NaN, 5]}}',
+                "virtual span 20 must be finite with u <= v, got [nan, 5.0]",
+            ),
+            (
+                '{"selected": [0, 20], "virtual": [20],'
+                ' "virtual_spans": {"20": [5, 1]}}',
+                "virtual span 20 must be finite with u <= v, got [5.0, 1.0]",
+            ),
+        ],
+        ids=["bool-id", "float-id", "virtual-no-span", "nan-span", "reversed-span"],
+    )
+    def test_result_file_faults_name_the_file(self, capsys, tmp_path, text, fault):
+        sel = tmp_path / "sel.json"
+        sel.write_text(text + "\n")
+        code, out, err = run_main(
+            capsys, ["mend", "--result", str(sel), "--failed", "0"] + F8
+        )
+        assert code == 1
+        assert err.startswith(f"error: malformed result file {sel}: ")
+        assert fault in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["cover", "--mode", "discrete", "--targets", "inf"], "inf"),
+            (["cover", "--mode", "discrete", "--targets", "nan,1"], "nan"),
+            (["kcover", "--k", "1", "--targets", "1,nan"], "nan"),
+        ],
+        ids=["cover-inf", "cover-nan", "kcover-nan"],
+    )
+    def test_targets_must_be_finite(self, capsys, argv, bad):
+        code, out, err = run_main(capsys, argv + F8)
+        assert code == 1
+        assert err == f"error: targets must be finite, got {bad}\n"
+        assert out == ""
+
     def test_non_json_config_and_result_name_the_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json}\n")

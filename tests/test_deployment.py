@@ -15,7 +15,7 @@ from barriercover.deployment import (
     child_seed,
     generate,
 )
-from barriercover.model import ParameterError, SensorKind, project
+from barriercover.model import ParameterError, SensorField, SensorKind
 
 
 class TestChildSeed:
@@ -178,10 +178,9 @@ class TestProjectedExtentDistribution:
         spec = DeploymentSpec(
             n=20000, width=1000.0, radius=10.0, fov=fov, seed=5
         )
-        field = generate(spec)
-        extents = [
-            (lambda iv: iv.v - iv.u)(project(s)) for s in field.sensors
-        ]
+        # a domain that clips nothing leaves the whole projections
+        field = SensorField.from_poses(generate(spec).poses, (-math.inf, math.inf))
+        extents = (field.vs - field.us).tolist()
         mean = sum(extents) / len(extents) / 10.0
         assert mean == pytest.approx(expected, rel=0.02)
 
@@ -191,6 +190,6 @@ class TestProjectedExtentDistribution:
             radius=10.0, seed=6,
         )
         field = generate(spec)
-        lengths = [iv.v - iv.u for iv in field.intervals]
+        lengths = (field.vs - field.us).tolist()
         assert len(lengths) == 20000
         assert sum(lengths) / len(lengths) == pytest.approx(19.9, rel=0.01)

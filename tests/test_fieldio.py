@@ -337,8 +337,6 @@ def test_writers_refuse_what_could_not_be_read_back(tmp_path):
         bad = poses._replace(**{column: np.array([1.0, value])})
         with pytest.raises(ParameterError, match=f"^{message}$"):
             write_field(SensorField((), (), (), DOMAIN, bad), path)
-    with pytest.raises(ParameterError, match="^virtual sensors never appear"):
-        write_sensors([Sensor.omni(0, 1.0, 0.0, 2.0), Sensor.gap(5, 0.0, 1.0)], path)
     field, _ = SensorField.build([Sensor.omni(0, 1.0, 0.0, 2.0)], DOMAIN).with_virtual(
         [(3.0, 4.0)]
     )

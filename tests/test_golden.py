@@ -12,6 +12,7 @@ also at ``--jobs 2``.
 
 from __future__ import annotations
 
+import builtins
 from pathlib import Path
 
 import pytest
@@ -76,5 +77,31 @@ def test_output_is_byte_identical(capsys, name):
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_experiment_is_byte_identical_across_jobs(capsys, name):
     assert main(COMMANDS[name] + ["--jobs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def compensated_sum(values, start=0):
+    """``sum`` with Neumaier's compensation for floats, the way Python 3.12
+    and later add them; integers stay exact."""
+    values = list(values)
+    if not any(isinstance(x, float) for x in values):
+        return _builtin_sum(values, start)
+    total, lost = float(start), 0.0
+    for x in values:
+        t = total + x
+        lost += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + lost
+
+
+_builtin_sum = builtins.sum
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_experiment_does_not_depend_on_how_sum_rounds(capsys, monkeypatch, name):
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert main(COMMANDS[name]) == 0
+    monkeypatch.undo()
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

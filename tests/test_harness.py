@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 
 import pytest
 from hypothesis import example, given, settings
@@ -68,6 +69,35 @@ class TestExperimentConfig:
             assert config.experiment == name
             assert config.sweep
             assert config.realizations >= 1
+
+
+class TestWorkerPool:
+    def test_starts_no_more_workers_than_tasks_or_cores(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns, chunksize=1):
+                return map(fn, *columns)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        tasks = [(-i,) for i in range(10)]
+        assert harness._pmap(abs, tasks, 100_000) == list(range(10))
+        assert harness._pmap(abs, tasks[:3], 100_000) == [0, 1, 2]
+        assert harness._pmap(abs, tasks, 2) == list(range(10))
+        assert started == [4, 3, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness._pmap(abs, tasks, 100_000) == list(range(10))
+        assert started == [4, 3, 2]
 
 
 class TestPrefixCoverage:

@@ -21,11 +21,9 @@ from barriercover import (
     Poses,
     Sensor,
     SensorField,
-    clip,
     generate,
-    project,
 )
-from conftest import oracle_clip, oracle_generate, oracle_project, oracle_table
+from conftest import bits, oracle_generate, oracle_table
 
 DOMAIN = (0.0, 100.0)
 A, B = DOMAIN
@@ -44,11 +42,6 @@ RADII = [5e-324, 1e-310, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308]
 # with these, sector edges land exactly on 0 and 180 degrees
 DIRECTIONS = [0.0, 45.0, 90.0, 135.0, 180.0, 270.0, math.nextafter(360.0, 0.0)]
 FOVS = [90.0, 180.0, 270.0, 360.0]
-
-
-def bits(values):
-    """Exact bit patterns; unlike ==, tells -0.0 from 0.0."""
-    return [float(x).hex() for x in values]
 
 
 def finite(lo, hi):
@@ -128,24 +121,10 @@ class TestKernelMatchesScalarPath:
     @settings(max_examples=400, deadline=None)
     @given(sensor_lists())
     @example(EDGES)
+    @example([make_sensor(9, (B, 0.0, 5.0, 90.0, 45.0))])
+    @example([make_sensor(9, (-0.0, 0.0, 5e-324, 10.0, 80.0))])
     def test_field_matches_per_sensor_path(self, sensors):
         assert_matches_oracle(SensorField.build(sensors, DOMAIN), sensors)
-
-    @settings(max_examples=300, deadline=None)
-    @given(poses())
-    @example((B, 0.0, 5.0, 90.0, 45.0))
-    @example((-0.0, 0.0, 5e-324, 10.0, 80.0))
-    def test_project_and_clip_are_one_row_calls(self, pose):
-        sensor = make_sensor(9, pose)
-        iv = project(sensor)
-        u, v = oracle_project(sensor)
-        assert bits([iv.u, iv.v]) == bits([u, v])
-        kept = clip(iv, DOMAIN)
-        want = oracle_clip((u, v), DOMAIN)
-        if want is None:
-            assert kept is None
-        else:
-            assert bits([kept.u, kept.v]) == bits(want)
 
     @pytest.mark.parametrize(
         "spec",

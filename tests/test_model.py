@@ -9,19 +9,23 @@ import pytest
 
 from barriercover.model import (
     ParameterError,
-    ProjectedInterval,
+    Poses,
     Sensor,
     SensorField,
     SensorKind,
     TargetSet,
-    clip,
     complement_segments,
     coverage_fraction,
     discretize,
     merge_segments,
-    project,
 )
-from conftest import make_field
+from conftest import make_field, pairs
+
+
+def project(sensor):
+    """The (u, v) of one sensor, through a field whose domain clips nothing."""
+    field = SensorField.build([sensor], (-math.inf, math.inf))
+    return field.us.item(0), field.vs.item(0)
 
 
 class TestSensorValidation:
@@ -29,17 +33,11 @@ class TestSensorValidation:
         s = Sensor.omni(3, 5.0, 1.0, 2.0)
         assert s.kind is SensorKind.OMNI
         assert (s.id, s.position, s.radius) == (3, (5.0, 1.0), 2.0)
-        assert not s.virtual
 
     def test_directional_constructor(self):
         s = Sensor.directional(0, 1.0, 0.0, 3.0, fov=90.0, direction=45.0)
         assert s.kind is SensorKind.DIRECTIONAL
         assert (s.fov, s.direction) == (90.0, 45.0)
-
-    def test_gap_sensor_is_virtual_with_span(self):
-        s = Sensor.gap(7, 2.0, 5.0)
-        assert s.virtual
-        assert s.span == (2.0, 5.0)
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ParameterError):
@@ -79,67 +77,64 @@ class TestSensorValidation:
                 radius=1.0,
             )
 
-    def test_gap_span_needs_order(self):
-        with pytest.raises(ParameterError):
-            Sensor.gap(0, 5.0, 2.0)
+    def test_virtual_span_needs_order(self):
+        field = make_field([(0.0, 2.0)], domain=(0.0, 6.0))
+        with pytest.raises(ParameterError, match=r"^invalid span \[5.0, 2.0\]$"):
+            field.with_virtual([(5.0, 2.0)])
 
 
 class TestProjection:
     def test_omni_projects_symmetric(self):
-        iv = project(Sensor.omni(4, 10.0, -3.0, 2.5))
-        assert (iv.u, iv.v, iv.sensor_id) == (7.5, 12.5, 4)
+        field = SensorField.build([Sensor.omni(4, 10.0, -3.0, 2.5)], (0.0, 20.0))
+        assert pairs(field.us, field.vs) == [(7.5, 12.5)]
+        assert field.ids.tolist() == [4]
 
     def test_facing_right(self):
-        iv = project(
+        u, v = project(
             Sensor.directional(0, 10.0, 0.0, 4.0, fov=90.0, direction=0.0)
         )
-        assert iv.u == pytest.approx(10.0)
-        assert iv.v == pytest.approx(14.0)
+        assert u == pytest.approx(10.0)
+        assert v == pytest.approx(14.0)
 
     def test_facing_left(self):
-        iv = project(
+        u, v = project(
             Sensor.directional(0, 10.0, 0.0, 4.0, fov=90.0, direction=180.0)
         )
-        assert iv.u == pytest.approx(6.0)
-        assert iv.v == pytest.approx(10.0)
+        assert u == pytest.approx(6.0)
+        assert v == pytest.approx(10.0)
 
     def test_facing_up_spans_cosine_edges(self):
-        iv = project(
+        u, v = project(
             Sensor.directional(0, 0.0, 0.0, 1.0, fov=90.0, direction=90.0)
         )
         half = math.cos(math.radians(45.0))
-        assert iv.u == pytest.approx(-half)
-        assert iv.v == pytest.approx(half)
+        assert u == pytest.approx(-half)
+        assert v == pytest.approx(half)
 
     def test_full_circle_equals_omni(self):
         d = project(
             Sensor.directional(0, 3.0, 1.0, 2.0, fov=360.0, direction=123.0)
         )
         o = project(Sensor.omni(0, 3.0, 1.0, 2.0))
-        assert (d.u, d.v) == (o.u, o.v)
+        assert d == o
 
     def test_axis_ray_inside_sector_extends_to_radius(self):
-        iv = project(
+        _u, v = project(
             Sensor.directional(0, 0.0, 0.0, 1.0, fov=40.0, direction=10.0)
         )
-        assert iv.v == pytest.approx(1.0)
+        assert v == pytest.approx(1.0)
 
     def test_sector_wrapping_zero_degrees(self):
-        iv = project(
+        u, v = project(
             Sensor.directional(0, 0.0, 0.0, 1.0, fov=40.0, direction=350.0)
         )
-        assert iv.v == pytest.approx(1.0)
-        assert iv.u == pytest.approx(0.0)
+        assert v == pytest.approx(1.0)
+        assert u == pytest.approx(0.0)
 
-    def test_virtual_sensors_have_no_projection(self):
-        with pytest.raises(ParameterError):
-            project(Sensor.gap(9, 1.0, 4.0))
-
-    def test_gap_sensor_interval_comes_from_its_span(self):
-        field = SensorField.build(
-            [Sensor.gap(9, 1.0, 4.0)], (0.0, 10.0)
-        )
+    def test_virtual_sensor_interval_comes_from_its_span(self):
+        field = SensorField.from_poses(Poses.of([]), (0.0, 10.0), {9: (1.0, 4.0)})
         assert field.span_of(9) == (1.0, 4.0)
+        assert field.sensors == ()
 
     def test_projection_matches_sampled_sector(self):
         rng = np.random.default_rng(42)
@@ -148,43 +143,45 @@ class TestProjection:
             r = float(rng.uniform(0.1, 4.0))
             fov = float(rng.uniform(5.0, 360.0))
             direction = float(rng.uniform(0.0, 360.0))
-            iv = project(
+            u, v = project(
                 Sensor.directional(0, x, 0.0, r, fov=fov, direction=direction)
             )
             thetas = direction + np.linspace(-fov / 2.0, fov / 2.0, 2001)
             pts = x + r * np.cos(np.radians(thetas))
             lo = min(float(pts.min()), x)
             hi = max(float(pts.max()), x)
-            assert iv.u <= lo + 1e-9
-            assert iv.v >= hi - 1e-9
-            assert iv.u == pytest.approx(lo, abs=1e-4)
-            assert iv.v == pytest.approx(hi, abs=1e-4)
+            assert u <= lo + 1e-9
+            assert v >= hi - 1e-9
+            assert u == pytest.approx(lo, abs=1e-4)
+            assert v == pytest.approx(hi, abs=1e-4)
 
 
 class TestClip:
     def test_inside_untouched(self):
-        iv = ProjectedInterval(2.0, 5.0, 0)
-        assert clip(iv, (0.0, 10.0)) == iv
+        field = make_field([(2.0, 5.0)], domain=(0.0, 10.0))
+        assert pairs(field.us, field.vs) == [(2.0, 5.0)]
 
     def test_partial_overlap_trimmed(self):
-        out = clip(ProjectedInterval(-2.0, 5.0, 1), (0.0, 10.0))
-        assert (out.u, out.v) == (0.0, 5.0)
+        field = make_field([(-2.0, 5.0)], domain=(0.0, 10.0))
+        assert pairs(field.us, field.vs) == [(0.0, 5.0)]
 
     def test_outside_is_dropped(self):
-        assert clip(ProjectedInterval(11.0, 15.0, 2), (0.0, 10.0)) is None
+        field = make_field([(11.0, 15.0)], domain=(0.0, 10.0))
+        assert field.ids.size == 0
+        assert field.span_of(0) is None
 
 
 class TestIntervalBasics:
     def test_interval_needs_order(self):
-        with pytest.raises(ParameterError):
-            ProjectedInterval(3.0, 2.0, 0)
+        with pytest.raises(ParameterError, match=r"^interval needs u <= v"):
+            SensorField([3.0], [2.0], [0], (0.0, 10.0))
 
     def test_closed_cover_and_overlap(self):
         # closed intervals: sharing one endpoint leaves no hole between
-        assert complement_segments([(1.0, 3.0), (3.0, 5.0)], (1.0, 5.0)) == []
-        assert complement_segments([(1.0, 3.0), (3.5, 5.0)], (1.0, 5.0)) == [
-            (3.0, 3.5)
-        ]
+        lo, hi = complement_segments([1.0, 3.0], [3.0, 5.0], (1.0, 5.0))
+        assert pairs(lo, hi) == []
+        lo, hi = complement_segments([1.0, 3.5], [3.0, 5.0], (1.0, 5.0))
+        assert pairs(lo, hi) == [(3.0, 3.5)]
 
     def test_targets_sorted_and_indexable(self):
         ts = TargetSet((3.0, 1.0, 2.0))
@@ -195,11 +192,8 @@ class TestIntervalBasics:
 class TestSensorField:
     def test_intervals_sorted_canonically(self):
         field = make_field([(4.0, 8.0), (0.0, 6.0), (0.0, 3.0)])
-        assert [(iv.u, iv.v, iv.sensor_id) for iv in field.intervals] == [
-            (0.0, 3.0, 2),
-            (0.0, 6.0, 1),
-            (4.0, 8.0, 0),
-        ]
+        assert pairs(field.us, field.vs) == [(0.0, 3.0), (0.0, 6.0), (4.0, 8.0)]
+        assert field.ids.tolist() == [2, 1, 0]
 
     def test_build_clips_and_drops(self):
         sensors = [
@@ -207,15 +201,15 @@ class TestSensorField:
             Sensor.omni(1, 1.0, 0.0, 3.0),
         ]
         field = SensorField.build(sensors, (0.0, 10.0))
-        assert [iv.sensor_id for iv in field.intervals] == [1]
-        assert field.interval_of(0) is None
+        assert field.ids.tolist() == [1]
+        assert field.span_of(0) is None
         assert field.span_of(1) == (0.0, 4.0)
 
     def test_without_removes_and_max_id_tracks_sensors(self):
         field = make_field([(0.0, 2.0), (1.0, 3.0), (2.0, 4.0)])
         assert field.max_id == 2
         reduced = field.without([1])
-        assert [iv.sensor_id for iv in reduced.intervals] == [0, 2]
+        assert reduced.ids.tolist() == [0, 2]
         assert reduced.max_id == 2
 
     def test_with_virtual_appends_spanning_sensors(self):
@@ -224,7 +218,8 @@ class TestSensorField:
         assert vids == (1, 2)
         assert grown.span_of(1) == (2.0, 5.0)
         assert grown.span_of(2) == (5.0, 6.0)
-        assert sum(1 for s in grown.sensors if s.virtual) == 2
+        assert len(grown.virtual_spans) == 2
+        assert len(grown.sensors) == 1
         assert field.max_id == 0
 
 
@@ -245,33 +240,26 @@ class TestDiscretize:
 
 class TestSegments:
     def test_merge_joins_touching(self):
-        assert merge_segments([(4.0, 8.0), (0.0, 4.0), (9.0, 10.0)]) == [
-            (0.0, 8.0),
-            (9.0, 10.0),
-        ]
+        blocks = merge_segments([4.0, 0.0, 9.0], [8.0, 4.0, 10.0])
+        assert pairs(*blocks) == [(0.0, 8.0), (9.0, 10.0)]
 
     def test_complement_reports_holes(self):
-        holes = complement_segments([(1.0, 3.0), (5.0, 6.0)], (0.0, 10.0))
-        assert holes == [(0.0, 1.0), (3.0, 5.0), (6.0, 10.0)]
+        holes = complement_segments([1.0, 5.0], [3.0, 6.0], (0.0, 10.0))
+        assert pairs(*holes) == [(0.0, 1.0), (3.0, 5.0), (6.0, 10.0)]
 
     def test_complement_empty_when_covered(self):
-        assert complement_segments([(0.0, 10.0)], (0.0, 10.0)) == []
+        assert pairs(*complement_segments([0.0], [10.0], (0.0, 10.0))) == []
 
     def test_complement_ignores_outside_mass(self):
-        holes = complement_segments([(-5.0, 2.0), (8.0, 20.0)], (0.0, 10.0))
-        assert holes == [(2.0, 8.0)]
+        holes = complement_segments([-5.0, 8.0], [2.0, 20.0], (0.0, 10.0))
+        assert pairs(*holes) == [(2.0, 8.0)]
 
 
 class TestCoverageFraction:
     def test_half_covered(self):
-        ivs = [ProjectedInterval(0.0, 3.0, 0), ProjectedInterval(8.0, 10.0, 1)]
-        assert coverage_fraction(ivs, (0.0, 10.0)) == pytest.approx(0.5)
-
-    def test_virtuals_do_not_count(self):
-        ivs = [ProjectedInterval(0.0, 5.0, 0), ProjectedInterval(5.0, 10.0, 1)]
-        frac = coverage_fraction(ivs, (0.0, 10.0), virtual_ids={1})
+        frac = coverage_fraction([0.0, 8.0], [3.0, 10.0], (0.0, 10.0))
         assert frac == pytest.approx(0.5)
 
     def test_rejects_empty_domain(self):
         with pytest.raises(ParameterError):
-            coverage_fraction([], (3.0, 3.0))
+            coverage_fraction([], [], (3.0, 3.0))

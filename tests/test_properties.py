@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from barriercover import (
     DeploymentSpec,
+    SelectionResult,
     Sensor,
     SensorField,
     augment_with_gap_sensors,
@@ -29,13 +30,20 @@ from barriercover import (
 from barriercover.algorithms import _Frontier
 from conftest import (
     ENDPOINTS,
+    Interval,
+    bits,
     exhaustive_min_kcover,
+    interval_rows,
     markov_equality_holds,
     multiplicity,
     naive_k_oga,
     naive_logm,
     naive_oga_continuous,
+    oracle_complement_segments,
+    oracle_coverage_fraction,
     oracle_instance,
+    oracle_merge_segments,
+    pairs,
     selected_cover_sets,
     table_field,
     union_covers_domain,
@@ -80,7 +88,7 @@ def small_fields(draw):
                 )
             )
     field = SensorField.build(sensors, (0.0, WIDTH))
-    assume(field.intervals)
+    assume(field.ids.size)
     return field
 
 
@@ -104,19 +112,93 @@ segments = st.lists(
     max_size=12,
 )
 
+# both zeros, subnormals, adjacent doubles, and points outside [0, 10]
+POINTS = [-0.0, -5e-324, -2.0, math.nextafter(-2.0, 0.0), 12.0, *ENDPOINTS]
+
+
+@st.composite
+def span_lists(draw):
+    """Spans with zero-length, touching and duplicate members, and a
+    domain a < b that some of them overhang or miss."""
+    ends = st.sampled_from(POINTS)
+    spans = draw(st.lists(st.tuples(ends, ends).map(sorted).map(tuple), max_size=10))
+    if spans:
+        spans += draw(st.lists(st.sampled_from(spans), max_size=3))
+    a, b = sorted(draw(st.tuples(ends, ends)))
+    assume(a < b)
+    return spans, (a, b)
+
+
+def columns(segs):
+    return (
+        np.array([u for u, _ in segs], dtype=float),
+        np.array([v for _, v in segs], dtype=float),
+    )
+
+
+def assert_same_segments(got, want):
+    assert bits(got[0]) == bits(u for u, _ in want)
+    assert bits(got[1]) == bits(v for _, v in want)
+
 
 class TestSegmentAlgebra:
+    @settings(max_examples=300, deadline=None)
+    @given(span_lists())
+    @example(([(0.0, 4.0), (4.0, 8.0)], (0.0, 10.0)))
+    @example(([(0.0, -0.0), (-0.0, 0.0)], (-0.0, 1.0)))
+    def test_union_matches_tuple_algebra(self, case):
+        """merge, complement and coverage fraction bit for bit as the
+        former per-tuple code computed them."""
+        spans, domain = case
+        us, vs = columns(spans)
+        assert_same_segments(merge_segments(us, vs), oracle_merge_segments(spans))
+        assert_same_segments(
+            complement_segments(us, vs, domain),
+            oracle_complement_segments(spans, domain),
+        )
+        rows = [Interval(u, v, i) for i, (u, v) in enumerate(spans)]
+        assert bits([coverage_fraction(us, vs, domain)]) == bits(
+            [oracle_coverage_fraction(rows, domain)]
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(span_lists(), st.data())
+    def test_gaps_match_tuple_algebra(self, case, data):
+        """find_gaps over field rows and virtual spans: its bounds are the
+        former complement's, and each gap lists the failed spans it meets."""
+        spans, domain = case
+        assume(spans)
+        in_field = data.draw(st.integers(0, len(spans)))
+        field = table_field(spans[:in_field], domain)
+        ledger = {i: span for i, span in enumerate(spans) if i >= in_field}
+        order = data.draw(st.permutations(range(len(spans))))
+        previous = SelectionResult(
+            selected_ids=tuple(order),
+            virtual_ids=tuple(ledger),
+            virtual_spans=ledger,
+        )
+        failed = data.draw(st.sets(st.sampled_from(order)))
+        gaps = find_gaps(previous, failed, field, domain)
+        surviving = [spans[i] for i in order if i not in failed]
+        want = oracle_complement_segments(surviving, domain)
+        assert bits(g.u for g in gaps) == bits(u for u, _ in want)
+        assert bits(g.v for g in gaps) == bits(v for _, v in want)
+        for g in gaps:
+            assert g.failed_ids == {
+                i for i in failed if spans[i][0] < g.v and spans[i][1] > g.u
+            }
+
     @given(segments)
     def test_merge_is_sorted_disjoint_and_idempotent(self, segs):
-        merged = merge_segments(segs)
+        merged = pairs(*merge_segments(*columns(segs)))
         for (u1, v1), (u2, v2) in zip(merged, merged[1:]):
             assert v1 < u2
-        assert merge_segments(merged) == merged
+        assert pairs(*merge_segments(*columns(merged))) == merged
 
     @given(segments)
     @example([(0.0, 0.0), (5e-324, 5e-324)])
     def test_merge_preserves_membership(self, segs):
-        merged = merge_segments(segs)
+        merged = pairs(*merge_segments(*columns(segs)))
         for u, v in segs:
             assert any(mu <= u and v <= mv for mu, mv in merged)
         for (_, v1), (u2, _) in zip(merged, merged[1:]):
@@ -129,7 +211,7 @@ class TestSegmentAlgebra:
     @example([(0.0, 0.0), (5e-324, 5e-324)])
     def test_complement_partitions_the_domain(self, segs):
         domain = (0.0, 70.0)
-        holes = complement_segments(segs, domain)
+        holes = pairs(*complement_segments(*columns(segs), domain))
         for (u1, v1), (u2, v2) in zip(holes, holes[1:]):
             assert v1 <= u2
         for u, v in holes:
@@ -137,7 +219,7 @@ class TestSegmentAlgebra:
             assert all(sv <= u or su >= v for su, sv in segs)
         covered = sum(
             min(v, domain[1]) - max(u, domain[0])
-            for u, v in merge_segments(segs)
+            for u, v in pairs(*merge_segments(*columns(segs)))
             if v > domain[0] and u < domain[1]
         )
         assert covered + sum(v - u for u, v in holes) == pytest.approx(
@@ -174,8 +256,8 @@ class TestSelectionInvariants:
     @given(small_fields())
     def test_coverage_fraction_is_monotone(self, field):
         previous = 0.0
-        for end in range(len(field.intervals) + 1):
-            frac = coverage_fraction(field.intervals[:end], field.domain)
+        for end in range(field.ids.size + 1):
+            frac = coverage_fraction(field.us[:end], field.vs[:end], field.domain)
             assert 0.0 <= frac <= 1.0
             assert frac >= previous
             previous = frac
@@ -186,9 +268,9 @@ class TestSelectionInvariants:
         targets = discretize(field)
         augmented = augment_with_gap_sensors(field, targets, k)
         for x in targets:
-            assert multiplicity(augmented.intervals, x) >= k
+            assert multiplicity(interval_rows(augmented), x) >= k
         again = augment_with_gap_sensors(augmented, targets, k)
-        assert len(again.sensors) == len(augmented.sensors)
+        assert len(again.virtual_spans) == len(augmented.virtual_spans)
 
 
 class TestAgainstExhaustiveSearch:
