@@ -123,7 +123,8 @@ class SelectionResult:
     def from_dict(cls, data: dict) -> "SelectionResult":
         """The result ``to_dict`` wrote. Ids must be integers in
         [0, 2**63), every virtual id needs its span, and spans must be
-        finite with u <= v; a fault raises TypeError or ValueError."""
+        finite with u <= v, and the checks of the constructor hold; a
+        fault raises TypeError or ValueError."""
         trace = tuple(
             SelectionStep(
                 current_target=s["current_target"],
@@ -144,13 +145,17 @@ class SelectionResult:
         lacking = [vid for vid in virtual if vid not in spans]
         if lacking:
             raise ValueError(f"virtual sensor {lacking[0]} has no virtual span")
-        return cls(
-            selected_ids=_json_ids(data["selected"], "selected"),
-            virtual_ids=virtual,
-            virtual_spans=spans,
-            trace=trace,
-            fully_covered=bool(data.get("fully_covered", True)),
-        )
+        try:
+            return cls(
+                selected_ids=_json_ids(data["selected"], "selected"),
+                virtual_ids=virtual,
+                virtual_spans=spans,
+                trace=trace,
+                fully_covered=bool(data.get("fully_covered", True)),
+            )
+        except ParameterError as exc:
+            # a fault of the file, not a bad setting: its reader names it
+            raise ValueError(str(exc)) from None
 
 
 def _json_ids(values, what: str) -> tuple[int, ...]:

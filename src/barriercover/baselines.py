@@ -13,8 +13,9 @@ Two baselines to compare the frontier greedy against:
   LEFT->RIGHT costs 1 with two nodes, and no longer path with a weight-1
   edge beats it, so the cheapest path is either gap-free, with the
   fewest sensors and the smallest ids on ties, or that lone edge. A
-  round is therefore one breadth-first search over the overlap edges:
-  one vectorized pass over the sensors per sensor on the path, O(n L)
+  round is therefore one breadth-first search over the overlap edges,
+  and its levels are contiguous runs of the alive sensors in v order:
+  one suffix-minimum table and one bisection per level, O(n + L log n)
   for n sensors and an L-sensor path.
 
 ``brute_force_min_kcover`` certifies optimality claims by exhaustive
@@ -23,9 +24,10 @@ subset enumeration, smallest subsets first.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Mapping
 
 import numpy as np
@@ -140,6 +142,11 @@ class BarrierGraph:
         spans.update(zip(self.ids.tolist(), zip(self.us.tolist(), self.vs.tolist())))
         return spans
 
+    @cached_property
+    def by_v(self) -> np.ndarray:
+        """Rows in ascending v order."""
+        return np.argsort(self.vs, kind="stable")
+
     def weight(self, i: int, j: int) -> int:
         ui, vi = self.spans[i]
         uj, vj = self.spans[j]
@@ -157,38 +164,53 @@ def build_barrier_graph(field: SensorField, domain: Domain) -> BarrierGraph:
     )
 
 
-def _gap_free_path(graph: BarrierGraph, alive: np.ndarray) -> list[int] | None:
+def _gap_free_path(graph: BarrierGraph, alive: np.ndarray) -> np.ndarray | None:
     """Rows of the gap-free LEFT->RIGHT path with the fewest sensors.
 
     Ties go to the lexicographically smallest id sequence; None when the
-    alive sensors hold no gap-free path. Breadth-first levels group the
-    sensors by how many it takes from each one to RIGHT. The union of the
-    spans reached so far is one interval [lo, hi] around b, and a closed
-    span meets the union exactly when it meets a member, so each level is
-    one mask. The walk from LEFT then takes, level by level, the smallest
-    id among the sensors that meet the one before.
+    alive sensors hold no gap-free path. Breadth-first level j holds the
+    sensors that take j steps to RIGHT. Once the levels up to j - 1 are
+    found, their spans cover a frontier lo_j up to b without a hole, and
+    a closed span meets that union exactly when it meets a member, so
+    level j is the alive sensors with lo_j <= v < lo_j-1 (lo_1 = b,
+    lo_0 = inf). In v order that is one run, found by one bisection, and
+    lo_j+1 is the least u over v >= lo_j, one entry of a suffix-minimum
+    table. A least u at or above lo_j leaves the next run empty: the
+    alive sensors hold no gap-free path. A round costs O(n + L log n).
+
+    A span that starts past b, when the graph's domain is narrower than
+    the field's, has v > b and so falls in level 1; its u lies above every
+    frontier, so it never lowers one. Nor does a path ever take it: the
+    member before it on a path would start at or before b and reach past
+    b, so it would hold b and be in level 1 itself.
+
+    The walk from LEFT then takes, level by level, the smallest id among
+    the sensors that meet the one before. Every v in a level lies above
+    the previous pick's v, so meeting it is u <= that v.
     """
-    us, vs, ids = graph.us, graph.vs, graph.ids
     a, b = graph.domain
-    unseen = alive.copy()
-    levels = []
-    lo = hi = b
+    rows = graph.by_v[alive[graph.by_v]]
+    us, vs = graph.us[rows], graph.vs[rows]
+    least_u = np.minimum.accumulate(us[::-1])[::-1].tolist()
+    vs = vs.tolist()
+    bounds = [len(vs)]
+    lo = b
     while lo > a:
-        new = np.flatnonzero(unseen & (us <= hi) & (vs >= lo))
-        if not new.size:
+        start = bisect_left(vs, lo)
+        if start == bounds[-1]:
             return None
-        levels.append(new)
-        unseen[new] = False
-        lo = min(lo, us[new].min())
-        hi = max(hi, vs[new].max())
-    rows = []
-    u = v = a
-    for level in reversed(levels):
-        step = level[(us[level] <= v) & (vs[level] >= u)]
-        row = step[np.argmin(ids[step])]
-        rows.append(row)
-        u, v = us[row], vs[row]
-    return rows
+        bounds.append(start)
+        lo = least_u[start]
+    us, ids = us.tolist(), graph.ids[rows].tolist()
+    path = []
+    v = float(a)
+    for start, end in zip(bounds[:0:-1], bounds[-2::-1]):
+        level = ids[start:end]
+        meets = map(v.__ge__, us[start:end])  # u <= v
+        pick = start + level.index(min(compress(level, meets)))
+        path.append(pick)
+        v = vs[pick]
+    return rows[path]
 
 
 def k_disjoint_paths(graph: BarrierGraph, k: int) -> SelectionResult:
@@ -200,6 +222,9 @@ def k_disjoint_paths(graph: BarrierGraph, k: int) -> SelectionResult:
     gap-free one with the fewest sensors or, when the surviving sensors
     hold none, the terminal edge, bridged by one virtual sensor over the
     whole domain; node removal then leaves every later round the same.
+    A round takes one suffix-minimum table over the alive sensors in v
+    order and one bisection per breadth-first level (``_gap_free_path``),
+    so k rounds cost O(k (n + L log n)) for n sensors and L-sensor paths.
     Virtual ids count up from ``graph.first_free_id``. The result counts
     real and virtual sensors together; subtract the virtual ones for the
     real count.

@@ -508,6 +508,52 @@ def _oracle_cheapest_path(graph, removed):
     raise RuntimeError("no LEFT->RIGHT path; the direct terminal edge is missing")
 
 
+def oracle_gap_free_path(graph, alive):
+    """Reference for ``baselines._gap_free_path``: the former breadth-first
+    search with one mask over the whole field per level.
+
+    The union of the spans reached so far is one interval [lo, hi] around
+    b, and a closed span meets the union exactly when it meets a member,
+    so each level is one mask. The walk from LEFT then takes, level by
+    level, the smallest id among the sensors that meet the one before.
+    """
+    us, vs, ids = graph.us, graph.vs, graph.ids
+    a, b = graph.domain
+    unseen = alive.copy()
+    levels = []
+    lo = hi = b
+    while lo > a:
+        new = np.flatnonzero(unseen & (us <= hi) & (vs >= lo))
+        if not new.size:
+            return None
+        levels.append(new)
+        unseen[new] = False
+        lo = min(lo, us[new].min())
+        hi = max(hi, vs[new].max())
+    rows = []
+    u = v = a
+    for level in reversed(levels):
+        step = level[(us[level] <= v) & (vs[level] >= u)]
+        row = step[np.argmin(ids[step])]
+        rows.append(row)
+        u, v = us[row], vs[row]
+    return rows
+
+
+def path_rounds(gap_free_path, graph, k):
+    """The rows of each of k rounds of ``gap_free_path`` with node removal,
+    as lists of ints, up to the first round that finds none (None)."""
+    alive = np.ones(graph.ids.size, dtype=bool)
+    rounds = []
+    for _ in range(k):
+        rows = gap_free_path(graph, alive)
+        rounds.append(None if rows is None else [int(r) for r in rows])
+        if rows is None:
+            break
+        alive[rows] = False
+    return rounds
+
+
 def oracle_k_disjoint_paths(graph, k):
     """Reference for ``k_disjoint_paths``: the package's former
     path-tuple Dijkstra, one per round, with virtual ids counted from the

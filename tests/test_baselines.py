@@ -14,6 +14,7 @@ from barriercover.baselines import (
     LEFT,
     RIGHT,
     InstanceTooLargeError,
+    _gap_free_path,
     brute_force_min_kcover,
     build_barrier_graph,
     greedy_max_coverage,
@@ -31,7 +32,9 @@ from conftest import (
     exhaustive_min_kcover,
     make_field,
     oracle_instance,
+    oracle_gap_free_path,
     oracle_k_disjoint_paths,
+    path_rounds,
     table_field,
 )
 
@@ -50,6 +53,8 @@ def _neighbours(x):
 _GRID = (0.0, 5e-324, 1e-323, 2.0, 2.5, 4.0, 5.0, 7.5, 10.0)
 ENDPOINTS = sorted({y for g in _GRID for y in _neighbours(g)})
 AFTER_5 = math.nextafter(5.0, math.inf)
+BEFORE_5 = math.nextafter(5.0, -math.inf)
+BEFORE_2_5 = math.nextafter(2.5, -math.inf)
 
 
 @st.composite
@@ -72,6 +77,19 @@ def barrier_tables(draw):
     if pairs:
         pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
     return table_field(pairs, DOMAIN)
+
+
+# graph domain ends inside, on and outside DOMAIN, with both zeros, so
+# that a graph's domain is narrower or wider than its field's and spans
+# stick out past a or b
+_DOMAIN_ENDS = [-1.0, -0.0, *ENDPOINTS, 11.0]
+
+
+@st.composite
+def graph_domains(draw):
+    a = draw(st.sampled_from(_DOMAIN_ENDS[:-1]))
+    b = draw(st.sampled_from([x for x in _DOMAIN_ENDS if x > a]))
+    return a, b
 
 
 def cheapest_path_oracle(graph):
@@ -263,6 +281,62 @@ class TestKDisjointPaths:
     def test_matches_path_tuple_dijkstra(self, field, k):
         graph = build_barrier_graph(field, field.domain)
         assert k_disjoint_paths(graph, k) == oracle_k_disjoint_paths(graph, k)
+
+    # Spans starting past b all fall in breadth-first level 1 of
+    # ``_gap_free_path`` but in later levels or none in the mask-per-level
+    # oracle. Such a span never lowers a frontier (its u lies above b) nor
+    # joins a path: the sensor before it on a path would start at or
+    # before b and reach past b, so it would hold b and end the path
+    # itself. So levels may differ only in such sensors, and the paths
+    # agree.
+    @settings(max_examples=400, deadline=None)
+    @given(barrier_tables(), graph_domains(), st.integers(min_value=1, max_value=5))
+    # a v equal to the frontier joins the next level
+    @example(table_field([(5.0, 10.0), (2.5, 5.0), (0.0, 2.5)], DOMAIN), DOMAIN, 1)
+    # a v one double below the frontier does not
+    @example(table_field([(5.0, 10.0), (2.5, 5.0), (0.0, BEFORE_2_5)], DOMAIN), DOMAIN, 1)
+    @example(table_field([(5.0, 10.0), (0.0, BEFORE_5)], DOMAIN), DOMAIN, 1)
+    # zero-length spans at a and at b
+    @example(table_field([(0.0, 0.0), (0.0, 10.0), (10.0, 10.0)], DOMAIN), DOMAIN, 3)
+    @example(
+        table_field([(0.0, 0.0), (0.0, 5.0), (5.0, 10.0), (10.0, 10.0)], DOMAIN),
+        DOMAIN,
+        2,
+    )
+    # -0.0 domain ends against spans that end on 0.0, and the other way
+    @example(table_field([(0.0, 10.0), (-1.0, 0.0)], DOMAIN), (-0.0, 10.0), 2)
+    @example(table_field([(-0.0, 10.0)], DOMAIN), (0.0, 10.0), 1)
+    @example(table_field([(0.0, 0.0), (-1.0, 0.0)], DOMAIN), (-1.0, -0.0), 3)
+    # integer domain ends compare with the spans as numbers
+    @example(table_field([(1.0, 4.0), (2.5, 10.0), (0.0, 4.0)], DOMAIN), (0, 10), 1)
+    # the second round finds two levels, then runs out of sensors
+    @example(table_field([(0.0, 10.0), (5.0, 10.0), (2.0, 6.0)], DOMAIN), DOMAIN, 2)
+    # spans sticking out past b, with a lower id than the path's sensor
+    @example(table_field([(7.5, 10.0), (0.0, 7.5), (0.0, 5.0)], DOMAIN), (0.0, 5.0), 2)
+    @example(table_field([(2.5, 7.5), (0.0, 4.0)], DOMAIN), (1.0, 2.5), 2)
+    def test_matches_mask_per_level_oracle_on_any_domain(self, field, domain, k):
+        graph = build_barrier_graph(field, domain)
+        assert path_rounds(_gap_free_path, graph, k) == path_rounds(
+            oracle_gap_free_path, graph, k
+        )
+        assert k_disjoint_paths(graph, k) == oracle_k_disjoint_paths(graph, k)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DeploymentSpec(n=10000, width=100.0, radius=10.0, fov=45.0, seed=1),
+            DeploymentSpec(
+                n=10000, width=10000 / 3, kind="poisson", radius=10.0, fov=90.0, seed=1
+            ),
+        ],
+        ids=["k_barrier-deployment", "poisson-width-n/3"],
+    )
+    def test_fields_of_1e4_match_mask_per_level_oracle(self, spec):
+        field = generate(spec)
+        graph = build_barrier_graph(field, field.domain)
+        rounds = path_rounds(_gap_free_path, graph, 4)
+        assert len(rounds) == 4 and None not in rounds
+        assert rounds == path_rounds(oracle_gap_free_path, graph, 4)
 
     @pytest.mark.parametrize(
         "n, seeds", [(50, 6), (100, 6), (200, 4), (400, 2), (800, 1)]

@@ -370,8 +370,21 @@ class TestDiagnostics:
                 ' "virtual_spans": {"20": [5, 1]}}',
                 "virtual span 20 must be finite with u <= v, got [5.0, 1.0]",
             ),
+            ('{"selected": [0, 0]}', "selected_ids must not contain duplicates"),
+            (
+                '{"selected": [0], "virtual": [20], "virtual_spans": {"20": [1, 2]}}',
+                "virtual_ids must be a subset of selected_ids",
+            ),
         ],
-        ids=["bool-id", "float-id", "virtual-no-span", "nan-span", "reversed-span"],
+        ids=[
+            "bool-id",
+            "float-id",
+            "virtual-no-span",
+            "nan-span",
+            "reversed-span",
+            "duplicate-id",
+            "virtual-not-selected",
+        ],
     )
     def test_result_file_faults_name_the_file(self, capsys, tmp_path, text, fault):
         sel = tmp_path / "sel.json"
