@@ -207,19 +207,33 @@ def augment_with_gap_sensors(
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    xs = targets.xs
-    m = len(xs)
-    if m == 0:
+    if not len(targets):
         return field
-    cov = _depth(*_target_spans(field.us, field.vs, np.asarray(xs)), m)
+    return _augmented_spans(field, targets.xs, k)[0]
+
+
+def _augmented_spans(
+    field: SensorField, xs: np.ndarray, k: int
+) -> tuple[SensorField, np.ndarray, np.ndarray]:
+    """``augment_with_gap_sensors`` on the sorted targets xs, with the
+    augmented field's ``_target_spans``.
+
+    The spans of the given field decide the augmentation; they are
+    recomputed only when virtual sensors were added, which re-sorts the
+    field.
+    """
+    first, last = _target_spans(field.us, field.vs, xs)
+    cov = _depth(first, last, xs.size)
     short = np.flatnonzero(cov < k)
     spans: list[tuple[float, float]] = []
     for run in np.split(short, np.flatnonzero(np.diff(short) > 1) + 1):
         if run.size:
             worst = int(cov[run].min())
-            spans.extend([(xs[run[0]], xs[run[-1]])] * (k - worst))
-    augmented, _ = field.with_virtual(spans)
-    return augmented
+            spans.extend([(xs.item(run[0]), xs.item(run[-1]))] * (k - worst))
+    if not spans:
+        return field, first, last
+    field, _ = field.with_virtual(spans)
+    return (field, *_target_spans(field.us, field.vs, xs))
 
 
 class _Frontier:
@@ -429,31 +443,29 @@ def k_oga(
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if not isinstance(targets, TargetSet):
-        targets = TargetSet(tuple(targets))
+        targets = TargetSet(targets)
     if len(targets) == 0:
         raise ParameterError("targets must be non-empty")
-    augmented = augment_with_gap_sensors(field, targets, k)
+    xs = targets.xs
+    augmented, first, last = _augmented_spans(field, xs, k)
     virtual_all = augmented.virtual_spans
-    xs = np.asarray(targets.xs)
-    first, last = _target_spans(augmented.us, augmented.vs, xs)
     ids = augmented.ids
-    cov = np.zeros(len(xs), dtype=np.int64)
+    cov = np.zeros(xs.size, dtype=np.int64)
     unused = np.ones(len(ids), dtype=bool)
     selected: list[int] = []
     steps: list[SelectionStep] = []
     comparisons = 0
     for s in range(1, k + 1):
-        need = np.flatnonzero(cov < s)
+        short = cov < s
+        need = np.flatnonzero(short)
         if not need.size:
             continue
         # in need-index space the discrete key (right, total, -index)
-        # becomes the frontier rule's (reach, span, -position)
+        # becomes the frontier rule's (reach, span, -position); the needed
+        # targets before target index t number before[t]
+        before = np.concatenate(([0], np.cumsum(short)))
         rows = np.flatnonzero(unused)
-        frontier = _Frontier(
-            np.searchsorted(need, first[rows], "left"),
-            np.searchsorted(need, last[rows], "left"),
-            ids[rows],
-        )
+        frontier = _Frontier(before[first[rows]], before[last[rows]], ids[rows])
         comparisons += frontier.m
         picked = []
         for f, winner, reach in frontier.walk(0, len(need)):
@@ -476,7 +488,8 @@ def k_oga(
         chosen = rows[picked]
         unused[chosen] = False
         selected.extend(ids[chosen].tolist())
-        cov += _depth(first[chosen], last[chosen], len(xs))
+        if s < k:  # no later round reads the coverage
+            cov += _depth(first[chosen], last[chosen], xs.size)
     virtual_sel = tuple(sid for sid in selected if sid in virtual_all)
     return SelectionResult(
         selected_ids=tuple(selected),

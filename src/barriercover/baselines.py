@@ -61,10 +61,10 @@ def greedy_max_coverage(
     flagged not fully covered. Never inserts virtual sensors.
     """
     if not isinstance(targets, TargetSet):
-        targets = TargetSet(tuple(targets))
+        targets = TargetSet(targets)
     if len(targets) == 0:
         raise ParameterError("targets must be non-empty")
-    xs = np.asarray(targets.xs, dtype=float)
+    xs = targets.xs
     m = len(xs)
     real = ~np.isin(field.ids, list(field.virtual_spans))
     ids = field.ids[real].tolist()
@@ -265,14 +265,14 @@ def brute_force_min_kcover(
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if not isinstance(targets, TargetSet):
-        targets = TargetSet(tuple(targets))
+        targets = TargetSet(targets)
     n = field.ids.size
     if n > 20:
         raise InstanceTooLargeError(
             f"exhaustive enumeration capped at 20 sensors, got {n}"
         )
     full = (1 << len(targets)) - 1
-    first, last = _target_spans(field.us, field.vs, np.asarray(targets.xs))
+    first, last = _target_spans(field.us, field.vs, targets.xs)
     masks = [
         ((1 << hi) - 1) ^ ((1 << lo) - 1)
         for lo, hi in zip(first.tolist(), last.tolist())

@@ -88,7 +88,7 @@ def _load_field(args: argparse.Namespace) -> SensorField:
 
 def _targets_for(args: argparse.Namespace, field: SensorField) -> TargetSet:
     if getattr(args, "targets", None):
-        return TargetSet(tuple(_float_list(args.targets)))
+        return TargetSet(_float_list(args.targets))
     return discretize(field)
 
 

@@ -16,7 +16,9 @@ Virtual gap sensors are spans only: they enter a field through
 objects are the real sensors of a field, built only when
 ``SensorField.sensors`` is read. ``merge_segments``,
 ``complement_segments`` and ``coverage_fraction`` take and return
-columns of segment ends.
+columns of segment ends. A ``TargetSet`` holds its points as one
+read-only, sorted float64 array ``xs``; target sets, like fields,
+compare by identity.
 """
 
 from __future__ import annotations
@@ -278,27 +280,48 @@ def _check_domain(domain: Domain) -> None:
         raise ParameterError(f"domain needs a <= b, got [{a}, {b}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetSet:
-    """Finite target points on the segment, kept sorted non-decreasing."""
+    """Finite target points on the segment.
 
-    xs: tuple[float, ...] = ()
+    ``xs`` is one read-only float64 array, sorted non-decreasing; ``len``,
+    iteration and indexing give Python floats. Like fields, target sets
+    compare by identity.
+    """
+
+    xs: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        xs = tuple(map(float, self.xs))
-        if not all(map(math.isfinite, xs)):
-            bad = next(x for x in xs if not math.isfinite(x))
-            raise ParameterError(f"targets must be finite, got {bad}")
-        object.__setattr__(self, "xs", tuple(sorted(xs)))
+        xs = self.xs
+        if not isinstance(xs, np.ndarray):
+            try:
+                xs = list(map(float, xs))
+            except TypeError as exc:  # a nested or non-numeric entry
+                raise ParameterError(
+                    f"targets must be a sequence of numbers: {exc}"
+                ) from None
+        xs = np.array(xs, dtype=float)
+        if xs.ndim != 1:
+            raise ParameterError(
+                f"targets must be one-dimensional, got shape {xs.shape}"
+            )
+        # checked before sorting: the first bad target in the order given
+        bad = np.flatnonzero(~np.isfinite(xs))
+        if bad.size:
+            raise ParameterError(f"targets must be finite, got {xs.item(bad[0])}")
+        # stable, as ``sorted`` is, so that signed zeros keep their order
+        xs.sort(kind="stable")
+        xs.flags.writeable = False
+        object.__setattr__(self, "xs", xs)
 
     def __len__(self) -> int:
-        return len(self.xs)
+        return self.xs.size
 
     def __iter__(self) -> Iterator[float]:
-        return iter(self.xs)
+        return iter(self.xs.tolist())
 
     def __getitem__(self, i: int) -> float:
-        return self.xs[i]
+        return self.xs.item(i)
 
 
 class SensorField:
@@ -450,7 +473,7 @@ def discretize(field: SensorField) -> TargetSet:
         raise ParameterError("discretize needs a field with at least one interval")
     grid = np.sort(np.concatenate((field.domain, field.us, field.vs)))
     grid = grid[np.append(True, grid[1:] != grid[:-1])]
-    return TargetSet(tuple(((grid[:-1] + grid[1:]) / 2.0).tolist()))
+    return TargetSet((grid[:-1] + grid[1:]) / 2.0)
 
 
 def _sum(values: Iterable) -> float:

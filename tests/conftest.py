@@ -16,12 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from barriercover.algorithms import (
-    SelectionResult,
-    SelectionStep,
-    _Frontier,
-    augment_with_gap_sensors,
-)
+from barriercover.algorithms import SelectionResult, SelectionStep, _Frontier
 from barriercover.baselines import LEFT, RIGHT
 from barriercover.deployment import DeploymentKind
 from barriercover.fieldio import FieldFormatError
@@ -283,6 +278,36 @@ def exhaustive_min_kcover(field, targets, k=1):
     return None
 
 
+def lp_min_kcover(field, targets, k):
+    """Optimum of the linear relaxation of minimum k-cover, or None when
+    even every sensor together falls short.
+
+    Minimizes the number of selected sensors, each taken with a weight in
+    [0, 1], subject to every target being covered at least k times, over
+    the sparse target-by-sensor incidence matrix. Each sensor covers a
+    contiguous run of the sorted targets, so the matrix has consecutive
+    ones in every column and is totally unimodular: the relaxation has
+    an integral optimum, which is the minimum k-cover.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    xs = np.array(list(targets))[:, None]
+    covers = (field.us <= xs) & (xs <= field.vs)
+    rows, cols = np.nonzero(covers)
+    result = linprog(
+        np.ones(field.ids.size),
+        A_ub=csr_matrix((np.full(rows.size, -1.0), (rows, cols)), shape=covers.shape),
+        b_ub=np.full(len(xs), -float(k)),
+        bounds=(0.0, 1.0),
+        method="highs",
+    )
+    if result.status == 2:
+        return None
+    assert result.status == 0, result.message
+    return result.fun
+
+
 def selected_cover_sets(field, result, targets):
     """For each target, the set of selected sensor ids covering it."""
     spans = {}
@@ -424,6 +449,29 @@ def naive_logm(previous, gaps, field, failed):
     )
 
 
+def naive_augment(field, targets, k):
+    """Reference for ``augment_with_gap_sensors`` by counting loops.
+
+    Each maximal run of consecutive targets covered fewer than k times
+    gets k minus the run's least multiplicity virtual sensors, each
+    spanning from the run's first target to its last.
+    """
+    intervals = interval_rows(field)
+    xs = list(targets)
+    depth = [multiplicity(intervals, x) for x in xs]
+    spans = []
+    start = 0
+    while start < len(xs):
+        end = start
+        if depth[start] < k:
+            while end + 1 < len(xs) and depth[end + 1] < k:
+                end += 1
+            worst = min(depth[start : end + 1])
+            spans += [(xs[start], xs[end])] * (k - worst)
+        start = end + 1
+    return field.with_virtual(spans)[0]
+
+
 def naive_k_oga(field, targets, k):
     """Reference for ``k_oga`` by counting loops over the augmented field.
 
@@ -433,7 +481,7 @@ def naive_k_oga(field, targets, k):
     needed targets covered in total, -index). ``comparisons`` is one per
     unused interval at the start of each round plus one per step.
     """
-    augmented = augment_with_gap_sensors(field, targets, k)
+    augmented = naive_augment(field, targets, k)
     intervals = interval_rows(augmented)
     virtual = dict(augmented.virtual_spans)
     xs = list(targets)

@@ -19,7 +19,7 @@ from barriercover.model import (
     discretize,
     merge_segments,
 )
-from conftest import make_field, pairs
+from conftest import bits, make_field, pairs
 
 
 def project(sensor):
@@ -187,6 +187,53 @@ class TestIntervalBasics:
         ts = TargetSet((3.0, 1.0, 2.0))
         assert list(ts) == [1.0, 2.0, 3.0]
         assert len(ts) == 3 and ts[0] == 1.0
+
+
+class TestTargetSet:
+    def test_points_are_one_read_only_sorted_array(self):
+        given = np.array([3.0, 1.0, 2.0])
+        ts = TargetSet(given)
+        assert ts.xs.dtype == np.float64 and ts.xs.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError):
+            ts.xs[0] = 5.0
+        # the caller's array is copied, not sorted or frozen in place
+        assert given.tolist() == [3.0, 1.0, 2.0] and given.flags.writeable
+
+    def test_python_floats_out(self):
+        ts = TargetSet((2, 1.5))
+        assert [type(x) for x in ts] == [float, float]
+        assert type(ts[-1]) is float and ts[-1] == 2.0
+
+    def test_signed_zeros_keep_the_order_given(self):
+        assert bits(TargetSet((0.0, -1.0, -0.0))) == bits([-1.0, 0.0, -0.0])
+        assert bits(TargetSet((-0.0, 0.0))) == bits([-0.0, 0.0])
+
+    def test_compares_by_identity(self):
+        ts = TargetSet((1.0,))
+        assert ts == ts
+        assert ts != TargetSet((1.0,))
+        assert len({ts, TargetSet((1.0,))}) == 2
+
+    @pytest.mark.parametrize(
+        "xs, bad",
+        [
+            ((math.nan, math.inf), "nan"),
+            ((math.inf, math.nan), "inf"),
+            ((2.0, -math.inf, math.nan, 1.0), "-inf"),
+            (np.array([1.0, math.nan, -math.inf]), "nan"),
+        ],
+    )
+    def test_first_non_finite_target_in_the_order_given(self, xs, bad):
+        with pytest.raises(ParameterError, match=f"targets must be finite, got {bad}$"):
+            TargetSet(xs)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [((1.0, 2.0),), ((1.0,), 2.0), (1.0, (2.0,)), np.ones((2, 1)), 1.0],
+    )
+    def test_nested_input_is_refused(self, xs):
+        with pytest.raises(ParameterError):
+            TargetSet(xs)
 
 
 class TestSensorField:

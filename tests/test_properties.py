@@ -15,7 +15,9 @@ from barriercover import (
     SelectionResult,
     Sensor,
     SensorField,
+    TargetSet,
     augment_with_gap_sensors,
+    brute_force_min_kcover,
     complement_segments,
     coverage_fraction,
     discretize,
@@ -34,8 +36,10 @@ from conftest import (
     bits,
     exhaustive_min_kcover,
     interval_rows,
+    lp_min_kcover,
     markov_equality_holds,
     multiplicity,
+    naive_augment,
     naive_k_oga,
     naive_logm,
     naive_oga_continuous,
@@ -44,6 +48,7 @@ from conftest import (
     oracle_instance,
     oracle_merge_segments,
     pairs,
+    random_small_field,
     selected_cover_sets,
     table_field,
     union_covers_domain,
@@ -102,6 +107,21 @@ def interval_tables(draw):
         pairs.append((u, v))
     pairs += draw(st.lists(st.sampled_from(pairs), max_size=2))
     return table_field(pairs, (0.0, 10.0))
+
+
+ONE_UP = math.nextafter(1.0, 2.0)
+
+# target points: interval ends as tables draw them, their neighbouring
+# doubles, subnormals, both zeros, and points inside the grid's cells;
+# whatever a drawn table leaves uncovered gets gap sensors
+TARGET_POINTS = [-0.0, 0.5, 5.5, 8.5, *ENDPOINTS]
+
+
+@st.composite
+def target_lists(draw):
+    """Target lists in [0, 10], unsorted, with repeated points."""
+    xs = draw(st.lists(st.sampled_from(TARGET_POINTS), min_size=1, max_size=8))
+    return xs + draw(st.lists(st.sampled_from(xs), max_size=3))
 
 
 segments = st.lists(
@@ -271,6 +291,8 @@ class TestSelectionInvariants:
             assert multiplicity(interval_rows(augmented), x) >= k
         again = augment_with_gap_sensors(augmented, targets, k)
         assert len(again.virtual_spans) == len(augmented.virtual_spans)
+        expected = naive_augment(field, targets, k).virtual_spans
+        assert augmented.virtual_spans == expected
 
 
 class TestAgainstExhaustiveSearch:
@@ -289,6 +311,47 @@ class TestAgainstExhaustiveSearch:
             expected = exhaustive_min_kcover(field, targets, 2)
             assert result.count == expected, f"seed {seed}"
             assert not result.virtual_ids
+
+
+class TestLpCertificate:
+    """The linear relaxation of minimum k-cover as an optimality
+    certificate at sizes exhaustive search cannot reach."""
+
+    def test_lp_matches_exhaustive_search(self):
+        for seed in range(30):
+            k = seed % 3 + 1
+            field = random_small_field(np.random.default_rng([5, seed]), n_max=12)
+            targets = discretize(field)
+            expected = brute_force_min_kcover(field, targets, k)
+            lp = lp_min_kcover(field, targets, k)
+            if expected is None:
+                assert lp is None, f"seed {seed}"
+            else:
+                assert lp == pytest.approx(expected, abs=1e-6), f"seed {seed}"
+
+    @pytest.mark.parametrize(
+        "n, seeds, ks",
+        [(100, 10, (1, 2, 3, 4)), (200, 5, (1, 2, 3, 4)), (1000, 1, (1, 2, 3, 4)),
+         (2000, 1, (2, 4))],
+        ids=["n100", "n200", "n1000", "n2000"],
+    )
+    def test_k_oga_reaches_the_lp_optimum(self, n, seeds, ks):
+        """On the stock ``k_barrier`` deployment with n sensors and seeds
+        0..seeds-1, every k in ks that ``k_oga`` covers fully; an LP at
+        n = 2000 takes about 0.5 s, so that size checks two k."""
+        checked = set()
+        for seed in range(seeds):
+            spec = DeploymentSpec(n=n, width=100.0, radius=10.0, fov=45.0, seed=seed)
+            field = generate(spec)
+            targets = discretize(field)
+            for k in ks:
+                result = k_oga(field, targets, k, record_trace=False)
+                if not result.fully_covered:
+                    continue
+                lp = lp_min_kcover(field, targets, k)
+                assert lp == pytest.approx(result.count, abs=1e-6), (seed, k)
+                checked.add(k)
+        assert checked == set(ks)
 
 
 class TestFailureMending:
@@ -394,6 +457,23 @@ class TestFrontierAgainstNaiveScans:
     def both_ways(select, expected):
         assert select(record_trace=True) == expected
         assert select(record_trace=False) == dataclasses.replace(expected, trace=())
+
+    @settings(max_examples=200, deadline=None)
+    @given(interval_tables(), st.integers(min_value=1, max_value=3), target_lists())
+    # a target repeated on a span's end, and one past it by one double
+    @example(table_field([(0.0, 1.0)], (0.0, 10.0)), 2, [1.0, 1.0, ONE_UP])
+    # uncovered targets on both sides of a covered one
+    @example(table_field([(2.5, 4.0)], (0.0, 10.0)), 1, [1.0, 4.0, 5.5, 0.5])
+    # signed zeros, a subnormal and a zero-length span on it
+    @example(table_field([(5e-324, 5e-324)], (0.0, 10.0)), 3, [-0.0, 5e-324, 0.0])
+    def test_explicit_targets_match_naive(self, field, k, xs):
+        """``k_oga`` on target lists that ``discretize`` never makes:
+        repeats, points on interval ends and points nothing covers."""
+        targets = TargetSet(xs)
+        self.both_ways(
+            lambda **kw: k_oga(field, targets, k, **kw),
+            naive_k_oga(field, targets, k),
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(interval_tables(), st.integers(min_value=1, max_value=3), st.data())
