@@ -16,9 +16,11 @@ The selectors here solve minimum-cardinality coverage of a line segment
   uncovered stretches and mend each one locally with fresh sensors
   instead of re-running selection from scratch.
 
-Fields with uncoverable stretches are handled by inserting virtual gap
-sensors (``augment_with_gap_sensors``) so the main loops never stall; the
-virtual ids are reported separately and a selection counts as fully
+Stretches that no sensor covers are bridged by virtual gap sensors so
+the main loops never stall; ``k_oga`` adds them up front
+(``augment_with_gap_sensors``). A field holds real sensors only: the
+virtual ones exist only in a result, as ids in ``virtual_ids`` with
+their spans in ``virtual_spans``, and a selection counts as fully
 covered only when no virtual sensor was needed.
 """
 
@@ -197,32 +199,28 @@ def _depth(first: np.ndarray, last: np.ndarray, m: int) -> np.ndarray:
 
 def augment_with_gap_sensors(
     field: SensorField, targets: TargetSet, k: int
-) -> SensorField:
-    """Add virtual sensors so every target can reach coverage multiplicity k.
+) -> dict[int, tuple[float, float]]:
+    """Virtual sensors with which every target can reach coverage
+    multiplicity k, as {id: (u, v)}; ids count up from ``field.max_id + 1``.
 
     For each maximal run of consecutive targets whose coverage count is
     below k, as many virtual sensors as the worst deficiency in the run
     are added, each spanning exactly from the run's first target to its
-    last. Fields that already admit a full k-cover come back unchanged.
+    last. Fields that already admit a full k-cover need none.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if not len(targets):
-        return field
-    return _augmented_spans(field, targets.xs, k)[0]
+        return {}
+    xs = targets.xs
+    return _gap_spans(field, xs, k, *_target_spans(field.us, field.vs, xs))
 
 
-def _augmented_spans(
-    field: SensorField, xs: np.ndarray, k: int
-) -> tuple[SensorField, np.ndarray, np.ndarray]:
-    """``augment_with_gap_sensors`` on the sorted targets xs, with the
-    augmented field's ``_target_spans``.
-
-    The spans of the given field decide the augmentation; they are
-    recomputed only when virtual sensors were added, which re-sorts the
-    field.
-    """
-    first, last = _target_spans(field.us, field.vs, xs)
+def _gap_spans(
+    field: SensorField, xs: np.ndarray, k: int, first: np.ndarray, last: np.ndarray
+) -> dict[int, tuple[float, float]]:
+    """``augment_with_gap_sensors`` on the sorted targets xs, given the
+    field's ``_target_spans``."""
     cov = _depth(first, last, xs.size)
     short = np.flatnonzero(cov < k)
     spans: list[tuple[float, float]] = []
@@ -230,10 +228,7 @@ def _augmented_spans(
         if run.size:
             worst = int(cov[run].min())
             spans.extend([(xs.item(run[0]), xs.item(run[-1]))] * (k - worst))
-    if not spans:
-        return field, first, last
-    field, _ = field.with_virtual(spans)
-    return (field, *_target_spans(field.us, field.vs, xs))
+    return dict(enumerate(spans, field.max_id + 1))
 
 
 class _Frontier:
@@ -438,7 +433,10 @@ def k_oga(
     later rounds can skip incidentally covered targets. At each step the
     candidates are the unused sensors covering the leftmost needed target;
     the winner covers the most needed targets to the right, then the most
-    needed targets in total, then has the lowest field index.
+    needed targets in total, then has the lowest field index. Targets
+    must lie in the field's domain; where the field cannot k-cover them,
+    virtual gap sensors from ``augment_with_gap_sensors`` take part as
+    rows sorted among the field's.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -447,9 +445,25 @@ def k_oga(
     if len(targets) == 0:
         raise ParameterError("targets must be non-empty")
     xs = targets.xs
-    augmented, first, last = _augmented_spans(field, xs, k)
-    virtual_all = augmented.virtual_spans
-    ids = augmented.ids
+    a, b = field.domain
+    if xs[0] < a or xs[-1] > b:
+        outside = xs.item(0) if xs[0] < a else xs.item(-1)
+        raise ParameterError(
+            f"targets must lie in the domain [{a}, {b}], got {outside}"
+        )
+    ids = field.ids
+    first, last = _target_spans(field.us, field.vs, xs)
+    virtual_all = _gap_spans(field, xs, k, first, last)
+    if virtual_all:
+        # the gap sensors join the table in (u, v, id) order, as field rows
+        # would; inside the domain, no span needs clipping
+        us, vs = np.array(list(virtual_all.values())).T
+        us = np.concatenate((field.us, us))
+        vs = np.concatenate((field.vs, vs))
+        ids = np.concatenate((ids, list(virtual_all)))
+        order = np.lexsort((ids, vs, us))
+        ids = ids[order]
+        first, last = _target_spans(us[order], vs[order], xs)
     cov = np.zeros(xs.size, dtype=np.int64)
     unused = np.ones(len(ids), dtype=bool)
     selected: list[int] = []

@@ -66,14 +66,13 @@ def greedy_max_coverage(
         raise ParameterError("targets must be non-empty")
     xs = targets.xs
     m = len(xs)
-    real = ~np.isin(field.ids, list(field.virtual_spans))
-    ids = field.ids[real].tolist()
+    ids = field.ids.tolist()
     n = len(ids)
     if n == 0:
         return SelectionResult(
             selected_ids=(), fully_covered=False, trace=(), comparisons=0
         )
-    lo, hi = _target_spans(field.us[real], field.vs[real], xs)
+    lo, hi = _target_spans(field.us, field.vs, xs)
     uncovered = np.ones(m, dtype=np.int64)
     available = np.ones(n, dtype=bool)
     selected: list[int] = []
@@ -117,12 +116,12 @@ def greedy_max_coverage(
 class BarrierGraph:
     """Complete weighted graph over sensor nodes plus LEFT/RIGHT terminals.
 
-    ``us``, ``vs`` and ``ids`` are the real sensors' spans in the field's
+    ``us``, ``vs`` and ``ids`` are the sensors' spans in the field's
     canonical order; ``nodes`` and ``spans`` list them with the terminals,
     which carry the degenerate intervals [a, a] and [b, b]. An edge weighs
     0 when the two spans share a point and 1 otherwise (one bridging gap
     sensor). ``first_free_id`` is the lowest id above every sensor of the
-    field, virtual ones included, for the gap sensors a selection adds.
+    field, for the gap sensors a selection adds.
     """
 
     us: np.ndarray
@@ -154,14 +153,11 @@ class BarrierGraph:
 
 
 def build_barrier_graph(field: SensorField, domain: Domain) -> BarrierGraph:
-    """Barrier graph over the field's real sensors."""
+    """Barrier graph over the field's sensors."""
     a, b = domain
     if not a < b:
         raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
-    real = ~np.isin(field.ids, list(field.virtual_spans))
-    return BarrierGraph(
-        field.us[real], field.vs[real], field.ids[real], domain, field.max_id + 1
-    )
+    return BarrierGraph(field.us, field.vs, field.ids, domain, field.max_id + 1)
 
 
 def _gap_free_path(graph: BarrierGraph, alive: np.ndarray) -> np.ndarray | None:

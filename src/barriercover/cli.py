@@ -218,9 +218,9 @@ barriercover cover --field field.jsonl --domain 0 100
 # minimum selection covering every point twice, as a CSV table
 barriercover kcover --field field.jsonl --domain 0 100 --k 2 --format csv
 
-# save a selection, then mend the holes left by failed sensors 3 and 17
+# save a selection, then mend the holes left by failed sensors 21 and 31
 barriercover cover --field field.jsonl --domain 0 100 --out sel.json
-barriercover mend --field field.jsonl --domain 0 100 --result sel.json --failed 3,17
+barriercover mend --field field.jsonl --domain 0 100 --result sel.json --failed 21,31
 
 # compare against the benchmarks
 barriercover baseline --field field.jsonl --domain 0 100 --algorithm greedy

@@ -222,9 +222,7 @@ def _write_lines(poses: Poses, fp: IO[str]) -> None:
 
 
 def write_field(field: SensorField, out: str | Path | IO[str]) -> None:
-    """Write a field's real sensors, in the order given, as a field file."""
-    if field.virtual_spans:
-        raise ParameterError("virtual sensors never appear in field files")
+    """Write a field's sensors, in the order given, as a field file."""
     _write_poses(field.poses, out)
 
 

@@ -11,12 +11,11 @@ An interval is a row of arrays, never an object. A ``SensorField`` holds
 the sensor poses as parallel columns (``Poses``) and the clipped
 projections as ``us``, ``vs`` and ``ids`` in canonical order; one
 vectorized kernel projects, checks and clips every sensor at once.
-Virtual gap sensors are spans only: they enter a field through
-``from_poses(..., virtual_spans)`` or ``with_virtual``. ``Sensor``
-objects are the real sensors of a field, built only when
-``SensorField.sensors`` is read. ``merge_segments``,
-``complement_segments`` and ``coverage_fraction`` take and return
-columns of segment ends. A ``TargetSet`` holds its points as one
+A field holds real sensors only: the virtual gap sensors that a
+selection adds are spans in its result, never rows of a field.
+``Sensor`` objects are built only when ``SensorField.sensors`` is read.
+``merge_segments``, ``complement_segments`` and ``coverage_fraction``
+take and return columns of segment ends. A ``TargetSet`` holds its points as one
 read-only, sorted float64 array ``xs``; target sets, like fields,
 compare by identity.
 """
@@ -28,7 +27,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -224,13 +223,6 @@ def _check_unique(ids: np.ndarray) -> None:
         raise ParameterError(f"duplicate sensor id {ids.item(repeats[0])}")
 
 
-def _check_ordered(us: np.ndarray, vs: np.ndarray, message: str) -> None:
-    bad = np.flatnonzero(~(us <= vs))
-    if bad.size:
-        i = bad[0]
-        raise ParameterError(f"{message} [{us[i].item()}, {vs[i].item()}]")
-
-
 def _project(poses: Poses) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal projections [u, v] of every pose onto the x axis.
 
@@ -330,11 +322,11 @@ class SensorField:
     ``us``, ``vs`` and ``ids`` are the clipped projections sorted by
     (u, v, sensor id) ascending; that position is the sensor's index for
     every tie-break in the selection algorithms. Projections that miss
-    the domain entirely are dropped. ``poses`` holds the real sensors in
-    the order they were given, ``virtual_spans`` the virtual ones by id,
-    and ``max_id`` the largest id among both, dropped sensors included.
-    Fields are not changed after construction; ``without`` and
-    ``with_virtual`` return new ones.
+    the domain entirely are dropped. ``poses`` holds the sensors in the
+    order they were given, and ``max_id`` the largest id among them and
+    the rows, dropped sensors included. A field holds real sensors only;
+    virtual gap sensors live in selection results. Fields are not changed
+    after construction; ``without`` returns a new one.
 
     The constructor takes clipped intervals directly and sorts them;
     ``build`` and ``from_poses`` project sensors first.
@@ -347,37 +339,32 @@ class SensorField:
         ids: Sequence[int],
         domain: Domain,
         poses: Poses | None = None,
-        virtual_spans: Mapping[int, tuple[float, float]] | None = None,
     ) -> None:
         _check_domain(domain)
         us = np.asarray(us, dtype=float)
         vs = np.asarray(vs, dtype=float)
         ids = np.asarray(ids, dtype=np.int64)
-        _check_ordered(us, vs, "interval needs u <= v, got")
+        bad = np.flatnonzero(~(us <= vs))
+        if bad.size:
+            i = bad[0]
+            raise ParameterError(
+                f"interval needs u <= v, got [{us[i].item()}, {vs[i].item()}]"
+            )
         order = np.lexsort((ids, vs, us))
         self.us, self.vs, self.ids = us[order], vs[order], ids[order]
         self.domain = domain
         self.poses = Poses.of(()) if poses is None else poses
-        self.virtual_spans = dict(virtual_spans or {})
         self.max_id = max(
-            self.poses.ids.max(initial=-1).item(),
-            ids.max(initial=-1).item(),
-            max(self.virtual_spans, default=-1),
+            self.poses.ids.max(initial=-1).item(), ids.max(initial=-1).item()
         )
 
     @classmethod
-    def from_poses(
-        cls,
-        poses: Poses,
-        domain: Domain,
-        virtual_spans: Mapping[int, tuple[float, float]] | None = None,
-    ) -> "SensorField":
-        """Check, project and clip real sensor poses, plus virtual spans."""
+    def from_poses(cls, poses: Poses, domain: Domain) -> "SensorField":
+        """Check, project and clip sensor poses."""
         _check_poses(poses)
         us, vs = _project(poses)
         us, vs, kept = _clip(us, vs, domain)
-        field = cls(us[kept], vs[kept], poses.ids[kept], domain, poses)
-        return field._plus_virtual(virtual_spans or {})
+        return cls(us[kept], vs[kept], poses.ids[kept], domain, poses)
 
     @classmethod
     def build(cls, sensors: Iterable[Sensor], domain: Domain) -> "SensorField":
@@ -416,8 +403,7 @@ class SensorField:
 
     def without(self, sensor_ids: Iterable[int]) -> "SensorField":
         """A copy of the field with the given sensors removed."""
-        drop = set(sensor_ids)
-        gone = list(drop)
+        gone = list(set(sensor_ids))
         kept = ~np.isin(self.ids, gone)
         return SensorField(
             self.us[kept],
@@ -425,38 +411,6 @@ class SensorField:
             self.ids[kept],
             self.domain,
             self.poses.take(~np.isin(self.poses.ids, gone)),
-            {i: s for i, s in self.virtual_spans.items() if i not in drop},
-        )
-
-    def with_virtual(
-        self, spans: Sequence[tuple[float, float]]
-    ) -> tuple["SensorField", tuple[int, ...]]:
-        """Append virtual sensors spanning the given extents.
-
-        Ids continue from the current maximum; returns (field, new ids).
-        """
-        if not spans:
-            return self, ()
-        start = self.max_id + 1
-        new = {start + i: (u, v) for i, (u, v) in enumerate(spans)}
-        return self._plus_virtual(new), tuple(new)
-
-    def _plus_virtual(
-        self, spans: Mapping[int, tuple[float, float]]
-    ) -> "SensorField":
-        """This field with virtual sensors of the given ids and spans added."""
-        if not spans:
-            return self
-        ends = np.array(list(spans.values()), dtype=float)
-        _check_ordered(ends[:, 0], ends[:, 1], "invalid span")
-        us, vs, kept = _clip(ends[:, 0], ends[:, 1], self.domain)
-        return SensorField(
-            np.concatenate((self.us, us[kept])),
-            np.concatenate((self.vs, vs[kept])),
-            np.concatenate((self.ids, np.array(list(spans), dtype=np.int64)[kept])),
-            self.domain,
-            self.poses,
-            {**self.virtual_spans, **spans},
         )
 
 

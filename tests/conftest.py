@@ -449,12 +449,31 @@ def naive_logm(previous, gaps, field, failed):
     )
 
 
+def assert_witnessed_minimum(field, targets, result):
+    """Certify that a full ``oga`` cover is minimum (k = 1), at any size.
+
+    The frontier targets of the trace, ``xs[step.current_target]``, are
+    witnesses: no interval of the field holds two of them, else it would
+    have reached past the earlier step's winner. A cover then needs a
+    distinct sensor for each witness (LP duality for interval matrices),
+    so a count equal to the number of witnesses is minimum.
+    """
+    steps = [step.current_target for step in result.trace]
+    witnesses = np.sort(targets.xs[steps])
+    held = np.searchsorted(witnesses, field.vs, "right") - np.searchsorted(
+        witnesses, field.us, "left"
+    )
+    assert held.max(initial=0) <= 1, "an interval holds two witnesses"
+    assert witnesses.size == result.count, (witnesses.size, result.count)
+
+
 def naive_augment(field, targets, k):
     """Reference for ``augment_with_gap_sensors`` by counting loops.
 
     Each maximal run of consecutive targets covered fewer than k times
     gets k minus the run's least multiplicity virtual sensors, each
-    spanning from the run's first target to its last.
+    spanning from the run's first target to its last; returns
+    {id: (u, v)} with ids counting up from the field's ``max_id + 1``.
     """
     intervals = interval_rows(field)
     xs = list(targets)
@@ -469,11 +488,12 @@ def naive_augment(field, targets, k):
             worst = min(depth[start : end + 1])
             spans += [(xs[start], xs[end])] * (k - worst)
         start = end + 1
-    return field.with_virtual(spans)[0]
+    return dict(enumerate(spans, field.max_id + 1))
 
 
 def naive_k_oga(field, targets, k):
-    """Reference for ``k_oga`` by counting loops over the augmented field.
+    """Reference for ``k_oga`` by counting loops over the field's rows and
+    the gap spans, sorted together by (u, v, id).
 
     Round s covers the targets still covered fewer than s times. At the
     leftmost such target the candidates are the unused intervals covering
@@ -481,9 +501,11 @@ def naive_k_oga(field, targets, k):
     needed targets covered in total, -index). ``comparisons`` is one per
     unused interval at the start of each round plus one per step.
     """
-    augmented = naive_augment(field, targets, k)
-    intervals = interval_rows(augmented)
-    virtual = dict(augmented.virtual_spans)
+    virtual = naive_augment(field, targets, k)
+    intervals = sorted(
+        interval_rows(field)
+        + tuple(Interval(u, v, sid) for sid, (u, v) in virtual.items())
+    )
     xs = list(targets)
     selected, steps = [], []
     comparisons = 0

@@ -28,6 +28,7 @@ from conftest import (
     markov_equality_holds,
     oracle_instance,
     selected_cover_sets,
+    table_field,
     union_covers_domain,
 )
 
@@ -121,6 +122,22 @@ class TestKOga:
         with pytest.raises(ParameterError):
             k_oga(field, discretize(field), 0)
 
+    def test_targets_must_lie_in_the_domain(self):
+        field = make_field([(0.0, 4.0)], domain=(0.0, 10.0))
+        for select, xs, bad in (
+            (oga, (1.0, 10.5), "10.5"),
+            (lambda f, t: k_oga(f, t, 2), (3.0, -0.5, 40000.0), "-0.5"),
+        ):
+            with pytest.raises(
+                ParameterError,
+                match=rf"^targets must lie in the domain \[0.0, 10.0\], got {bad}$",
+            ):
+                select(field, TargetSet(xs))
+        # the domain's ends are inside it; what nothing covers is bridged
+        sel = oga(field, TargetSet((0.0, 10.0)))
+        assert sel.selected_ids == (0, 1)
+        assert sel.virtual_spans == {1: (10.0, 10.0)}
+
     def test_insufficient_multiplicity_mints_virtuals(self):
         field = make_field([(0.0, 10.0)], domain=(0.0, 10.0))
         sel = k_oga(field, discretize(field), 2)
@@ -138,22 +155,19 @@ class TestKOga:
 class TestAugment:
     def test_covered_field_unchanged(self):
         field = make_field([(0.0, 6.0), (5.0, 10.0)], domain=(0.0, 10.0))
-        aug = augment_with_gap_sensors(field, discretize(field), 1)
-        assert aug is field or not aug.virtual_spans
+        assert augment_with_gap_sensors(field, discretize(field), 1) == {}
 
     def test_deficient_runs_span_first_to_last_target(self):
         field = make_field([(4.0, 6.0)], domain=(0.0, 10.0))
         targets = TargetSet((1.0, 2.0, 5.0, 8.0, 9.0))
-        aug = augment_with_gap_sensors(field, targets, 1)
-        spans = sorted(aug.virtual_spans.values())
-        assert spans == [(1.0, 2.0), (8.0, 9.0)]
+        spans = augment_with_gap_sensors(field, targets, 1)
+        assert spans == {1: (1.0, 2.0), 2: (8.0, 9.0)}
 
     def test_deficiency_depth_sets_copy_count(self):
         field = make_field([(0.0, 10.0)], domain=(0.0, 10.0))
         targets = TargetSet((5.0,))
-        aug = augment_with_gap_sensors(field, targets, 3)
-        spans = list(aug.virtual_spans.values())
-        assert spans == [(5.0, 5.0)] * 2
+        spans = augment_with_gap_sensors(field, targets, 3)
+        assert spans == {1: (5.0, 5.0), 2: (5.0, 5.0)}
 
 
 class TestOgaContinuous:
@@ -178,11 +192,10 @@ class TestOgaContinuous:
         assert sel.virtual_spans[vid] == (2.0, 6.0)
 
     def test_virtual_skips_zero_extent_resumption(self):
-        field = make_field([(0.0, 2.0), (6.0, 10.0)], domain=(0.0, 10.0))
-        field, _ = field.with_virtual([(4.0, 4.0)])
+        field = table_field([(0.0, 2.0), (4.0, 4.0), (6.0, 10.0)], (0.0, 10.0))
         sel = oga_continuous(field, (0.0, 10.0))
-        spans = [sel.virtual_spans[v] for v in sel.virtual_ids]
-        assert spans == [(2.0, 6.0)]
+        assert sel.selected_ids == (0, 3, 2)
+        assert sel.virtual_spans == {3: (2.0, 6.0)}
 
     def test_trailing_gap_capped_at_domain_end(self):
         field = make_field([(0.0, 3.0)], domain=(0.0, 10.0))

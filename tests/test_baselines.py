@@ -146,14 +146,6 @@ class TestGreedyMaxCoverage:
         assert not greedy.fully_covered
         assert not greedy.virtual_ids
 
-    def test_ignores_virtual_sensors(self):
-        field = make_field([(0.0, 4.0)], domain=(0.0, 10.0))
-        field, _ = field.with_virtual([(4.0, 10.0)])
-        targets = TargetSet((2.0, 8.0))
-        greedy = greedy_max_coverage(field, targets)
-        assert greedy.selected_ids == (0,)
-        assert not greedy.fully_covered
-
     def test_empty_field_covers_nothing(self):
         field = SensorField.build([], (0.0, 10.0))
         greedy = greedy_max_coverage(field, TargetSet((1.0,)))
@@ -195,12 +187,6 @@ class TestBarrierGraph:
         assert graph.weight(LEFT, 3) == 1
         assert graph.weight(3, RIGHT) == 1
         assert graph.weight(LEFT, RIGHT) == 1
-
-    def test_virtual_sensors_excluded(self):
-        field = make_field([(0.0, 4.0)], domain=(0.0, 10.0))
-        field, _ = field.with_virtual([(4.0, 10.0)])
-        graph = build_barrier_graph(field, (0.0, 10.0))
-        assert set(graph.nodes) == {LEFT, RIGHT, 0}
 
     def test_rejects_empty_domain(self):
         field = make_field([(0.0, 4.0)])
@@ -260,15 +246,16 @@ class TestKDisjointPaths:
         with pytest.raises(ParameterError):
             k_disjoint_paths(graph, 0)
 
-    def test_virtual_ids_start_above_the_fields_virtual_sensors(self):
-        field = make_field([(0.0, 4.0), (6.0, 10.0)], domain=(0.0, 10.0))
-        field, held = field.with_virtual([(4.0, 6.0)])
-        assert held == (2,)
+    def test_virtual_ids_start_above_max_id(self):
+        # sensor 2 lies outside the domain: the field drops its row but
+        # counts its id
+        field = make_field([(0.0, 4.0), (6.0, 10.0), (20.0, 30.0)], (0.0, 10.0))
+        assert field.ids.tolist() == [0, 1]
+        assert field.max_id == 2
         graph = build_barrier_graph(field, field.domain)
         result = k_disjoint_paths(graph, 1)
         assert result.virtual_ids == (3,)
         assert result.virtual_spans == {3: (0.0, 10.0)}
-        assert field.virtual_spans == {2: (4.0, 6.0)}
 
     @settings(max_examples=400, deadline=None)
     @given(barrier_tables(), st.integers(min_value=1, max_value=5))

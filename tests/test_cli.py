@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from barriercover.cli import main
 
 FIELD8 = str(Path(__file__).parent / "data" / "field8.jsonl")
 F8 = ["--field", FIELD8, "--domain", "0", "20"]
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_main(capsys, argv):
@@ -412,6 +414,20 @@ class TestDiagnostics:
         assert err == f"error: targets must be finite, got {bad}\n"
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["cover", "--mode", "discrete", "--targets", "40000"], "40000.0"),
+            (["kcover", "--k", "1", "--targets=-5,3"], "-5.0"),
+        ],
+        ids=["cover", "kcover"],
+    )
+    def test_targets_must_lie_in_the_domain(self, capsys, argv, bad):
+        code, out, err = run_main(capsys, argv + F8)
+        assert code == 1
+        assert err == f"error: targets must lie in the domain [0.0, 20.0], got {bad}\n"
+        assert out == ""
+
     def test_non_json_config_and_result_name_the_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json}\n")
@@ -481,11 +497,33 @@ class TestDiagnostics:
         code, _, _ = run_main(capsys, ["teleport"])
         assert code != 0
 
-    def test_examples_prints_usage(self, capsys):
+    @staticmethod
+    def run_commands(capsys, text):
+        """Run every ``barriercover`` command of a shell text, continuation
+        lines joined, in order; each must exit 0."""
+        lines = text.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines
+                    if line.startswith("barriercover ")]
+        for argv in commands:
+            code, _, err = run_main(capsys, argv)
+            assert (code, err) == (0, ""), argv
+        return commands
+
+    def test_printed_examples_run(self, capsys, tmp_path, monkeypatch):
         code, out, _ = run_main(capsys, ["examples"])
         assert code == 0
-        assert "barriercover gen" in out
-        assert "barriercover experiment" in out
+        monkeypatch.chdir(tmp_path)
+        commands = self.run_commands(capsys, out)
+        assert [argv[0] for argv in commands] == [
+            "gen", "cover", "kcover", "cover", "mend", "baseline", "baseline",
+            "gen", "oracle", "experiment",
+        ]
+
+    def test_readme_session_runs(self, capsys, tmp_path, monkeypatch):
+        session = README.read_text(encoding="utf-8").split("A session:\n\n```sh\n")[1]
+        monkeypatch.chdir(tmp_path)
+        commands = self.run_commands(capsys, session.split("```")[0])
+        assert [argv[0] for argv in commands] == ["gen", "cover", "mend", "experiment"]
 
 
 class TestConsoleScript:

@@ -9,7 +9,6 @@ import pytest
 
 from barriercover.model import (
     ParameterError,
-    Poses,
     Sensor,
     SensorField,
     SensorKind,
@@ -77,11 +76,6 @@ class TestSensorValidation:
                 radius=1.0,
             )
 
-    def test_virtual_span_needs_order(self):
-        field = make_field([(0.0, 2.0)], domain=(0.0, 6.0))
-        with pytest.raises(ParameterError, match=r"^invalid span \[5.0, 2.0\]$"):
-            field.with_virtual([(5.0, 2.0)])
-
 
 class TestProjection:
     def test_omni_projects_symmetric(self):
@@ -130,11 +124,6 @@ class TestProjection:
         )
         assert v == pytest.approx(1.0)
         assert u == pytest.approx(0.0)
-
-    def test_virtual_sensor_interval_comes_from_its_span(self):
-        field = SensorField.from_poses(Poses.of([]), (0.0, 10.0), {9: (1.0, 4.0)})
-        assert field.span_of(9) == (1.0, 4.0)
-        assert field.sensors == ()
 
     def test_projection_matches_sampled_sector(self):
         rng = np.random.default_rng(42)
@@ -258,16 +247,6 @@ class TestSensorField:
         reduced = field.without([1])
         assert reduced.ids.tolist() == [0, 2]
         assert reduced.max_id == 2
-
-    def test_with_virtual_appends_spanning_sensors(self):
-        field = make_field([(0.0, 2.0)], domain=(0.0, 6.0))
-        grown, vids = field.with_virtual([(2.0, 5.0), (5.0, 6.0)])
-        assert vids == (1, 2)
-        assert grown.span_of(1) == (2.0, 5.0)
-        assert grown.span_of(2) == (5.0, 6.0)
-        assert len(grown.virtual_spans) == 2
-        assert len(grown.sensors) == 1
-        assert field.max_id == 0
 
 
 class TestDiscretize:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -30,9 +31,11 @@ from barriercover import (
     oga_continuous,
 )
 from barriercover.algorithms import _Frontier
+from barriercover.harness import EXPERIMENTS, default_config
 from conftest import (
     ENDPOINTS,
     Interval,
+    assert_witnessed_minimum,
     bits,
     exhaustive_min_kcover,
     interval_rows,
@@ -286,13 +289,17 @@ class TestSelectionInvariants:
     @given(small_fields(), st.integers(min_value=1, max_value=3))
     def test_augmentation_reaches_multiplicity_k(self, field, k):
         targets = discretize(field)
-        augmented = augment_with_gap_sensors(field, targets, k)
+        spans = augment_with_gap_sensors(field, targets, k)
+        assert spans == naive_augment(field, targets, k)
+        rows = interval_rows(field) + tuple(
+            Interval(u, v, sid) for sid, (u, v) in spans.items()
+        )
         for x in targets:
-            assert multiplicity(interval_rows(augmented), x) >= k
-        again = augment_with_gap_sensors(augmented, targets, k)
-        assert len(again.virtual_spans) == len(augmented.virtual_spans)
-        expected = naive_augment(field, targets, k).virtual_spans
-        assert augmented.virtual_spans == expected
+            assert multiplicity(rows, x) >= k
+        # a field holding the gap sensors as real rows needs no more
+        us, vs, ids = zip(*rows)
+        augmented = SensorField(us, vs, ids, field.domain)
+        assert augment_with_gap_sensors(augmented, targets, k) == {}
 
 
 class TestAgainstExhaustiveSearch:
@@ -352,6 +359,67 @@ class TestLpCertificate:
                 assert lp == pytest.approx(result.count, abs=1e-6), (seed, k)
                 checked.add(k)
         assert checked == set(ks)
+
+
+class TestWitnessCertificate:
+    """k = 1: the frontier targets of an ``oga`` trace certify that its
+    count is minimum, at sizes the LP and exhaustive search do not reach."""
+
+    def test_stock_fields(self):
+        """Every stock deployment at each swept size (multi_gap sweeps
+        failures, so its stock size), seeds 0..2, where ``oga`` covers
+        fully."""
+        specs = []
+        for name in EXPERIMENTS:
+            config = default_config(name)
+            sizes = (config.deployment.n,) if name == "multi_gap" else config.sweep
+            for n, seed in itertools.product(sizes, range(3)):
+                spec = dataclasses.replace(config.deployment, n=n, seed=seed)
+                if spec not in specs:  # two studies share one deployment
+                    specs.append(spec)
+        certified = 0
+        for spec in specs:
+            field = generate(spec)
+            targets = discretize(field)
+            result = oga(field, targets)
+            if result.fully_covered:
+                assert_witnessed_minimum(field, targets, result)
+                certified += 1
+        assert certified >= 25
+
+    def test_n_1e5(self):
+        spec = DeploymentSpec(
+            n=100_000, width=100_000 / 3, kind="poisson", radius=10.0, fov=90.0,
+            seed=1,
+        )
+        field = generate(spec)
+        targets = discretize(field)
+        result = oga(field, targets)
+        assert result.fully_covered
+        assert_witnessed_minimum(field, targets, result)
+
+    def test_one_extra_sensor_fails_it(self):
+        config = default_config("single_failure")
+        field = generate(dataclasses.replace(config.deployment, n=1000))
+        targets = discretize(field)
+        result = oga(field, targets)
+        assert_witnessed_minimum(field, targets, result)
+        extra = next(
+            sid for sid in field.ids.tolist() if sid not in result.selected_ids
+        )
+        padded = dataclasses.replace(
+            result, selected_ids=result.selected_ids + (extra,)
+        )
+        # a step for the extra sensor at the target after the first witness:
+        # the first winner holds both, or that target is the next witness
+        first = result.trace[0]
+        step = dataclasses.replace(
+            first, current_target=first.current_target + 1, chosen_id=extra
+        )
+        stepped = dataclasses.replace(padded, trace=result.trace + (step,))
+        for mutant in (padded, stepped):
+            with pytest.raises(AssertionError):
+                assert_witnessed_minimum(field, targets, mutant)
 
 
 class TestFailureMending:
