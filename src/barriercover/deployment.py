@@ -61,15 +61,7 @@ class DeploymentSpec:
                 raise ParameterError(
                     f"unknown deployment kind {self.kind!r}"
                 ) from None
-        if not isinstance(self.sensor_kind, SensorKind):
-            try:
-                object.__setattr__(
-                    self, "sensor_kind", SensorKind(self.sensor_kind)
-                )
-            except ValueError:
-                raise ParameterError(
-                    f"unknown sensor kind {self.sensor_kind!r}"
-                ) from None
+        object.__setattr__(self, "sensor_kind", SensorKind(self.sensor_kind))
         for name in ("n", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):

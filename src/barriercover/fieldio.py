@@ -12,12 +12,15 @@ sensors never appear in input files.
 
 The reader parses each line straight into the ``Poses`` columns, keeping
 a row-to-line list. Per line it only decodes the JSON, checks the keys,
-the kind and the id type, and converts the numbers; the finiteness,
-``Sensor`` range and duplicate-id checks then run once over whole
-columns. Every parse problem raises ``FieldFormatError`` carrying the
-line it comes from, and when several lines are bad, the first one is
-reported with the message a line-by-line reader would give. The writer
-formats every line from the columns, numbers as ``float.__repr__``.
+the kind and the id type, and converts the numbers; ``_file_rules`` (the
+finiteness of each number, in file order, then every pose rule of the
+model, duplicate ids included) then runs once over whole columns. Every
+parse problem raises ``FieldFormatError`` carrying the line it comes
+from, and when several lines are bad, the first one is reported with the
+message a line-by-line reader would give. The writer checks the same
+rules before it writes, so it never writes a file that the reader
+refuses, and formats every line from the columns, numbers as
+``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .model import (
     Sensor,
     SensorField,
     _first_fault,
+    _id_column,
     _pose_rules,
-    _repeats,
 )
 
 
@@ -115,8 +118,9 @@ def _parse_line(line: str, line_no: int) -> tuple[int, tuple[float, ...], bool]:
     return sensor_id, numbers, on
 
 
-def _finite_rules(poses: Poses) -> list[tuple[np.ndarray, str, np.ndarray]]:
-    """One rule per number a line holds, in file order: it must be finite."""
+def _file_rules(poses: Poses) -> list[tuple[np.ndarray, str, np.ndarray]]:
+    """Every rule the poses of a field file must meet: first one per number
+    a line holds, in file order, that it be finite, then the pose rules."""
     on = poses.directional
     numbers = (
         ("x", poses.x, True),
@@ -128,7 +132,7 @@ def _finite_rules(poses: Poses) -> list[tuple[np.ndarray, str, np.ndarray]]:
     return [
         (~np.isfinite(column) & held, f"{key} must be finite, got {{}}", column)
         for key, column, held in numbers
-    ]
+    ] + _pose_rules(poses)
 
 
 def _read_poses(path: str | Path) -> Poses:
@@ -155,21 +159,12 @@ def _read_poses(path: str | Path) -> Poses:
             ids.append(sensor_id)
             numbers.append(row)
             directional.append(on)
-    try:
-        id_column = np.array(ids, dtype=np.int64)
-    except OverflowError:
-        # an id outside int64 fails the range rules, which name its line
-        id_column = np.array(ids, dtype=object)
     flat = np.fromiter(chain.from_iterable(numbers), dtype=float, count=5 * len(numbers))
     x, y, radius, fov, direction = flat.reshape(-1, 5).T.copy()
     poses = Poses(
-        id_column, x, y, radius, fov, direction, np.array(directional, dtype=bool)
+        _id_column(ids), x, y, radius, fov, direction, np.array(directional, dtype=bool)
     )
-    fault = _first_fault(
-        _finite_rules(poses)
-        + _pose_rules(poses)
-        + [(_repeats(id_column), "duplicate sensor id {}", id_column)]
-    )
+    fault = _first_fault(_file_rules(poses))
     if fault is not None:
         row, message = fault
         raise FieldFormatError(lines[row], message)
@@ -196,9 +191,9 @@ _CHUNK = 8192
 
 def _write_poses(poses: Poses, out: str | Path | IO[str]) -> None:
     """Write one file line per pose, keys in file order, numbers as
-    ``float.__repr__``. A non-finite number could not be read back, so it
-    is refused before anything is written."""
-    fault = _first_fault(_finite_rules(poses))
+    ``float.__repr__``. A pose that the reader would refuse could not be
+    read back, so it is refused before anything is written."""
+    fault = _first_fault(_file_rules(poses))
     if fault is not None:
         row, message = fault
         raise ParameterError(f"sensor id {poses.ids.item(row)}: {message}")
@@ -228,4 +223,4 @@ def write_field(field: SensorField, out: str | Path | IO[str]) -> None:
 
 def write_sensors(sensors: Iterable[Sensor], out: str | Path | IO[str]) -> None:
     """Write sensors, in the order given, as a field file."""
-    _write_poses(Poses.of(list(sensors)), out)
+    _write_poses(Poses.of(sensors), out)

@@ -13,6 +13,10 @@ projections as ``us``, ``vs`` and ``ids`` in canonical order; one
 vectorized kernel projects, checks and clips every sensor at once.
 A field holds real sensors only: the virtual gap sensors that a
 selection adds are spans in its result, never rows of a field.
+``Sensor`` is a plain record that checks nothing. ``Poses.of`` turns
+sensors into columns and refuses only what a column cannot hold; every
+range rule, and the rule that ids are unique, is in ``_pose_rules``,
+which ``SensorField.from_poses`` runs for every field made from poses.
 ``Sensor`` objects are built only when ``SensorField.sensors`` is read.
 ``merge_segments``, ``complement_segments`` and ``coverage_fraction``
 take and return columns of segment ends. A ``TargetSet`` holds its points as one
@@ -23,6 +27,7 @@ compare by identity.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -42,6 +47,11 @@ class SensorKind(str, Enum):
     OMNI = "omni"
     DIRECTIONAL = "directional"
 
+    @classmethod
+    def _missing_(cls, value):
+        """Coercing anything but a kind or its value is a parameter error."""
+        raise ParameterError(f"unknown sensor kind {value!r}")
+
 
 @dataclass(frozen=True)
 class Sensor:
@@ -52,6 +62,9 @@ class Sensor:
     with apex at ``position``, radius ``radius``, spanning ``fov/2``
     either side of ``direction`` (measured counterclockwise from the +x
     axis).
+
+    A plain record that checks nothing: a field built from a bad sensor,
+    or a file written from one, refuses it. ``kind`` may be its value.
     """
 
     id: int
@@ -60,35 +73,6 @@ class Sensor:
     radius: float | None = None
     fov: float | None = None
     direction: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ParameterError(f"sensor id must be >= 0, got {self.id}")
-        if self.id >= 2**63:
-            raise ParameterError(f"sensor id must be < 2**63, got {self.id}")
-        if self.position is None:
-            raise ParameterError("sensors need a position")
-        x, y = self.position
-        r = self.radius
-        finite = math.isfinite
-        if not (finite(x) and finite(y) and (r is None or finite(r))):
-            name, value = next(
-                (name, value)
-                for name, value in (("x", x), ("y", y), ("radius", r))
-                if not finite(value)
-            )
-            raise ParameterError(f"{name} must be finite, got {value}")
-        if self.radius is None or not self.radius > 0:
-            raise ParameterError(f"radius must be > 0, got {self.radius}")
-        if self.kind is SensorKind.DIRECTIONAL:
-            if self.fov is None or not 0 < self.fov <= 360:
-                raise ParameterError(f"fov must be in (0, 360], got {self.fov}")
-            if self.direction is None or not 0 <= self.direction < 360:
-                raise ParameterError(
-                    f"direction must be in [0, 360), got {self.direction}"
-                )
-        elif self.fov is not None or self.direction is not None:
-            raise ParameterError("fov/direction apply to directional sensors only")
 
     @classmethod
     def omni(cls, sensor_id: int, x: float, y: float, radius: float) -> "Sensor":
@@ -129,12 +113,15 @@ class Poses(NamedTuple):
     directional: np.ndarray
 
     @classmethod
-    def of(cls, sensors: Sequence[Sensor]) -> "Poses":
-        """The poses of the given sensors."""
-        directional = [s.kind is SensorKind.DIRECTIONAL for s in sensors]
+    def of(cls, sensors: Iterable[Sensor]) -> "Poses":
+        """The poses of the given sensors, each checked by ``_check_record``."""
+        sensors = list(sensors)
+        for sensor in sensors:
+            _check_record(sensor)
+        directional = [s.kind == SensorKind.DIRECTIONAL for s in sensors]
         nan = math.nan
         return cls(
-            np.array([s.id for s in sensors], dtype=np.int64),
+            _id_column([s.id for s in sensors]),
             np.array([s.position[0] for s in sensors], dtype=float),
             np.array([s.position[1] for s in sensors], dtype=float),
             np.array([s.radius for s in sensors], dtype=float),
@@ -160,9 +147,46 @@ class Poses(NamedTuple):
         ]
 
 
+def _check_record(sensor: Sensor) -> None:
+    """Refuse only what a pose column cannot hold: an id that is not an
+    integer, an unknown kind, a missing position, fov or direction on an
+    omni sensor, and a value that is not a number. The ``is`` tests spare
+    the slower tests behind them."""
+    sensor_id, kind = sensor.id, sensor.kind
+    if type(sensor_id) is not int and (
+        isinstance(sensor_id, bool) or not isinstance(sensor_id, numbers.Integral)
+    ):
+        raise ParameterError(f"id must be an integer, got {sensor_id!r}")
+    if kind is not SensorKind.OMNI and kind is not SensorKind.DIRECTIONAL:
+        kind = SensorKind(kind)
+    if sensor.position is None:
+        raise ParameterError("sensors need a position")
+    x, y = sensor.position
+    radius, fov, direction = sensor.radius, sensor.fov, sensor.direction
+    if kind is SensorKind.OMNI:
+        if fov is not None or direction is not None:
+            raise ParameterError("fov/direction apply to directional sensors only")
+        fov = direction = 0.0  # nothing left to check in them
+    if not type(x) is type(y) is type(radius) is type(fov) is type(direction) is float:
+        values = (x, y, radius, fov, direction)
+        for name, value in zip(("x", "y", "radius", "fov", "direction"), values):
+            if type(value) is not float and not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a number, got {value!r}")
+
+
+def _id_column(ids: list) -> np.ndarray:
+    """Ids as int64, or as Python ints when one lies outside int64, so that
+    the range rules can name it."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
+
+
 def _pose_rules(poses: Poses) -> list[tuple[np.ndarray, str, np.ndarray]]:
-    """The checks ``Sensor`` makes, in its order, over whole columns: one
-    (mask of failing rows, message, column holding the value) per check."""
+    """Every rule a pose must meet, over whole columns and in the order
+    they are checked: one (mask of failing rows, message, column holding
+    the value) per rule. The last marks each repeat of an id."""
     on = poses.directional
     with np.errstate(invalid="ignore"):
         return [
@@ -184,6 +208,7 @@ def _pose_rules(poses: Poses) -> list[tuple[np.ndarray, str, np.ndarray]]:
                 "direction must be in [0, 360), got {}",
                 poses.direction,
             ),
+            (_repeats(poses.ids), "duplicate sensor id {}", poses.ids),
         ]
 
 
@@ -200,27 +225,12 @@ def _first_fault(
     return i, message.format(column.item(i))
 
 
-def _check_poses(poses: Poses) -> None:
-    """The checks ``Sensor`` makes, over whole columns; the first offending
-    sensor is reported with the message ``Sensor`` would give."""
-    fault = _first_fault(_pose_rules(poses))
-    if fault is not None:
-        raise ParameterError(fault[1])
-
-
 def _repeats(ids: np.ndarray) -> np.ndarray:
     """Mask of the entries whose id occurs earlier in ``ids``."""
     order = np.argsort(ids, kind="stable")
     mask = np.zeros(ids.size, dtype=bool)
     mask[order[1:][ids[order[1:]] == ids[order[:-1]]]] = True
     return mask
-
-
-def _check_unique(ids: np.ndarray) -> None:
-    """Report the first id, in the given order, that was seen before."""
-    repeats = np.flatnonzero(_repeats(ids))
-    if repeats.size:
-        raise ParameterError(f"duplicate sensor id {ids.item(repeats[0])}")
 
 
 def _project(poses: Poses) -> tuple[np.ndarray, np.ndarray]:
@@ -360,17 +370,17 @@ class SensorField:
 
     @classmethod
     def from_poses(cls, poses: Poses, domain: Domain) -> "SensorField":
-        """Check, project and clip sensor poses."""
-        _check_poses(poses)
+        """Check (``_pose_rules``), project and clip sensor poses."""
+        fault = _first_fault(_pose_rules(poses))
+        if fault is not None:
+            raise ParameterError(fault[1])
         us, vs = _project(poses)
         us, vs, kept = _clip(us, vs, domain)
         return cls(us[kept], vs[kept], poses.ids[kept], domain, poses)
 
     @classmethod
     def build(cls, sensors: Iterable[Sensor], domain: Domain) -> "SensorField":
-        poses = Poses.of(list(sensors))
-        _check_unique(poses.ids)
-        return cls.from_poses(poses, domain)
+        return cls.from_poses(Poses.of(sensors), domain)
 
     @cached_property
     def sensors(self) -> tuple[Sensor, ...]:

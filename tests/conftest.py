@@ -661,6 +661,40 @@ def oracle_k_disjoint_paths(graph, k):
 # The field-file reader and writer as they were before the column parser
 # and formatter: one validated ``Sensor`` per line, one dict per sensor.
 
+
+def oracle_check_sensor(sensor: Sensor) -> None:
+    """The checks a ``Sensor`` once made of itself when it was made, one
+    sensor at a time and in their former order; the reference for the
+    messages of the column rules."""
+    if sensor.id < 0:
+        raise ParameterError(f"sensor id must be >= 0, got {sensor.id}")
+    if sensor.id >= 2**63:
+        raise ParameterError(f"sensor id must be < 2**63, got {sensor.id}")
+    if sensor.position is None:
+        raise ParameterError("sensors need a position")
+    x, y = sensor.position
+    r = sensor.radius
+    finite = math.isfinite
+    if not (finite(x) and finite(y) and (r is None or finite(r))):
+        name, value = next(
+            (name, value)
+            for name, value in (("x", x), ("y", y), ("radius", r))
+            if not finite(value)
+        )
+        raise ParameterError(f"{name} must be finite, got {value}")
+    if sensor.radius is None or not sensor.radius > 0:
+        raise ParameterError(f"radius must be > 0, got {sensor.radius}")
+    if sensor.kind is SensorKind.DIRECTIONAL:
+        if sensor.fov is None or not 0 < sensor.fov <= 360:
+            raise ParameterError(f"fov must be in (0, 360], got {sensor.fov}")
+        if sensor.direction is None or not 0 <= sensor.direction < 360:
+            raise ParameterError(
+                f"direction must be in [0, 360), got {sensor.direction}"
+            )
+    elif sensor.fov is not None or sensor.direction is not None:
+        raise ParameterError("fov/direction apply to directional sensors only")
+
+
 _ORACLE_REQUIRED = ("id", "kind", "x", "y", "radius")
 _ORACLE_NUMBERS = {
     SensorKind.OMNI: ("x", "y", "radius"),
@@ -702,12 +736,15 @@ def _oracle_sensor_from_obj(obj: dict, line_no: int) -> Sensor:
     if not all(map(math.isfinite, nums)):
         key, value = next(kv for kv in zip(keys, nums) if not math.isfinite(kv[1]))
         raise FieldFormatError(line_no, f"{key} must be finite, got {value}")
+    if kind is SensorKind.DIRECTIONAL:
+        sensor = Sensor.directional(sensor_id, *nums)
+    else:
+        sensor = Sensor.omni(sensor_id, *nums)
     try:
-        if kind is SensorKind.DIRECTIONAL:
-            return Sensor.directional(sensor_id, *nums)
-        return Sensor.omni(sensor_id, *nums)
+        oracle_check_sensor(sensor)
     except ParameterError as exc:
         raise FieldFormatError(line_no, str(exc)) from None
+    return sensor
 
 
 def oracle_read_sensors(path) -> list[Sensor]:

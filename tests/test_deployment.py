@@ -64,6 +64,8 @@ class TestSpecValidation:
             DeploymentSpec(n=10, width=100.0, fov=None)
         with pytest.raises(ParameterError):
             DeploymentSpec(n=10, width=100.0, kind="hexagonal")
+        with pytest.raises(ParameterError, match=r"^unknown sensor kind 'laser'$"):
+            DeploymentSpec(n=10, width=100.0, sensor_kind="laser")
         for bad in (
             {"n": 10.5}, {"n": True}, {"seed": 1.5}, {"width": math.inf},
             {"strip_height": math.nan}, {"line_sigma": math.inf},

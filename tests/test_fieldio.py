@@ -7,6 +7,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -327,16 +328,31 @@ def test_writers_match_the_json_dumps_formatter(sensors):
 
 def test_writers_refuse_what_could_not_be_read_back(tmp_path):
     path = tmp_path / "field.jsonl"
-    poses = Poses.of([Sensor.omni(0, 1.0, 0.0, 2.0), Sensor.omni(3, 1.0, 0.0, 2.0)])
+    good = Sensor.omni(0, 1.0, 0.0, 2.0)
+    poses = Poses.of([good, Sensor.omni(3, 1.0, 0.0, 2.0)])
     for column, value, message in (
         ("y", math.inf, "sensor id 3: y must be finite, got inf"),
         ("x", math.nan, "sensor id 3: x must be finite, got nan"),
+        ("radius", 0.0, "sensor id 3: radius must be > 0, got 0.0"),
+        ("ids", 0, "sensor id 0: duplicate sensor id 0"),
     ):
-        # a Sensor cannot hold such a number; a field built straight from
-        # unchecked columns can
-        bad = poses._replace(**{column: np.array([1.0, value])})
+        # a field built straight from unchecked columns can hold such a pose
+        bad = poses._replace(**{column: np.array([getattr(poses, column)[0], value])})
         with pytest.raises(ParameterError, match=f"^{message}$"):
             write_field(SensorField((), (), (), DOMAIN, bad), path)
+    for sensors, message in (
+        (
+            [good, Sensor.omni(1, 1.0, 0.0, -2.0)],
+            "sensor id 1: radius must be > 0, got -2.0",
+        ),
+        (
+            [good, Sensor.directional(2, 1.0, 0.0, 2.0, 90.0, 360.0)],
+            "sensor id 2: direction must be in [0, 360), got 360.0",
+        ),
+        ([good, good], "sensor id 0: duplicate sensor id 0"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            write_sensors(sensors, path)
     assert not path.exists()
 
 

@@ -4,7 +4,8 @@ A field's clipped intervals must carry the same IEEE bits as projecting,
 clipping and sorting one sensor at a time (``conftest.oracle_project``,
 ``oracle_clip`` and ``oracle_table``), signed zeros included, and list the
 same ids in the same canonical order. The checks the per-sensor objects
-made must survive as whole-column checks with the same messages.
+once made (``conftest.oracle_check_sensor``) must survive as whole-column
+checks with the same messages.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from barriercover import (
     SensorField,
     generate,
 )
-from conftest import bits, oracle_generate, oracle_table
+from conftest import bits, oracle_check_sensor, oracle_generate, oracle_table
 
 DOMAIN = (0.0, 100.0)
 A, B = DOMAIN
@@ -190,15 +191,27 @@ class TestChecksKeepTheirMessages:
         bad = getattr(poses, column).copy()
         bad[[40, 90]] = value
         poses = poses._replace(**{column: bad})
-        # the message the per-sensor constructor gives for row 40
+        # the message the former per-sensor checks give for row 40
         s = sensors[40]
         kwargs = dict(
             sensor_id=s.id, x=s.position[0], y=s.position[1], radius=s.radius,
             fov=s.fov, direction=s.direction,
         )
         kwargs["sensor_id" if column == "ids" else column] = value
+        bad_sensor = Sensor.directional(**kwargs)
         with pytest.raises(ParameterError) as want:
-            Sensor.directional(**kwargs)
+            oracle_check_sensor(bad_sensor)
         with pytest.raises(ParameterError) as got:
             SensorField.from_poses(poses, DOMAIN)
         assert str(got.value) == str(want.value)
+        sensors[40] = sensors[90] = bad_sensor
+        with pytest.raises(ParameterError) as built:
+            SensorField.build(sensors, DOMAIN)
+        assert str(built.value) == str(want.value)
+
+    def test_duplicate_id_through_from_poses(self):
+        poses = Poses.of(self.many())
+        ids = poses.ids.copy()
+        ids[[60, 150]] = 17
+        with pytest.raises(ParameterError, match=r"^duplicate sensor id 17$"):
+            SensorField.from_poses(poses._replace(ids=ids), DOMAIN)

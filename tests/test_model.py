@@ -27,7 +27,20 @@ def project(sensor):
     return field.us.item(0), field.vs.item(0)
 
 
+DOMAIN = (0.0, 10.0)
+
+
+def build_error(*sensors):
+    """The message ``SensorField.build`` refuses the sensors with."""
+    with pytest.raises(ParameterError) as info:
+        SensorField.build(sensors, DOMAIN)
+    return str(info.value)
+
+
 class TestSensorValidation:
+    """A ``Sensor`` is a plain record; ``SensorField.build`` refuses a bad
+    one with the message the former per-sensor checks gave."""
+
     def test_omni_constructor(self):
         s = Sensor.omni(3, 5.0, 1.0, 2.0)
         assert s.kind is SensorKind.OMNI
@@ -38,11 +51,14 @@ class TestSensorValidation:
         assert s.kind is SensorKind.DIRECTIONAL
         assert (s.fov, s.direction) == (90.0, 45.0)
 
+    def test_a_record_checks_nothing_when_made(self):
+        s = Sensor.omni(-1, math.nan, 0.0, -2.0)
+        assert (s.id, s.radius) == (-1, -2.0)
+        assert math.isnan(s.position[0])
+
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ParameterError):
-            Sensor.omni(0, 0.0, 0.0, 0.0)
-        with pytest.raises(ParameterError):
-            Sensor.omni(0, 0.0, 0.0, -1.0)
+        assert build_error(Sensor.omni(0, 0.0, 0.0, 0.0)) == "radius must be > 0, got 0.0"
+        assert build_error(Sensor.omni(0, 0.0, 0.0, -1.0)) == "radius must be > 0, got -1.0"
 
     @pytest.mark.parametrize(
         "make, message",
@@ -60,21 +76,80 @@ class TestSensorValidation:
     )
     def test_rejects_non_finite_numbers(self, make, message):
         with pytest.raises(ParameterError, match=f"^{message}$"):
-            make()
+            SensorField.build([make()], DOMAIN)
 
     def test_rejects_bad_fov(self):
         for fov in (0.0, -10.0, 361.0):
-            with pytest.raises(ParameterError):
-                Sensor.directional(0, 0.0, 0.0, 1.0, fov=fov, direction=0.0)
+            sensor = Sensor.directional(0, 0.0, 0.0, 1.0, fov=fov, direction=0.0)
+            assert build_error(sensor) == f"fov must be in (0, 360], got {fov}"
 
     def test_directional_requires_fov_and_direction(self):
-        with pytest.raises(ParameterError):
-            Sensor(
-                id=0,
-                kind=SensorKind.DIRECTIONAL,
-                position=(0.0, 0.0),
-                radius=1.0,
-            )
+        sensor = Sensor(
+            id=0,
+            kind=SensorKind.DIRECTIONAL,
+            position=(0.0, 0.0),
+            radius=1.0,
+        )
+        assert build_error(sensor) == "fov must be a number, got None"
+
+    @pytest.mark.parametrize(
+        "sensor_id, shown", [(1.5, "1.5"), (True, "True"), ("2", "'2'"), (None, "None")]
+    )
+    def test_ids_must_be_integers(self, sensor_id, shown):
+        sensor = Sensor.omni(sensor_id, 5.0, 0.0, 2.0)
+        assert build_error(sensor) == f"id must be an integer, got {shown}"
+
+    def test_numpy_integer_ids_are_ids(self):
+        sensors = [
+            Sensor.omni(np.int64(3), 5.0, 0.0, 2.0),
+            Sensor.omni(np.uint8(7), 1.0, 0.0, 1.0),
+        ]
+        assert SensorField.build(sensors, DOMAIN).ids.tolist() == [7, 3]
+
+    def test_string_kinds_are_kinds(self):
+        by_name = [
+            Sensor(id=0, kind="directional", position=(0.0, 0.0), radius=1.0,
+                   fov=90.0, direction=0.0),
+            Sensor(id=1, kind="omni", position=(5.0, 0.0), radius=2.0),
+        ]
+        by_member = [
+            Sensor.directional(0, 0.0, 0.0, 1.0, 90.0, 0.0),
+            Sensor.omni(1, 5.0, 0.0, 2.0),
+        ]
+        got = SensorField.build(by_name, DOMAIN)
+        want = SensorField.build(by_member, DOMAIN)
+        for name, a, b in zip(got.poses._fields, got.poses, want.poses):
+            assert bits(a) == bits(b), name
+        assert bits(got.us) == bits(want.us) and bits(got.vs) == bits(want.vs)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(kind="x"), "unknown sensor kind 'x'"),
+            (dict(kind=None), "unknown sensor kind None"),
+            (dict(position=None), "sensors need a position"),
+            (dict(position=("1.0", 0.0)), "x must be a number, got '1.0'"),
+            (dict(radius=None), "radius must be a number, got None"),
+            (
+                dict(kind="directional", fov=90.0, direction=[0.0]),
+                "direction must be a number, got [0.0]",
+            ),
+            (dict(direction=0.0), "fov/direction apply to directional sensors only"),
+        ],
+        ids=["kind", "kind-none", "position", "x-text", "radius-none",
+             "direction-list", "omni-direction"],
+    )
+    def test_what_a_column_cannot_hold(self, fields, message):
+        sensor = Sensor(**{"id": 0, "position": (0.0, 0.0), "radius": 1.0, **fields})
+        assert build_error(sensor) == message
+
+    def test_a_column_fault_is_found_before_the_range_rules(self):
+        # the range rules run over columns, which a record fault stops
+        # from being made
+        bad_range = Sensor.omni(0, 1.0, 0.0, -1.0)
+        assert build_error(bad_range, Sensor.omni(1.5, 1.0, 0.0, 1.0)) == (
+            "id must be an integer, got 1.5"
+        )
 
 
 class TestProjection:

@@ -100,10 +100,19 @@ def small_fields(draw):
     return field
 
 
+# the drawn endpoints strictly inside [0, 10], where a chain may cut
+CUTS = [x for x in ENDPOINTS if 0.0 < x < 10.0]
+
+
 @st.composite
-def interval_tables(draw):
-    """Fields on [0, 10] with zero-length, duplicate and touching spans."""
+def interval_tables(draw, max_chains=0):
+    """Fields on [0, 10] with zero-length, duplicate and touching spans;
+    each of up to ``max_chains`` chains of touching spans covers [0, 10]
+    once more, so that k-covers exist."""
     pairs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_chains))):
+        ends = [0.0, *sorted(draw(st.sets(st.sampled_from(CUTS), max_size=4))), 10.0]
+        pairs += zip(ends, ends[1:])
     for _ in range(draw(st.integers(min_value=1, max_value=9))):
         u = draw(st.sampled_from(ENDPOINTS))
         v = draw(st.sampled_from([x for x in ENDPOINTS if x >= u]))
@@ -359,6 +368,21 @@ class TestLpCertificate:
                 assert lp == pytest.approx(result.count, abs=1e-6), (seed, k)
                 checked.add(k)
         assert checked == set(ks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(field=interval_tables(max_chains=3))
+    def test_k_oga_reaches_the_lp_optimum_on_drawn_tables(self, field):
+        """Zero-length, duplicate, touching and adjacent-double spans:
+        ``k_oga`` covers fully exactly when the LP is feasible, and then
+        its count is the LP optimum, for k = 1..3."""
+        targets = discretize(field)
+        for k in (1, 2, 3):
+            result = k_oga(field, targets, k, record_trace=False)
+            lp = lp_min_kcover(field, targets, k)
+            if result.fully_covered:
+                assert lp == pytest.approx(result.count, abs=1e-6), k
+            else:
+                assert lp is None, k
 
 
 class TestWitnessCertificate:
