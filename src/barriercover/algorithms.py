@@ -30,7 +30,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -222,12 +222,19 @@ def _gap_spans(
     """``augment_with_gap_sensors`` on the sorted targets xs, given the
     field's ``_target_spans``."""
     cov = _depth(first, last, xs.size)
-    short = np.flatnonzero(cov < k)
+    short = cov < k
+    if not short.any():
+        return {}
+    # the runs of short targets start and end (exclusive) where short flips
+    edges = np.flatnonzero(np.diff(short, prepend=False, append=False))
+    # a reduction from the last start runs on past its run, but only over
+    # targets that are not short, so the run's minimum stands
+    worst = np.minimum.reduceat(cov, edges[:-1])[::2]
+    lo = xs[edges[::2]].tolist()
+    hi = xs[edges[1::2] - 1].tolist()
     spans: list[tuple[float, float]] = []
-    for run in np.split(short, np.flatnonzero(np.diff(short) > 1) + 1):
-        if run.size:
-            worst = int(cov[run].min())
-            spans.extend([(xs.item(run[0]), xs.item(run[-1]))] * (k - worst))
+    for span, w in zip(zip(lo, hi), worst.tolist()):
+        spans.extend([span] * (k - w))
     return dict(enumerate(spans, field.max_id + 1))
 
 
@@ -240,48 +247,61 @@ class _Frontier:
     positions with u <= f is exactly that winner: among equal reaches the
     first has the smallest u, so the longest span, then the lowest
     position. Each step is therefore one bisection plus a lookup in
-    prefix tables:
+    prefix tables. Built when the table is made:
 
     * ``best[i]`` and ``arg[i]``: the furthest reach over positions 0..i
-      and the first position holding it;
-    * ``second[i]``: the furthest reach over positions 0..i other than
-      ``arg[i]``, for walks with one position removed, built on their
-      first step;
-    * ``nxt[i]``: the first position at or after i with positive extent,
-      where coverage resumes after a virtual bridge.
+      and the first position holding it. Both end in one sentinel entry
+      (no reach, no position), which is what index i - 1 = -1 reads when
+      no interval starts at or before the frontier.
 
-    ``best``, ``arg`` and ``second`` end in one sentinel entry (no reach,
-    no position), which is what index i - 1 = -1 reads when no interval
-    starts at or before the frontier.
+    Built on first use, since most callers need only some of them:
+
+    * ``us``: u as a list, which the scalar steps bisect;
+    * ``nxt[i]``: the first position at or after i with positive extent,
+      where coverage resumes after a virtual bridge;
+    * ``second[i]``: the furthest reach over positions 0..i other than
+      ``arg[i]``, for walks with one position removed (sentinel as above).
 
     The same table serves coordinates (continuous cover and mending) and
     target indices (the discrete rounds), where an interval's u and v are
-    the first needed target it covers and one past the last.
+    the first needed target it covers and one past the last. There every
+    frontier and every u is at least 0, so a position with v = 0 never
+    wins, becomes a candidate or resumes coverage after a bridge;
+    ``k_oga`` masks the rows it has used that way.
     """
 
     def __init__(self, u: np.ndarray, v: np.ndarray, ids: np.ndarray) -> None:
-        self.u, self.v, self._ids = u, v, ids
+        self.u, self.v, self.ids = u, v, ids
         self.m = m = len(u)
-        self.best = np.concatenate((np.maximum.accumulate(v), [-np.inf]))
-        new = v > self.best[np.arange(-1, m - 1)]
-        arg = np.maximum.accumulate(np.where(new, np.arange(m), 0))
-        self.arg = np.concatenate((arg, [-1]))
-        starts = np.where(v > u, np.arange(m), m)
-        self.nxt = np.append(np.minimum.accumulate(starts[::-1])[::-1], m)
-        # the table as lists, for the scalar steps; ``walk`` builds them
-        self.us: list = []
-        self.vs: list = []
-        self.ids: list = []
+        self.best = best = np.empty(m + 1)
+        best[m] = -np.inf
+        np.maximum.accumulate(v, out=best[:m])
+        # the running maximum of the positions that set a new best
+        self.arg = arg = np.arange(m + 1)
+        arg[1:m][v[1:] <= best[: m - 1]] = 0
+        np.maximum.accumulate(arg, out=arg)
+        arg[m] = -1
         # candidate listing for traces: the positions with u <= f < v for
         # the last f asked about, and how far the table has been entered
         self._listed_at = -np.inf
         self._entered = 0
-        self._active: list[int] = []
+        self._active = np.zeros(0, dtype=np.int64)
 
     @classmethod
     def over(cls, field: SensorField, rows=slice(None)) -> "_Frontier":
         """The table of the field's intervals at the given rows."""
         return cls(field.us[rows], field.vs[rows], field.ids[rows])
+
+    @cached_property
+    def us(self) -> list:
+        # bisection of a list yields plain Python numbers, and is faster
+        # per call than a scalar ``searchsorted``
+        return self.u.tolist()
+
+    @cached_property
+    def nxt(self) -> np.ndarray:
+        starts = np.where(self.v > self.u, np.arange(self.m), self.m)
+        return np.append(np.minimum.accumulate(starts[::-1])[::-1], self.m)
 
     @cached_property
     def second(self) -> np.ndarray:
@@ -291,24 +311,11 @@ class _Frontier:
         runner_up = np.where(self.v > before, before, self.v)
         return np.concatenate((np.maximum.accumulate(runner_up), [-np.inf]))
 
-    def step(self, f, end) -> tuple[int, float]:
-        """The winner at f and its reach; winner -1 is a virtual bridge.
-
-        A bridge spans from f to where the next positive-extent interval
-        starts, or to ``end`` when that is sooner or there is none.
-        """
-        pos = bisect_right(self.us, f)
-        if self.best.item(pos - 1) > f:
-            winner = self.arg.item(pos - 1)
-            return winner, self.vs[winner]
-        p = self.nxt.item(pos)
-        return -1, min(self.us[p], end) if p < self.m else end
-
     def step_all(
         self, f: np.ndarray, end, skip: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``step`` from every frontier in f at once: the reaches, and
-        whether a real interval made each.
+        """One ``walk`` step from every frontier in f at once: the reaches,
+        and whether a real interval made each.
 
         ``end`` is one stretch end or one per frontier. With ``skip``,
         frontier f[i] steps as if table position skip[i] were absent: the
@@ -342,18 +349,28 @@ class _Frontier:
         covers; other entries are arbitrary."""
         return self.arg[np.searchsorted(self.u, f, "right") - 1]
 
-    def walk(self, f, end) -> Iterator[tuple[float, int, float]]:
-        """(frontier, winner, reach) for each step from f until end is covered."""
-        if len(self.us) < self.m:
-            # built on first scalar use, so that bisection and lookups yield
-            # plain Python numbers; the array forms never need them
-            self.us, self.vs, self.ids = (
-                self.u.tolist(), self.v.tolist(), self._ids.tolist()
-            )
+    def walk(self, f, end) -> tuple[list[int], list]:
+        """The winner and the reach of each step from f until end is
+        covered; step i is taken at f, or at the reach of step i - 1.
+
+        Winner -1 is a virtual bridge, which spans from the frontier to
+        where the next positive-extent interval starts, or to ``end`` when
+        that is sooner or there is none.
+        """
+        us, best, arg, v = self.us, self.best, self.arg, self.v
+        winners: list[int] = []
+        reaches: list = []
         while f < end:
-            winner, reach = self.step(f, end)
-            yield f, winner, reach
-            f = reach
+            pos = bisect_right(us, f)
+            if best.item(pos - 1) > f:
+                winner = arg.item(pos - 1)
+                f = v.item(winner)
+            else:
+                p = self.nxt.item(pos)
+                winner, f = -1, min(us[p], end) if p < self.m else end
+            winners.append(winner)
+            reaches.append(f)
+        return winners, reaches
 
     def candidates(self, f) -> tuple[int, ...]:
         """Sorted ids of the candidates at f, for traces.
@@ -363,18 +380,13 @@ class _Frontier:
         """
         if f < self._listed_at:
             self._entered = 0
-            self._active = []
+            self._active = self._active[:0]
         self._listed_at = f
-        us, vs = self.us, self.vs
-        active = [i for i in self._active if vs[i] > f]
-        i = self._entered
-        while i < self.m and us[i] <= f:
-            if vs[i] > f:
-                active.append(i)
-            i += 1
-        self._entered = i
-        self._active = active
-        return tuple(sorted(self.ids[i] for i in active))
+        stop = bisect_right(self.us, f)
+        active = np.append(self._active, np.arange(self._entered, stop))
+        active = active[self.v[active] > f]
+        self._entered, self._active = stop, active
+        return tuple(sorted(self.ids[active].tolist()))
 
 
 def _cover(
@@ -395,14 +407,15 @@ def _cover(
     steps: list[SelectionStep] = []
     comparisons = frontier.m
     for start, end in stretches:
-        for f, winner, reach in frontier.walk(start, end):
-            comparisons += 1
+        winners, reaches = frontier.walk(start, end)
+        comparisons += len(winners)
+        for f, winner, reach in zip([start, *reaches], winners, reaches):
             if winner < 0:
                 sid = next_vid
                 next_vid += 1
                 virtual_spans[sid] = (f, reach)
             else:
-                sid = frontier.ids[winner]
+                sid = frontier.ids.item(winner)
             if record_trace:
                 steps.append(SelectionStep(f, frontier.candidates(f), sid, reach))
             if sid not in chosen:
@@ -437,6 +450,16 @@ def k_oga(
     must lie in the field's domain; where the field cannot k-cover them,
     virtual gap sensors from ``augment_with_gap_sensors`` take part as
     rows sorted among the field's.
+
+    Every round walks one ``_Frontier`` over the whole table in
+    need-index space, where a row's u and v are the first needed target
+    it covers and one past the last, counted among the needed targets
+    only. Round 1 needs every target, so it takes the target spans as
+    they are. A row used in an earlier round stays in place with v = 0,
+    which no frontier reaches past, so it never wins or becomes a
+    candidate, and a winner's table position is its row. ``comparisons``
+    counts the unused rows at the start of each round that has needed
+    targets, plus one per step.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
@@ -465,45 +488,48 @@ def k_oga(
         ids = ids[order]
         first, last = _target_spans(us[order], vs[order], xs)
     cov = np.zeros(xs.size, dtype=np.int64)
-    unused = np.ones(len(ids), dtype=bool)
-    selected: list[int] = []
+    used: list[int] = []  # table positions, in selection order
     steps: list[SelectionStep] = []
     comparisons = 0
     for s in range(1, k + 1):
-        short = cov < s
-        need = np.flatnonzero(short)
-        if not need.size:
-            continue
-        # in need-index space the discrete key (right, total, -index)
-        # becomes the frontier rule's (reach, span, -position); the needed
-        # targets before target index t number before[t]
-        before = np.concatenate(([0], np.cumsum(short)))
-        rows = np.flatnonzero(unused)
-        frontier = _Frontier(before[first[rows]], before[last[rows]], ids[rows])
-        comparisons += frontier.m
-        picked = []
-        for f, winner, reach in frontier.walk(0, len(need)):
-            if winner < 0:
-                raise RuntimeError(
-                    f"no sensor covers target at x={xs[need[f]]}; "
-                    "field was not augmented"
-                )
-            comparisons += 1
-            picked.append(winner)
-            if record_trace:
+        if s == 1:
+            # every target is needed, so need indices are target indices
+            need, u, v = range(xs.size), first, last
+        else:
+            short = cov < s
+            need = np.flatnonzero(short)
+            if not need.size:
+                continue
+            # in need-index space the discrete key (right, total, -index)
+            # becomes the frontier rule's (reach, span, -position); the
+            # needed targets before target index t number before[t]
+            before = np.concatenate(([0], np.cumsum(short)))
+            u, v = before[first], before[last]
+            v[used] = 0  # a used row reaches no needed target
+        frontier = _Frontier(u, v, ids)
+        comparisons += len(ids) - len(used)
+        picked, reaches = frontier.walk(0, len(need))
+        comparisons += len(picked)
+        if -1 in picked:
+            f = [0, *reaches][picked.index(-1)]
+            raise RuntimeError(
+                f"no sensor covers target at x={xs[need[f]]}; "
+                "field was not augmented"
+            )
+        if record_trace:
+            for f, winner, reach in zip([0, *reaches], picked, reaches):
                 steps.append(
                     SelectionStep(
-                        current_target=need.item(f),
+                        current_target=int(need[f]),
                         candidate_ids=frontier.candidates(f),
-                        chosen_id=frontier.ids[winner],
-                        reach=need.item(reach - 1),
+                        chosen_id=ids.item(winner),
+                        reach=int(need[reach - 1]),
                     )
                 )
-        chosen = rows[picked]
-        unused[chosen] = False
-        selected.extend(ids[chosen].tolist())
+        used += picked
         if s < k:  # no later round reads the coverage
-            cov += _depth(first[chosen], last[chosen], xs.size)
+            cov += _depth(first[picked], last[picked], xs.size)
+    selected = ids[used].tolist()
     virtual_sel = tuple(sid for sid in selected if sid in virtual_all)
     return SelectionResult(
         selected_ids=tuple(selected),

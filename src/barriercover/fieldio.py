@@ -181,7 +181,8 @@ def read_sensors(path: str | Path) -> list[Sensor]:
 
 def read_field(path: str | Path, domain: Domain) -> SensorField:
     """Parse a sensor-field file straight into a field over ``domain``."""
-    return SensorField.from_poses(_read_poses(path), domain)
+    # ``_read_poses`` has checked the pose rules with the file's
+    return SensorField._from_checked(_read_poses(path), domain)
 
 
 # rows formatted at a time: a large field never holds all of its lines, or

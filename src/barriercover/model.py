@@ -16,7 +16,8 @@ selection adds are spans in its result, never rows of a field.
 ``Sensor`` is a plain record that checks nothing. ``Poses.of`` turns
 sensors into columns and refuses only what a column cannot hold; every
 range rule, and the rule that ids are unique, is in ``_pose_rules``,
-which ``SensorField.from_poses`` runs for every field made from poses.
+which runs once for every field made from poses: in
+``SensorField.from_poses``, or in the file rules of ``read_field``.
 ``Sensor`` objects are built only when ``SensorField.sensors`` is read.
 ``merge_segments``, ``complement_segments`` and ``coverage_fraction``
 take and return columns of segment ends. A ``TargetSet`` holds its points as one
@@ -149,8 +150,8 @@ class Poses(NamedTuple):
 
 def _check_record(sensor: Sensor) -> None:
     """Refuse only what a pose column cannot hold: an id that is not an
-    integer, an unknown kind, a missing position, fov or direction on an
-    omni sensor, and a value that is not a number. The ``is`` tests spare
+    integer, an unknown kind, a position that is missing or not a pair,
+    fov or direction on an omni sensor, and a value that is not a number. The ``is`` tests spare
     the slower tests behind them."""
     sensor_id, kind = sensor.id, sensor.kind
     if type(sensor_id) is not int and (
@@ -161,7 +162,12 @@ def _check_record(sensor: Sensor) -> None:
         kind = SensorKind(kind)
     if sensor.position is None:
         raise ParameterError("sensors need a position")
-    x, y = sensor.position
+    try:
+        x, y = sensor.position
+    except (TypeError, ValueError):
+        raise ParameterError(
+            f"position must be a pair (x, y), got {sensor.position!r}"
+        ) from None
     radius, fov, direction = sensor.radius, sensor.fov, sensor.direction
     if kind is SensorKind.OMNI:
         if fov is not None or direction is not None:
@@ -374,6 +380,11 @@ class SensorField:
         fault = _first_fault(_pose_rules(poses))
         if fault is not None:
             raise ParameterError(fault[1])
+        return cls._from_checked(poses, domain)
+
+    @classmethod
+    def _from_checked(cls, poses: Poses, domain: Domain) -> "SensorField":
+        """Project and clip poses that already meet ``_pose_rules``."""
         us, vs = _project(poses)
         us, vs, kept = _clip(us, vs, domain)
         return cls(us[kept], vs[kept], poses.ids[kept], domain, poses)

@@ -799,9 +799,10 @@ def oracle_field_lines(sensors) -> str:
 # --------------------------------------------------------------------------
 
 
-def _oracle_step_without(frontier, f, end, skip: int) -> tuple[float, bool]:
-    """The reach of one step from f as if position ``skip`` were absent,
-    and whether a real interval made it."""
+def _oracle_step(frontier, f, end, skip: int = -1) -> tuple[float, bool]:
+    """The reach of one step from f as if position ``skip`` were absent
+    (-1, no position, removes none), and whether a real interval made
+    it."""
     pos = bisect_right(frontier.us, f)
     if pos:
         table = frontier.second if frontier.arg.item(pos - 1) == skip else frontier.best
@@ -822,11 +823,13 @@ def _oracle_count_to(
     """
     path: list[tuple[float, bool]] = []
     count, clean = 0, True
-    for g, winner, _reach in frontier.walk(f, end):
-        if g in memo:
-            count, clean = memo[g]
+    while f < end:
+        if f in memo:
+            count, clean = memo[f]
             break
-        path.append((g, winner >= 0))
+        reach, real = _oracle_step(frontier, f, end)
+        path.append((f, real))
+        f = reach
     for g, real in reversed(path):
         count += 1
         clean = clean and real
@@ -845,10 +848,10 @@ def _oracle_count_without(
     """
     count, clean = 0, True
     while f < end:
-        if f >= frontier.vs[skip]:
+        if f >= frontier.v.item(skip):
             tail, tail_clean = _oracle_count_to(frontier, memo, f, end)
             return count + tail, clean and tail_clean
-        f, real = _oracle_step_without(frontier, f, end, skip)
+        f, real = _oracle_step(frontier, f, end, skip)
         count += 1
         clean = clean and real
     return count, clean
@@ -872,11 +875,12 @@ def oracle_single_failure_counts(
     if not a < b:
         raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
     whole = _Frontier.over(field)
-    steps = list(whole.walk(a, b))
+    winners, reaches = whole.walk(a, b)
+    steps = list(zip([a, *reaches], winners, reaches))
     if any(winner < 0 for _f, winner, _reach in steps):
         return None
     picks = [winner for _f, winner, _reach in steps]
-    sel = [whole.ids[p] for p in picks]
+    sel = [whole.ids.item(p) for p in picks]
     n_sel = len(sel)
     unpicked = np.ones(whole.m, dtype=bool)
     unpicked[picks] = False
@@ -890,7 +894,7 @@ def oracle_single_failure_counts(
 
     out = []
     for t, (f, pick, _reach) in enumerate(steps):
-        mend = [winner for _g, winner, _r in pool.walk(f, resume[t + 1])]
+        mend, _reaches = pool.walk(f, resume[t + 1])
         tail, fresh_clean = _oracle_count_without(whole, memo, f, b, pick)
         clean = fresh_clean and all(winner >= 0 for winner in mend)
         out.append((sel[t], n_sel - 1 + len(mend), t + tail, clean))

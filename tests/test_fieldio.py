@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from barriercover import fieldio, model
 from barriercover.cli import main
 from barriercover.deployment import DeploymentSpec, generate
 from barriercover.fieldio import (
@@ -23,7 +24,7 @@ from barriercover.fieldio import (
     write_field,
     write_sensors,
 )
-from barriercover.model import ParameterError, Poses, Sensor, SensorField
+from barriercover.model import ParameterError, Poses, Sensor, SensorField, _pose_rules
 from conftest import oracle_field_lines, oracle_read_field, oracle_read_sensors
 
 DOMAIN = (-50.0, 50.0)
@@ -270,6 +271,21 @@ def test_a_range_fault_on_an_earlier_line_beats_a_later_parse_error(tmp_path):
     )
     with pytest.raises(FieldFormatError, match=r"^line 1: y must be finite, got inf$"):
         read_field(path, DOMAIN)
+
+
+def test_read_field_checks_the_pose_rules_once(tmp_path, monkeypatch):
+    path = tmp_path / "field.jsonl"
+    write_field(generate(DeploymentSpec(n=20, width=50.0, seed=3)), path)
+    calls = []
+
+    def counted(poses):
+        calls.append(poses.ids.size)
+        return _pose_rules(poses)
+
+    for module in (fieldio, model):
+        monkeypatch.setattr(module, "_pose_rules", counted)
+    assert read_field(path, DOMAIN).ids.size
+    assert calls == [20]
 
 
 @pytest.mark.parametrize("value", ["1.7", "true", '"2"', "null", "2.0"])

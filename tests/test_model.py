@@ -128,6 +128,12 @@ class TestSensorValidation:
             (dict(kind="x"), "unknown sensor kind 'x'"),
             (dict(kind=None), "unknown sensor kind None"),
             (dict(position=None), "sensors need a position"),
+            (
+                dict(position=(1.0, 0.0, 3.0)),
+                "position must be a pair (x, y), got (1.0, 0.0, 3.0)",
+            ),
+            (dict(position=(1.0,)), "position must be a pair (x, y), got (1.0,)"),
+            (dict(position=1.0), "position must be a pair (x, y), got 1.0"),
             (dict(position=("1.0", 0.0)), "x must be a number, got '1.0'"),
             (dict(radius=None), "radius must be a number, got None"),
             (
@@ -136,7 +142,8 @@ class TestSensorValidation:
             ),
             (dict(direction=0.0), "fov/direction apply to directional sensors only"),
         ],
-        ids=["kind", "kind-none", "position", "x-text", "radius-none",
+        ids=["kind", "kind-none", "position", "position-triple",
+             "position-single", "position-float", "x-text", "radius-none",
              "direction-list", "omni-direction"],
     )
     def test_what_a_column_cannot_hold(self, fields, message):

@@ -542,7 +542,7 @@ class TestFrontierAgainstNaiveScans:
         frontier = _Frontier.over(field)
         for a in ENDPOINTS:
             for b in (x for x in ENDPOINTS if x > a):
-                bridged = any(w < 0 for _f, w, _r in frontier.walk(a, b))
+                bridged = -1 in frontier.walk(a, b)[0]
                 assert frontier.covers(a, b) == (not bridged)
 
     @staticmethod
@@ -551,13 +551,26 @@ class TestFrontierAgainstNaiveScans:
         assert select(record_trace=False) == dataclasses.replace(expected, trace=())
 
     @settings(max_examples=200, deadline=None)
-    @given(interval_tables(), st.integers(min_value=1, max_value=3), target_lists())
+    @given(interval_tables(), st.integers(min_value=1, max_value=4), target_lists())
     # a target repeated on a span's end, and one past it by one double
     @example(table_field([(0.0, 1.0)], (0.0, 10.0)), 2, [1.0, 1.0, ONE_UP])
     # uncovered targets on both sides of a covered one
     @example(table_field([(2.5, 4.0)], (0.0, 10.0)), 1, [1.0, 4.0, 5.5, 0.5])
     # signed zeros, a subnormal and a zero-length span on it
     @example(table_field([(5e-324, 5e-324)], (0.0, 10.0)), 3, [-0.0, 5e-324, 0.0])
+    # the row used in round 1 starts with the round-2 candidates and
+    # reaches past them all: it must neither win again nor be listed
+    @example(
+        table_field([(0.0, 10.0), (0.0, 6.0), (4.0, 10.0)], (0.0, 10.0)),
+        2,
+        [1.0, 5.0, 8.0],
+    )
+    # ... nor tie with a candidate that reaches one needed target
+    @example(
+        table_field([(0.0, 10.0), (0.5, 2.0), (4.0, 10.0)], (0.0, 10.0)),
+        2,
+        [1.0, 5.0, 8.0],
+    )
     def test_explicit_targets_match_naive(self, field, k, xs):
         """``k_oga`` on target lists that ``discretize`` never makes:
         repeats, points on interval ends and points nothing covers."""
