@@ -479,14 +479,15 @@ def k_oga(
     virtual_all = _gap_spans(field, xs, k, first, last)
     if virtual_all:
         # the gap sensors join the table in (u, v, id) order, as field rows
-        # would; inside the domain, no span needs clipping
+        # would; inside the domain, no span needs clipping. Only the gap rows
+        # are mapped to targets; the field's keep their spans
         us, vs = np.array(list(virtual_all.values())).T
-        us = np.concatenate((field.us, us))
-        vs = np.concatenate((field.vs, vs))
+        gap_first, gap_last = _target_spans(us, vs, xs)
         ids = np.concatenate((ids, list(virtual_all)))
-        order = np.lexsort((ids, vs, us))
+        order = np.lexsort((ids, np.append(field.vs, vs), np.append(field.us, us)))
         ids = ids[order]
-        first, last = _target_spans(us[order], vs[order], xs)
+        first = np.concatenate((first, gap_first))[order]
+        last = np.concatenate((last, gap_last))[order]
     cov = np.zeros(xs.size, dtype=np.int64)
     used: list[int] = []  # table positions, in selection order
     steps: list[SelectionStep] = []

@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .algorithms import SelectionResult, find_gaps, k_oga, logm, oga, oga_continuous
+from .algorithms import SelectionResult, find_gaps, k_oga, logm, oga_continuous
 from .baselines import (
     brute_force_min_kcover,
     build_barrier_graph,
@@ -87,7 +87,7 @@ def _load_field(args: argparse.Namespace) -> SensorField:
 
 
 def _targets_for(args: argparse.Namespace, field: SensorField) -> TargetSet:
-    if getattr(args, "targets", None):
+    if args.targets:
         return TargetSet(_float_list(args.targets))
     return discretize(field)
 
@@ -130,11 +130,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_cover(args: argparse.Namespace) -> int:
     field = _load_field(args)
-    if args.mode == "continuous":
-        result = oga_continuous(field, field.domain)
-    else:
-        result = oga(field, _targets_for(args, field))
-    _emit_result(args, field, result)
+    _emit_result(args, field, oga_continuous(field, field.domain))
     return 0
 
 
@@ -165,12 +161,17 @@ def cmd_mend(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
+    greedy = args.algorithm == "greedy"
+    if greedy and args.k is not None:
+        raise ParameterError("--k applies to --algorithm kpaths only")
+    if not greedy and args.targets is not None:
+        raise ParameterError("--targets applies to --algorithm greedy only")
     field = _load_field(args)
-    if args.algorithm == "greedy":
+    if greedy:
         result = greedy_max_coverage(field, _targets_for(args, field))
     else:
         graph = build_barrier_graph(field, field.domain)
-        result = k_disjoint_paths(graph, args.k)
+        result = k_disjoint_paths(graph, 1 if args.k is None else args.k)
     _emit_result(args, field, result)
     return 0
 
@@ -186,19 +187,21 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    if args.timing and args.format == "csv":
+        raise ParameterError("--timing applies to --format json only")
     if args.config is not None:
         config = _read_json(args.config, "config", ExperimentConfig.from_dict)
-    elif args.name is not None:
-        config = default_config(args.name)
     else:
-        raise ParameterError("experiment needs --name or --config")
-    overrides: dict = {"base_seed": args.seed, "jobs": args.jobs}
-    if args.realizations is not None:
-        overrides["realizations"] = args.realizations
-    if args.sweep is not None:
-        overrides["sweep"] = tuple(_int_list(args.sweep))
-    if args.k_values is not None:
-        overrides["k_values"] = tuple(_int_list(args.k_values))
+        config = default_config(args.name)
+    # only what was given overrides the stock or saved configuration
+    given = {
+        "base_seed": args.seed,
+        "jobs": args.jobs,
+        "realizations": args.realizations,
+        "sweep": None if args.sweep is None else tuple(_int_list(args.sweep)),
+        "k_values": None if args.k_values is None else tuple(_int_list(args.k_values)),
+    }
+    overrides = {key: value for key, value in given.items() if value is not None}
     config = ExperimentConfig.from_dict({**config.to_dict(), **overrides})
     report = run_experiment(config)
     if args.format == "csv":
@@ -242,19 +245,13 @@ def cmd_examples(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base random seed")
-    common.add_argument(
-        "--out", default=None, help="output file ('-' or omitted: stdout)"
-    )
-    common.add_argument(
-        "--format", choices=_FORMATS, default="json", help="output format"
-    )
-    common.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for experiments"
-    )
+    # every option of a command is one that its cmd_* reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file ('-' or omitted: stdout)")
+    output = argparse.ArgumentParser(add_help=False, parents=[out])
+    output.add_argument("--format", choices=_FORMATS, default="json", help="output format")
 
-    field_args = argparse.ArgumentParser(add_help=False)
+    field_args = argparse.ArgumentParser(add_help=False, parents=[output])
     field_args.add_argument("--field", required=True, help="sensor field file")
     field_args.add_argument(
         "--domain",
@@ -271,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a random field")
+    p = sub.add_parser("gen", parents=[out], help="generate a random field")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--n", type=int, required=True, help="number of sensors")
     p.add_argument("--width", type=float, required=True, help="segment length")
     p.add_argument("--kind", choices=["line", "poisson"], default="line")
@@ -284,15 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser(
-        "cover", parents=[common, field_args], help="minimum covering selection"
+        "cover", parents=[field_args], help="minimum covering selection"
     )
-    p.add_argument("--mode", choices=["continuous", "discrete"], default="continuous")
-    p.add_argument("--targets", default=None,
-                   help="comma-separated target points (discrete mode)")
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser(
-        "kcover", parents=[common, field_args], help="minimum k-covering selection"
+        "kcover", parents=[field_args], help="minimum k-covering selection"
     )
     p.add_argument("--k", type=int, required=True, help="coverage multiplicity")
     p.add_argument("--targets", default=None,
@@ -300,23 +295,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kcover)
 
     p = sub.add_parser(
-        "mend", parents=[common, field_args], help="mend gaps after failures"
+        "mend", parents=[field_args], help="mend gaps after failures"
     )
     p.add_argument("--result", required=True, help="JSON file from cover/kcover")
     p.add_argument("--failed", required=True, help="comma-separated failed ids")
     p.set_defaults(func=cmd_mend)
 
     p = sub.add_parser(
-        "baseline", parents=[common, field_args], help="benchmark selectors"
+        "baseline", parents=[field_args], help="benchmark selectors"
     )
     p.add_argument("--algorithm", choices=["greedy", "kpaths"], default="greedy")
-    p.add_argument("--k", type=int, default=1, help="paths to extract (kpaths)")
+    p.add_argument("--k", type=int, default=None,
+                   help="paths to extract (kpaths; default 1)")
     p.add_argument("--targets", default=None,
                    help="comma-separated target points (greedy)")
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser(
-        "oracle", parents=[common, field_args],
+        "oracle", parents=[field_args],
         help="exhaustive minimum k-cover size (small fields)",
     )
     p.add_argument("--k", type=int, default=1, help="coverage multiplicity")
@@ -325,11 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser(
-        "experiment", parents=[common], help="seeded Monte-Carlo studies"
+        "experiment", parents=[output], help="seeded Monte-Carlo studies"
     )
-    p.add_argument("--name", choices=list(EXPERIMENTS), default=None,
-                   help="stock experiment configuration")
-    p.add_argument("--config", default=None, help="experiment config JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--name", choices=list(EXPERIMENTS),
+                        help="stock experiment configuration")
+    source.add_argument("--config", help="experiment config JSON file")
+    p.add_argument("--seed", type=int, default=None, help="base random seed")
+    p.add_argument("--jobs", type=int, default=None, help="worker processes")
     p.add_argument("--realizations", type=int, default=None)
     p.add_argument("--sweep", default=None, help="comma-separated sweep values")
     p.add_argument("--k-values", default=None, dest="k_values",

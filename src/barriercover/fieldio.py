@@ -218,7 +218,12 @@ def _write_lines(poses: Poses, fp: IO[str]) -> None:
 
 
 def write_field(field: SensorField, out: str | Path | IO[str]) -> None:
-    """Write a field's sensors, in the order given, as a field file."""
+    """Write a field's sensors, in the order given, as a field file. A row
+    with no pose (a field built from intervals) could not be written, so
+    such a field is refused before anything is written."""
+    lost = np.flatnonzero(~np.isin(field.ids, field.poses.ids))
+    if lost.size:
+        raise ParameterError(f"sensor id {field.ids.item(lost[0])}: row has no pose")
     _write_poses(field.poses, out)
 
 

@@ -30,7 +30,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -161,20 +160,6 @@ class ExperimentReport:
 
     def json_text(self, include_timing: bool = False) -> str:
         return json.dumps(self.to_dict(include_timing), indent=2) + "\n"
-
-    def write(
-        self,
-        path: str | Path,
-        fmt: str = "csv",
-        include_timing: bool = False,
-    ) -> None:
-        if fmt == "csv":
-            text = self.csv_text()
-        elif fmt == "json":
-            text = self.json_text(include_timing)
-        else:
-            raise ParameterError(f"format must be 'csv' or 'json', got {fmt!r}")
-        Path(path).write_text(text, encoding="utf-8")
 
 
 def _pmap(fn: Callable, tasks: Sequence[tuple], jobs: int) -> list:

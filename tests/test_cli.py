@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from barriercover import cli
 from barriercover.cli import main
+from barriercover.harness import run_experiment
 
 FIELD8 = str(Path(__file__).parent / "data" / "field8.jsonl")
 F8 = ["--field", FIELD8, "--domain", "0", "20"]
@@ -88,13 +90,14 @@ class TestCover:
         assert result["virtual"] == []
 
     def test_discrete_mode_matches(self, capsys):
-        code, out, _ = run_main(capsys, ["cover", "--mode", "discrete"] + F8)
+        # the discrete selector is kcover --k 1; it agrees with cover here
+        code, out, _ = run_main(capsys, ["kcover", "--k", "1"] + F8)
         assert code == 0
         assert json.loads(out)["selected"] == [0, 1, 2, 3, 4, 5]
 
     def test_explicit_targets(self, capsys):
         code, out, _ = run_main(
-            capsys, ["cover", "--mode", "discrete", "--targets", "1,5"] + F8
+            capsys, ["kcover", "--k", "1", "--targets", "1,5"] + F8
         )
         assert code == 0
         assert json.loads(out)["selected"] == [0, 6]
@@ -243,16 +246,31 @@ class TestExperiment:
         assert code == 0
         assert json.loads(out)["wall_time_s"] >= 0.0
 
-    def test_config_file_round_trip(self, capsys, tmp_path):
-        code, out, _ = run_main(capsys, self.ARGS)
-        reference = json.loads(out)
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(reference["config"]))
-        code, out, _ = run_main(
-            capsys, ["experiment", "--config", str(cfg)]
-        )
+    @pytest.mark.parametrize(
+        "flags, saved",
+        [([], {}), (["--seed", "5"], {}), ([], {"jobs": 2})],
+        ids=["stock", "seed-5", "jobs-2"],
+    )
+    def test_config_file_round_trip(
+        self, capsys, tmp_path, monkeypatch, flags, saved
+    ):
+        # a saved config reruns as saved: no option that was not given
+        # overrides its seed or its worker count
+        code, reference, _ = run_main(capsys, self.ARGS + flags)
         assert code == 0
-        assert json.loads(out) == reference
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**json.loads(reference)["config"], **saved}))
+        ran = []
+
+        def run(config):
+            ran.append(config)
+            return run_experiment(config)
+
+        monkeypatch.setattr(cli, "run_experiment", run)
+        code, out, _ = run_main(capsys, ["experiment", "--config", str(cfg)])
+        assert code == 0
+        assert out == reference
+        assert ran[0].jobs == saved.get("jobs", 1)
 
     def test_seed_flag_changes_records(self, capsys):
         _, out_a, _ = run_main(capsys, self.ARGS)
@@ -263,7 +281,10 @@ class TestExperiment:
     def test_needs_name_or_config(self, capsys):
         code, _, err = run_main(capsys, ["experiment"])
         assert code == 1
-        assert "--name or --config" in err
+        assert err.endswith(
+            "barriercover experiment: error:"
+            " one of the arguments --name --config is required\n"
+        )
 
 
 class TestDiagnostics:
@@ -402,11 +423,11 @@ class TestDiagnostics:
     @pytest.mark.parametrize(
         "argv, bad",
         [
-            (["cover", "--mode", "discrete", "--targets", "inf"], "inf"),
-            (["cover", "--mode", "discrete", "--targets", "nan,1"], "nan"),
+            (["kcover", "--k", "1", "--targets", "inf"], "inf"),
+            (["kcover", "--k", "1", "--targets", "nan,1"], "nan"),
             (["kcover", "--k", "1", "--targets", "1,nan"], "nan"),
         ],
-        ids=["cover-inf", "cover-nan", "kcover-nan"],
+        ids=["inf", "nan-first", "nan-last"],
     )
     def test_targets_must_be_finite(self, capsys, argv, bad):
         code, out, err = run_main(capsys, argv + F8)
@@ -417,15 +438,55 @@ class TestDiagnostics:
     @pytest.mark.parametrize(
         "argv, bad",
         [
-            (["cover", "--mode", "discrete", "--targets", "40000"], "40000.0"),
+            (["kcover", "--k", "1", "--targets", "40000"], "40000.0"),
             (["kcover", "--k", "1", "--targets=-5,3"], "-5.0"),
         ],
-        ids=["cover", "kcover"],
+        ids=["above", "below"],
     )
     def test_targets_must_lie_in_the_domain(self, capsys, argv, bad):
         code, out, err = run_main(capsys, argv + F8)
         assert code == 1
         assert err == f"error: targets must lie in the domain [0.0, 20.0], got {bad}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["gen", "--n", "3", "--width", "30", "--format", "json"], "--format"),
+            (["gen", "--n", "3", "--width", "30", "--jobs", "2"], "--jobs"),
+            (["cover", "--seed", "1"] + F8, "--seed"),
+            (["cover", "--jobs", "2"] + F8, "--jobs"),
+            (["cover", "--mode", "discrete"] + F8, "--mode"),
+            (["cover", "--targets", "1,5"] + F8, "--targets"),
+            (["kcover", "--k", "1", "--seed", "1"] + F8, "--seed"),
+            (["kcover", "--k", "1", "--jobs", "2"] + F8, "--jobs"),
+            (["mend", "--result", "sel.json", "--failed", "1", "--seed", "1"] + F8,
+             "--seed"),
+            (["mend", "--result", "sel.json", "--failed", "1", "--jobs", "2"] + F8,
+             "--jobs"),
+            (["baseline", "--seed", "1"] + F8, "--seed"),
+            (["baseline", "--jobs", "2"] + F8, "--jobs"),
+            (["oracle", "--seed", "1"] + F8, "--seed"),
+            (["oracle", "--jobs", "2"] + F8, "--jobs"),
+            (["baseline", "--algorithm", "greedy", "--k", "2"] + F8, "--k"),
+            (["baseline", "--algorithm", "kpaths", "--targets", "1,5"] + F8,
+             "--targets"),
+            (["experiment", "--name", "k_barrier", "--timing", "--format", "csv"],
+             "--timing"),
+        ],
+        ids=[
+            "gen-format", "gen-jobs", "cover-seed", "cover-jobs", "cover-mode",
+            "cover-targets", "kcover-seed", "kcover-jobs", "mend-seed",
+            "mend-jobs", "baseline-seed", "baseline-jobs", "oracle-seed",
+            "oracle-jobs", "greedy-k", "kpaths-targets", "csv-timing",
+        ],
+    )
+    def test_no_option_is_ignored(self, capsys, argv, option):
+        # the first fourteen are options the command does not take; the last
+        # three are options the rest of the command would not read
+        code, out, err = run_main(capsys, argv)
+        assert code == 1
+        assert option in err
         assert out == ""
 
     def test_non_json_config_and_result_name_the_file(self, capsys, tmp_path):

@@ -372,6 +372,19 @@ def test_writers_refuse_what_could_not_be_read_back(tmp_path):
     assert not path.exists()
 
 
+def test_write_field_refuses_rows_without_poses(tmp_path):
+    path = tmp_path / "field.jsonl"
+    posed = Poses.of([Sensor.omni(0, 1.0, 0.0, 2.0)])
+    for field, message in (
+        # built from intervals: rows, but no poses to write
+        (SensorField([0.0, 4.0], [5.0, 10.0], [0, 1], (0.0, 10.0)), "sensor id 0"),
+        (SensorField([-1.0, 2.0], [3.0, 4.0], [0, 7], DOMAIN, posed), "sensor id 7"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{message}: row has no pose$"):
+            write_field(field, path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "kind, sensor_kind", [("poisson", "directional"), ("line", "omni")]
 )

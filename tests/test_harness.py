@@ -251,20 +251,6 @@ class TestReports:
         assert plain["metadata"]["rng"] == "numpy-pcg64"
         assert len(plain["records"]) == len(report.records)
 
-    def test_write_both_formats(self, tmp_path):
-        config = tiny_config(
-            "k_barrier", sweep=[60], realizations=1, k_values=[2]
-        )
-        report = run_experiment(config)
-        csv_path = tmp_path / "out.csv"
-        json_path = tmp_path / "out.json"
-        report.write(csv_path, "csv")
-        report.write(json_path, "json")
-        assert csv_path.read_text() == report.csv_text()
-        assert json.loads(json_path.read_text()) == json.loads(
-            report.json_text()
-        )
-
     def test_jobs_do_not_change_results(self):
         base = tiny_config(
             "single_failure",
