@@ -39,6 +39,10 @@ from .model import (
     ParameterError,
     SensorField,
     TargetSet,
+    _count,
+    _failed,
+    _segment,
+    _targets,
     complement_segments,
 )
 
@@ -208,11 +212,8 @@ def augment_with_gap_sensors(
     are added, each spanning exactly from the run's first target to its
     last. Fields that already admit a full k-cover need none.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if not len(targets):
-        return {}
-    xs = targets.xs
+    k = _count("k", k, 1)
+    xs = _targets(targets).xs
     return _gap_spans(field, xs, k, *_target_spans(field.us, field.vs, xs))
 
 
@@ -461,13 +462,8 @@ def k_oga(
     counts the unused rows at the start of each round that has needed
     targets, plus one per step.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if not isinstance(targets, TargetSet):
-        targets = TargetSet(targets)
-    if len(targets) == 0:
-        raise ParameterError("targets must be non-empty")
-    xs = targets.xs
+    k = _count("k", k, 1)
+    xs = _targets(targets).xs
     a, b = field.domain
     if xs[0] < a or xs[-1] > b:
         outside = xs.item(0) if xs[0] < a else xs.item(-1)
@@ -567,17 +563,9 @@ def oga_continuous(
     where some real interval resumes coverage with positive extent (or to
     b). Stops once f reaches b.
     """
-    a, b = domain
-    if not a < b:
-        raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
-    return _cover(
-        _Frontier.over(field),
-        [(a, b)],
-        [],
-        {},
-        field.max_id + 1,
-        record_trace,
-    )
+    a, b = _segment(domain)
+    frontier = _Frontier.over(field)
+    return _cover(frontier, [(a, b)], [], {}, field.max_id + 1, record_trace)
 
 
 def find_gaps(
@@ -593,12 +581,7 @@ def find_gaps(
     gap records which failed sensors overlap it. Gaps come back sorted
     left to right; adjacent failures merge into one gap.
     """
-    failed = set(failed_ids)
-    selected = set(previous.selected_ids)
-    if not failed <= selected:
-        raise ParameterError(
-            f"failed ids {sorted(failed - selected)} were never selected"
-        )
+    failed = _failed(failed_ids, previous.selected_ids)
     ids = np.array(previous.selected_ids, dtype=np.int64)
     us, vs, _ = previous.selected_spans(field)
     down = np.isin(ids, list(failed))
@@ -615,7 +598,7 @@ def logm(
     gaps: Sequence[Gap],
     field: SensorField,
     domain: Domain,
-    failed_ids: Collection[int] | None = None,
+    failed_ids: Collection[int],
     *,
     record_trace: bool = True,
 ) -> SelectionResult:
@@ -625,21 +608,12 @@ def logm(
     left to right and runs the continuous frontier rule over the sensors
     not selected previously, from the gap's left edge until its right edge
     is covered. Virtual sensors are inserted only where no usable sensor
-    exists. ``failed_ids`` defaults to the union of the gaps' failed sets;
-    pass it explicitly when a failed sensor opened no gap at all.
+    exists. ``failed_ids`` names every failed sensor, also one that
+    opened no gap at all.
     """
-    a, b = domain
-    if not a < b:
-        raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
-    if failed_ids is None:
-        failed = set().union(*(g.failed_ids for g in gaps)) if gaps else set()
-    else:
-        failed = set(failed_ids)
+    _segment(domain)
+    failed = _failed(failed_ids, previous.selected_ids)
     previously = set(previous.selected_ids)
-    if not failed <= previously:
-        raise ParameterError(
-            f"failed ids {sorted(failed - previously)} were never selected"
-        )
     surviving = [sid for sid in previous.selected_ids if sid not in failed]
     virtual_spans = {
         sid: previous.virtual_spans[sid]

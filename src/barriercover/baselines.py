@@ -34,9 +34,11 @@ import numpy as np
 
 from .model import (
     Domain,
-    ParameterError,
     SensorField,
     TargetSet,
+    _count,
+    _segment,
+    _targets,
 )
 from .algorithms import SelectionResult, SelectionStep, _target_spans
 
@@ -60,11 +62,7 @@ def greedy_max_coverage(
     or no remaining sensor adds coverage; in the latter case the result is
     flagged not fully covered. Never inserts virtual sensors.
     """
-    if not isinstance(targets, TargetSet):
-        targets = TargetSet(targets)
-    if len(targets) == 0:
-        raise ParameterError("targets must be non-empty")
-    xs = targets.xs
+    xs = _targets(targets).xs
     m = len(xs)
     ids = field.ids.tolist()
     n = len(ids)
@@ -154,9 +152,7 @@ class BarrierGraph:
 
 def build_barrier_graph(field: SensorField, domain: Domain) -> BarrierGraph:
     """Barrier graph over the field's sensors."""
-    a, b = domain
-    if not a < b:
-        raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
+    _segment(domain)
     return BarrierGraph(field.us, field.vs, field.ids, domain, field.max_id + 1)
 
 
@@ -225,8 +221,7 @@ def k_disjoint_paths(graph: BarrierGraph, k: int) -> SelectionResult:
     real and virtual sensors together; subtract the virtual ones for the
     real count.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    k = _count("k", k, 1)
     alive = np.ones(graph.ids.size, dtype=bool)
     selected: list[int] = []
     rounds = 0
@@ -258,10 +253,8 @@ def brute_force_min_kcover(
     first feasible size is the answer. Instances beyond 20 sensors are
     refused; None marks infeasibility even with every sensor selected.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if not isinstance(targets, TargetSet):
-        targets = TargetSet(targets)
+    k = _count("k", k, 1)
+    targets = _targets(targets)
     n = field.ids.size
     if n > 20:
         raise InstanceTooLargeError(

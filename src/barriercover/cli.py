@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -38,23 +37,18 @@ from .baselines import (
 from .deployment import DeploymentSpec, generate
 from .fieldio import read_field, write_field
 from .harness import EXPERIMENTS, ExperimentConfig, default_config, run_experiment
-from .model import ParameterError, SensorField, TargetSet, discretize
+from .model import ParameterError, SensorField, TargetSet, _segment, discretize
 
 _FORMATS = ("json", "csv")
 
 
-def _int_list(text: str) -> list[int]:
+def _list(text: str, kind: type) -> list:
+    """Comma-separated values of ``kind`` (int or float), blanks skipped."""
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ParameterError(f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ParameterError(f"expected comma-separated numbers, got {text!r}")
+        what = "integers" if kind is int else "numbers"
+        raise ParameterError(f"expected comma-separated {what}, got {text!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -80,15 +74,12 @@ def _read_json(path: str, what: str, parse: Callable):
 
 
 def _load_field(args: argparse.Namespace) -> SensorField:
-    a, b = args.domain
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ParameterError(f"--domain must be finite, got {a} {b}")
-    return read_field(args.field, (a, b))
+    return read_field(args.field, _segment(args.domain))
 
 
 def _targets_for(args: argparse.Namespace, field: SensorField) -> TargetSet:
-    if args.targets:
-        return TargetSet(_float_list(args.targets))
+    if args.targets is not None:
+        return TargetSet(_list(args.targets, float))
     return discretize(field)
 
 
@@ -102,6 +93,11 @@ def _result_csv(field: SensorField, result: SelectionResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _trace(args: argparse.Namespace) -> bool:
+    """Whether the output shows a selection trace: only JSON does."""
+    return args.format == "json"
+
+
 def _emit_result(
     args: argparse.Namespace, field: SensorField, result: SelectionResult
 ) -> None:
@@ -112,16 +108,25 @@ def _emit_result(
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    # each shape option applies to one kind; left out, the spec's default holds
+    shape = {
+        "fov": ("--sensor-kind directional", args.sensor_kind == "directional"),
+        "line_sigma": ("--kind line", args.kind == "line"),
+        "strip_height": ("--kind poisson", args.kind == "poisson"),
+    }
+    options = vars(args)
+    for name, (kind, applies) in shape.items():
+        if options[name] is not None and not applies:
+            raise ParameterError(f"--{name.replace('_', '-')} applies to {kind} only")
+    given = {name: options[name] for name in shape if options[name] is not None}
     spec = DeploymentSpec(
         n=args.n,
         width=args.width,
-        strip_height=args.strip_height,
         kind=args.kind,
-        line_sigma=args.line_sigma,
         radius=args.radius,
-        fov=args.fov if args.sensor_kind == "directional" else None,
         sensor_kind=args.sensor_kind,
         seed=args.seed,
+        **given,
     )
     out = sys.stdout if args.out is None or args.out == "-" else args.out
     write_field(generate(spec), out)
@@ -130,13 +135,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_cover(args: argparse.Namespace) -> int:
     field = _load_field(args)
-    _emit_result(args, field, oga_continuous(field, field.domain))
+    result = oga_continuous(field, field.domain, record_trace=_trace(args))
+    _emit_result(args, field, result)
     return 0
 
 
 def cmd_kcover(args: argparse.Namespace) -> int:
     field = _load_field(args)
-    result = k_oga(field, _targets_for(args, field), args.k)
+    targets = _targets_for(args, field)
+    result = k_oga(field, targets, args.k, record_trace=_trace(args))
     _emit_result(args, field, result)
     return 0
 
@@ -144,9 +151,11 @@ def cmd_kcover(args: argparse.Namespace) -> int:
 def cmd_mend(args: argparse.Namespace) -> int:
     field = _load_field(args)
     previous = _read_json(args.result, "result", SelectionResult.from_dict)
-    failed = _int_list(args.failed)
+    failed = _list(args.failed, int)
     gaps = find_gaps(previous, failed, field, field.domain)
-    mended = logm(previous, gaps, field, field.domain, failed_ids=failed)
+    mended = logm(
+        previous, gaps, field, field.domain, failed, record_trace=_trace(args)
+    )
     if args.format == "csv":
         _emit(_result_csv(field, mended), args.out)
     else:
@@ -168,7 +177,9 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         raise ParameterError("--targets applies to --algorithm greedy only")
     field = _load_field(args)
     if greedy:
-        result = greedy_max_coverage(field, _targets_for(args, field))
+        result = greedy_max_coverage(
+            field, _targets_for(args, field), record_trace=_trace(args)
+        )
     else:
         graph = build_barrier_graph(field, field.domain)
         result = k_disjoint_paths(graph, 1 if args.k is None else args.k)
@@ -198,8 +209,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         "base_seed": args.seed,
         "jobs": args.jobs,
         "realizations": args.realizations,
-        "sweep": None if args.sweep is None else tuple(_int_list(args.sweep)),
-        "k_values": None if args.k_values is None else tuple(_int_list(args.k_values)),
+        "sweep": None if args.sweep is None else tuple(_list(args.sweep, int)),
+        "k_values": None if args.k_values is None else tuple(_list(args.k_values, int)),
     }
     overrides = {key: value for key, value in given.items() if value is not None}
     config = ExperimentConfig.from_dict({**config.to_dict(), **overrides})
@@ -276,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sensor-kind", choices=["omni", "directional"],
                    default="directional", dest="sensor_kind")
     p.add_argument("--radius", type=float, default=10.0)
-    p.add_argument("--fov", type=float, default=90.0)
-    p.add_argument("--line-sigma", type=float, default=10.0, dest="line_sigma")
-    p.add_argument("--strip-height", type=float, default=10.0, dest="strip_height")
+    p.add_argument("--fov", type=float, help="degrees (directional; default 90)")
+    p.add_argument("--line-sigma", type=float, help="spread of y (line; default 10)")
+    p.add_argument("--strip-height", type=float, help="height (poisson; default 10)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser(

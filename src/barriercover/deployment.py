@@ -17,13 +17,12 @@ child seed per (base seed, sweep index, realization, attempt) through
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
 
-from .model import ParameterError, Poses, SensorField, SensorKind
+from .model import ParameterError, Poses, SensorField, SensorKind, _count
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -31,6 +30,11 @@ RNG_ALGORITHM = "numpy-pcg64"
 class DeploymentKind(str, Enum):
     LINE = "line"
     POISSON = "poisson"
+
+    @classmethod
+    def _missing_(cls, value):
+        """Coercing anything but a kind or its value is a parameter error."""
+        raise ParameterError(f"unknown deployment kind {value!r}")
 
 
 def child_seed(*parts: int) -> int:
@@ -41,7 +45,12 @@ def child_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class DeploymentSpec:
-    """Parameters of one random deployment."""
+    """Parameters of one random deployment.
+
+    Projections read only x, radius, fov and direction, so redrawing y, or
+    changing ``line_sigma`` or ``strip_height``, leaves every interval
+    bit-identical.
+    """
 
     n: int
     width: float
@@ -54,25 +63,15 @@ class DeploymentSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, DeploymentKind):
-            try:
-                object.__setattr__(self, "kind", DeploymentKind(self.kind))
-            except ValueError:
-                raise ParameterError(
-                    f"unknown deployment kind {self.kind!r}"
-                ) from None
+        object.__setattr__(self, "kind", DeploymentKind(self.kind))
         object.__setattr__(self, "sensor_kind", SensorKind(self.sensor_kind))
         for name in ("n", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, _count(name, getattr(self, name), 0))
         for name in ("width", "strip_height", "line_sigma", "radius", "fov"):
             value = getattr(self, name)
             # fov is None for omni sensors
             if value is not None and not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
-        if self.n < 0:
-            raise ParameterError(f"n must be >= 0, got {self.n}")
         if not self.width > 0:
             raise ParameterError(f"width must be > 0, got {self.width}")
         if self.strip_height < 0:
@@ -85,8 +84,6 @@ class DeploymentSpec:
             self.fov is None or not 0 < self.fov <= 360
         ):
             raise ParameterError(f"fov must be in (0, 360], got {self.fov}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     def with_(self, **kwargs) -> "DeploymentSpec":
         return replace(self, **kwargs)

@@ -41,6 +41,8 @@ from .model import (
     Domain,
     ParameterError,
     SensorField,
+    _count,
+    _segment,
     _sum,
     coverage_fraction,
     discretize,
@@ -70,22 +72,13 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"expected one of {', '.join(EXPERIMENTS)}"
             )
-        object.__setattr__(self, "sweep", tuple(int(x) for x in self.sweep))
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        for name in ("realizations", "base_seed", "jobs"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if not self.sweep:
-            raise ParameterError("sweep must not be empty")
-        if any(x < 1 for x in self.sweep):
-            raise ParameterError(f"sweep values must be >= 1, got {self.sweep}")
-        if self.realizations < 1:
-            raise ParameterError(f"realizations must be >= 1, got {self.realizations}")
-        if self.base_seed < 0:
-            raise ParameterError(f"base_seed must be >= 0, got {self.base_seed}")
-        if not self.k_values or any(k < 1 for k in self.k_values):
-            raise ParameterError(f"k_values must be >= 1, got {self.k_values}")
-        if self.jobs < 1:
-            raise ParameterError(f"jobs must be >= 1, got {self.jobs}")
+        for name in ("sweep", "k_values"):
+            values = tuple(_count(f"{name} entry", x, 1) for x in getattr(self, name))
+            if not values:
+                raise ParameterError(f"{name} must not be empty")
+            object.__setattr__(self, name, values)
+        for name, minimum in (("realizations", 1), ("base_seed", 0), ("jobs", 1)):
+            object.__setattr__(self, name, _count(name, getattr(self, name), minimum))
 
     def to_dict(self) -> dict:
         return {
@@ -254,7 +247,7 @@ def _steps_to_root(succ: np.ndarray) -> np.ndarray:
 
 
 def single_failure_counts(
-    field: SensorField, domain: Domain | None = None
+    field: SensorField, domain: Domain
 ) -> list[tuple[int, int, int, bool]] | None:
     """Mended vs. from-scratch selection sizes for every single failure.
 
@@ -270,11 +263,7 @@ def single_failure_counts(
     b come from pointer jumping, and every pick's skip walk and mend walk
     advance together, one array step per round.
     """
-    if domain is None:
-        domain = field.domain
-    a, b = domain
-    if not a < b:
-        raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
+    a, b = _segment(domain)
     whole = _Frontier.over(field)
     if not whole.covers(a, b):
         return None

@@ -23,6 +23,10 @@ which runs once for every field made from poses: in
 take and return columns of segment ends. A ``TargetSet`` holds its points as one
 read-only, sorted float64 array ``xs``; target sets, like fields,
 compare by identity.
+
+Each input rule has one gate: ``_segment`` for a covered segment,
+``_count`` for whole numbers, ``_targets`` for target sets and
+``_failed`` for failed sensor ids.
 """
 
 from __future__ import annotations
@@ -282,15 +286,37 @@ def _clip(
     return us, vs, ~(us > vs)
 
 
-def _check_domain(domain: Domain) -> None:
+def _segment(domain: Domain) -> Domain:
+    """The segment [a, b] that a selection covers: finite, with a < b."""
     a, b = domain
-    if a > b:
-        raise ParameterError(f"domain needs a <= b, got [{a}, {b}]")
+    if not a < b:
+        raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ParameterError(f"domain must be finite, got [{a}, {b}]")
+    return a, b
+
+
+def _count(name: str, value, minimum: int) -> int:
+    """An integral value, never a bool, of at least ``minimum``, as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _failed(failed_ids: Iterable[int], selected_ids: Iterable[int]) -> set[int]:
+    """The failed ids as a set; each must be one of the selected ids."""
+    failed = set(failed_ids)
+    stray = failed.difference(selected_ids)
+    if stray:
+        raise ParameterError(f"failed ids {sorted(stray)} were never selected")
+    return failed
 
 
 @dataclass(frozen=True, eq=False)
 class TargetSet:
-    """Finite target points on the segment.
+    """Finite target points on the segment, at least one.
 
     ``xs`` is one read-only float64 array, sorted non-decreasing; ``len``,
     iteration and indexing give Python floats. Like fields, target sets
@@ -313,6 +339,8 @@ class TargetSet:
             raise ParameterError(
                 f"targets must be one-dimensional, got shape {xs.shape}"
             )
+        if not xs.size:
+            raise ParameterError("targets must be non-empty")
         # checked before sorting: the first bad target in the order given
         bad = np.flatnonzero(~np.isfinite(xs))
         if bad.size:
@@ -330,6 +358,11 @@ class TargetSet:
 
     def __getitem__(self, i: int) -> float:
         return self.xs.item(i)
+
+
+def _targets(targets: TargetSet | Iterable[float]) -> TargetSet:
+    """The given targets as a ``TargetSet``."""
+    return targets if isinstance(targets, TargetSet) else TargetSet(targets)
 
 
 class SensorField:
@@ -356,7 +389,10 @@ class SensorField:
         domain: Domain,
         poses: Poses | None = None,
     ) -> None:
-        _check_domain(domain)
+        a, b = domain
+        # an unbounded or one-point domain is a field's to hold; NaN is not
+        if not a <= b:
+            raise ParameterError(f"domain needs a <= b, got [{a}, {b}]")
         us = np.asarray(us, dtype=float)
         vs = np.asarray(vs, dtype=float)
         ids = np.asarray(ids, dtype=np.int64)
@@ -502,9 +538,7 @@ def complement_segments(us, vs, domain: Domain) -> tuple[np.ndarray, np.ndarray]
 
 def coverage_fraction(us, vs, domain: Domain) -> float:
     """Fraction of [a, b] covered by the union of the segments."""
-    a, b = domain
-    if not a < b:
-        raise ParameterError(f"domain needs a < b, got [{a}, {b}]")
+    a, b = _segment(domain)
     us, vs, kept = _clip(
         np.asarray(us, dtype=float), np.asarray(vs, dtype=float), domain
     )

@@ -363,7 +363,7 @@ class TestLogm:
         )
         previous = SelectionResult(selected_ids=(0,), fully_covered=False)
         gaps = [Gap(4.0, 5.5), Gap(6.0, 8.0)]
-        mended = logm(previous, gaps, field, (0.0, 10.0))
+        mended = logm(previous, gaps, field, (0.0, 10.0), failed_ids=())
         assert mended.selected_ids == (0, 1)
         assert mended.fully_covered
         assert [s.chosen_id for s in mended.trace] == [1, 1]

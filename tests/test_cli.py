@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from barriercover import cli
+from barriercover import baselines, cli
+from barriercover.algorithms import _Frontier
 from barriercover.cli import main
 from barriercover.harness import run_experiment
 
@@ -109,6 +110,37 @@ class TestCover:
         assert lines[0] == "order,sensor_id,u,v,virtual"
         assert lines[1] == "0,0,0,4.5,0"
         assert lines[-1] == "5,5,16.5,20,0"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cover"],
+            ["kcover", "--k", "2"],
+            ["mend", "--result", "{sel}", "--failed", "1,3"],
+            ["baseline", "--algorithm", "greedy"],
+        ],
+        ids=["cover", "kcover", "mend", "baseline"],
+    )
+    def test_csv_records_no_trace(self, capsys, tmp_path, monkeypatch, argv):
+        sel = tmp_path / "sel.json"
+        assert main(["cover", "--out", str(sel)] + F8) == 0
+        argv = [a.format(sel=sel) for a in argv] + ["--format", "csv"] + F8
+        code, expected, _ = run_main(capsys, argv)
+        assert code == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("CSV output builds no trace")
+
+        # every frontier trace step lists candidates; the greedy baseline
+        # builds its steps itself (mend still reads the trace it is given)
+        monkeypatch.setattr(_Frontier, "candidates", refuse)
+        monkeypatch.setattr(baselines, "SelectionStep", refuse)
+        assert run_main(capsys, argv) == (0, expected, "")
+        if argv[0] == "cover":
+            assert expected == (
+                "order,sensor_id,u,v,virtual\n0,0,0,4.5,0\n1,1,4,7,0\n2,2,6,10,0\n"
+                "3,3,9,13,0\n4,4,12,18,0\n5,5,16.5,20,0\n"
+            )
 
     def test_out_file_round_trips(self, capsys, tmp_path):
         out = tmp_path / "sel.json"
@@ -436,6 +468,22 @@ class TestDiagnostics:
         assert out == ""
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kcover", "--k", "1"],
+            ["baseline", "--algorithm", "greedy"],
+            ["oracle"],
+        ],
+        ids=["kcover", "baseline", "oracle"],
+    )
+    def test_empty_targets_are_refused(self, capsys, argv):
+        # an empty list is a list of no targets, not a missing one
+        code, out, err = run_main(capsys, argv + ["--targets", ""] + F8)
+        assert code == 1
+        assert err == "error: targets must be non-empty\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
         "argv, bad",
         [
             (["kcover", "--k", "1", "--targets", "40000"], "40000.0"),
@@ -473,17 +521,24 @@ class TestDiagnostics:
              "--targets"),
             (["experiment", "--name", "k_barrier", "--timing", "--format", "csv"],
              "--timing"),
+            (["gen", "--n", "3", "--width", "30", "--sensor-kind", "omni",
+              "--fov", "30"], "--fov"),
+            (["gen", "--n", "3", "--width", "30", "--kind", "poisson",
+              "--line-sigma", "3"], "--line-sigma"),
+            (["gen", "--n", "3", "--width", "30", "--kind", "line",
+              "--strip-height", "5"], "--strip-height"),
         ],
         ids=[
             "gen-format", "gen-jobs", "cover-seed", "cover-jobs", "cover-mode",
             "cover-targets", "kcover-seed", "kcover-jobs", "mend-seed",
             "mend-jobs", "baseline-seed", "baseline-jobs", "oracle-seed",
             "oracle-jobs", "greedy-k", "kpaths-targets", "csv-timing",
+            "omni-fov", "poisson-line-sigma", "line-strip-height",
         ],
     )
     def test_no_option_is_ignored(self, capsys, argv, option):
-        # the first fourteen are options the command does not take; the last
-        # three are options the rest of the command would not read
+        # the first fourteen are options the command does not take; the
+        # others are options the rest of the command would not read
         code, out, err = run_main(capsys, argv)
         assert code == 1
         assert option in err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -96,6 +97,11 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             DeploymentSpec.from_dict(data)
 
+    def test_whole_numbers_are_stored_as_python_ints(self):
+        spec = DeploymentSpec(n=np.int64(5), width=80.0, seed=np.uint32(3))
+        assert (type(spec.n), type(spec.seed)) == (int, int)
+        assert json.loads(json.dumps(spec.to_dict()))["n"] == 5
+
     def test_with_replaces(self):
         spec = DeploymentSpec(n=7, width=80.0)
         other = spec.with_(n=9, seed=3)
@@ -148,6 +154,28 @@ class TestGenerate:
         field = generate(spec)
         assert all(s.kind is SensorKind.OMNI for s in field.sensors)
         assert all(s.fov is None for s in field.sensors)
+
+    def test_the_plane_leaves_the_intervals_alone(self):
+        """Projections read x, radius, fov and direction only, so the y
+        draws and the settings that shape them change no interval."""
+
+        def same_intervals(a, b):
+            return all(
+                x.tobytes() == y.tobytes()
+                for x, y in ((a.us, b.us), (a.vs, b.vs), (a.ids, b.ids))
+            )
+
+        line = DeploymentSpec(n=1000, width=300.0, seed=3)
+        poisson = line.with_(kind="poisson")
+        field = generate(line)
+        redrawn = field.poses._replace(y=np.random.default_rng(5).normal(size=1000))
+        assert not np.array_equal(redrawn.y, field.poses.y)
+        assert same_intervals(SensorField.from_poses(redrawn, field.domain), field)
+        assert same_intervals(generate(line.with_(line_sigma=3.0)), field)
+        assert same_intervals(generate(line.with_(line_sigma=0.0)), field)
+        assert same_intervals(
+            generate(poisson.with_(strip_height=50.0)), generate(poisson)
+        )
 
     def test_rng_algorithm_is_pinned(self):
         assert RNG_ALGORITHM == "numpy-pcg64"

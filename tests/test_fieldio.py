@@ -400,3 +400,12 @@ def test_gen_round_trips_through_read_field(capsys, tmp_path, kind, sensor_kind)
         fov=90.0 if sensor_kind == "directional" else None,
     )
     assert_same_field(read_field(path, (0.0, n / 3)), generate(spec))
+
+
+def test_read_field_refuses_a_nan_domain_end(tmp_path):
+    path = tmp_path / "field.jsonl"
+    write_sensors([Sensor.omni(0, 1.0, 0.0, 2.0)], path)
+    for domain in ((math.nan, 20.0), (0.0, math.nan)):
+        # a NaN end would skip the clipping at that end without a word
+        with pytest.raises(ParameterError, match=r"^domain needs a <= b, got \["):
+            read_field(path, domain)

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -56,6 +57,22 @@ class TestExperimentConfig:
             ExperimentConfig(
                 experiment="k_barrier", deployment=dep, sweep=(0,)
             )
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"realizations": 2.7}, "realizations must be an integer, got 2.7"),
+            ({"sweep": "12"}, "sweep entry must be an integer, got '1'"),
+            ({"k_values": [2.9]}, "k_values entry must be an integer, got 2.9"),
+            ({"jobs": True}, "jobs must be an integer, got True"),
+            ({"base_seed": 1.5}, "base_seed must be an integer, got 1.5"),
+        ],
+        ids=["realizations", "sweep", "k_values", "jobs", "base_seed"],
+    )
+    def test_counts_are_whole_numbers(self, override, message):
+        # int() used to truncate these to 2, (1, 2), (2,), 1 and 1
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            tiny_config("k_barrier", **override)
 
     def test_rejects_unknown_keys(self):
         data = default_config("k_barrier").to_dict()

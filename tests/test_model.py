@@ -7,6 +7,18 @@ import math
 import numpy as np
 import pytest
 
+from barriercover.algorithms import (
+    augment_with_gap_sensors,
+    k_oga,
+    logm,
+    oga_continuous,
+)
+from barriercover.baselines import (
+    brute_force_min_kcover,
+    build_barrier_graph,
+    k_disjoint_paths,
+)
+from barriercover.harness import single_failure_counts
 from barriercover.model import (
     ParameterError,
     Sensor,
@@ -371,3 +383,82 @@ class TestCoverageFraction:
     def test_rejects_empty_domain(self):
         with pytest.raises(ParameterError):
             coverage_fraction([], [], (3.0, 3.0))
+
+
+class TestInputGates:
+    """Each input rule has one gate; every entry point that takes such an
+    input goes through it."""
+
+    FIELD = [(0.0, 4.0), (3.0, 10.0)]
+
+    @pytest.mark.parametrize(
+        "select",
+        [
+            lambda field, domain: oga_continuous(field, domain),
+            lambda field, domain: logm(
+                oga_continuous(field, field.domain), [], field, domain, ()
+            ),
+            single_failure_counts,
+            build_barrier_graph,
+            lambda field, domain: coverage_fraction(field.us, field.vs, domain),
+        ],
+        ids=[
+            "oga_continuous", "logm", "single_failure_counts",
+            "build_barrier_graph", "coverage_fraction",
+        ],
+    )
+    def test_a_covered_segment_is_bounded(self, select):
+        field = make_field(self.FIELD, domain=(0.0, 10.0))
+        for domain, message in (
+            ((0.0, math.inf), r"domain must be finite, got \[0.0, inf\]"),
+            ((-math.inf, 10.0), r"domain must be finite, got \[-inf, 10.0\]"),
+            ((math.nan, 10.0), r"domain needs a < b, got \[nan, 10.0\]"),
+            ((0.0, math.nan), r"domain needs a < b, got \[0.0, nan\]"),
+            ((5.0, 5.0), r"domain needs a < b, got \[5.0, 5.0\]"),
+        ):
+            with pytest.raises(ParameterError, match=f"^{message}$"):
+                select(field, domain)
+
+    def test_a_field_holds_unbounded_and_one_point_domains_but_not_nan(self):
+        sensors = [Sensor.omni(0, 1.0, 0.0, 2.0)]
+        assert SensorField.build(sensors, (-math.inf, math.inf)).ids.tolist() == [0]
+        assert SensorField.build(sensors, (3.0, 3.0)).ids.tolist() == [0]
+        for domain in ((math.nan, 1.0), (0.0, math.nan), (2.0, 1.0)):
+            with pytest.raises(ParameterError, match=r"^domain needs a <= b"):
+                SensorField.build(sensors, domain)
+
+    @pytest.mark.parametrize(
+        "select",
+        [
+            lambda field, k: k_oga(field, discretize(field), k),
+            lambda field, k: augment_with_gap_sensors(field, discretize(field), k),
+            lambda field, k: k_disjoint_paths(build_barrier_graph(field, field.domain), k),
+            lambda field, k: brute_force_min_kcover(field, discretize(field), k),
+        ],
+        ids=["k_oga", "augment_with_gap_sensors", "k_disjoint_paths",
+             "brute_force_min_kcover"],
+    )
+    def test_k_is_a_whole_number_of_barriers(self, select):
+        field = make_field(self.FIELD, domain=(0.0, 10.0))
+        for k, message in (
+            (2.5, "k must be an integer, got 2.5"),
+            (True, "k must be an integer, got True"),
+            (np.float64(2.0), "k must be an integer, got .*"),
+            (0, "k must be >= 1, got 0"),
+        ):
+            with pytest.raises(ParameterError, match=f"^{message}$"):
+                select(field, k)
+        assert select(field, np.int64(2)) == select(field, 2)
+
+    def test_target_lists_are_coerced_once_and_never_empty(self):
+        field = make_field([(2.0, 4.0)], domain=(0.0, 10.0))
+        spans = augment_with_gap_sensors(field, [1.0], 1)
+        assert spans == {1: (1.0, 1.0)}
+        assert spans == k_oga(field, [1.0], 1).virtual_spans
+        for select in (
+            lambda targets: TargetSet(targets),
+            lambda targets: augment_with_gap_sensors(field, targets, 1),
+            lambda targets: brute_force_min_kcover(field, targets, 1),
+        ):
+            with pytest.raises(ParameterError, match="^targets must be non-empty$"):
+                select([])

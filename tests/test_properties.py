@@ -491,6 +491,25 @@ class TestFailureMending:
             clean += 1
         assert clean > 80
 
+    @settings(max_examples=300, deadline=None)
+    @given(interval_tables(max_chains=3), st.data())
+    def test_extras_stay_within_the_bound_per_gap(self, field, data):
+        """The abstract's bound with m counting gaps: mending g gaps
+        selects at most 2g - 1 sensors more than a fresh optimal
+        selection. Failures can merge into fewer gaps, so this is sharper
+        than ``test_mended_extras_stay_within_bound``."""
+        domain = field.domain
+        result = oga_continuous(field, domain, record_trace=False)
+        assume(result.fully_covered)
+        failed = data.draw(
+            st.lists(st.sampled_from(result.selected_ids), min_size=1, unique=True)
+        )
+        gaps = find_gaps(result, failed, field, domain)
+        mended = logm(result, gaps, field, domain, failed, record_trace=False)
+        fresh = oga_continuous(field.without(failed), domain, record_trace=False)
+        assume(mended.fully_covered and fresh.fully_covered)
+        assert mended.count - fresh.count <= 2 * len(gaps) - 1
+
     def test_mended_selection_covers_after_random_failures(self):
         rng = np.random.default_rng(11)
         for seed in range(60):
