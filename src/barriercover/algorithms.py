@@ -42,6 +42,7 @@ from .model import (
     _count,
     _failed,
     _segment,
+    _target_spans,
     _targets,
     complement_segments,
 )
@@ -128,9 +129,9 @@ class SelectionResult:
     @classmethod
     def from_dict(cls, data: dict) -> "SelectionResult":
         """The result ``to_dict`` wrote. Ids must be integers in
-        [0, 2**63), every virtual id needs its span, and spans must be
-        finite with u <= v, and the checks of the constructor hold; a
-        fault raises TypeError or ValueError."""
+        [0, 2**63), every virtual id needs its span and every span its
+        virtual id, spans must be finite with u <= v, and the checks of
+        the constructor hold; a fault raises TypeError or ValueError."""
         trace = tuple(
             SelectionStep(
                 current_target=s["current_target"],
@@ -151,6 +152,9 @@ class SelectionResult:
         lacking = [vid for vid in virtual if vid not in spans]
         if lacking:
             raise ValueError(f"virtual sensor {lacking[0]} has no virtual span")
+        stray = [vid for vid in spans if vid not in virtual]
+        if stray:
+            raise ValueError(f"virtual span {stray[0]} has no virtual sensor")
         try:
             return cls(
                 selected_ids=_json_ids(data["selected"], "selected"),
@@ -187,14 +191,6 @@ class Gap:
             raise ParameterError(f"gap needs u < v, got [{self.u}, {self.v}]")
 
 
-def _target_spans(
-    us: np.ndarray, vs: np.ndarray, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per interval [us[i], vs[i]], the first target it covers and one past
-    the last, as indices into the sorted targets ``xs``."""
-    return np.searchsorted(xs, us, "left"), np.searchsorted(xs, vs, "right")
-
-
 def _depth(first: np.ndarray, last: np.ndarray, m: int) -> np.ndarray:
     """How many of the target ranges [first, last) cover each of m targets."""
     step = np.bincount(first, minlength=m + 1) - np.bincount(last, minlength=m + 1)
@@ -213,7 +209,7 @@ def augment_with_gap_sensors(
     last. Fields that already admit a full k-cover need none.
     """
     k = _count("k", k, 1)
-    xs = _targets(targets).xs
+    xs = _targets(targets, field.domain).xs
     return _gap_spans(field, xs, k, *_target_spans(field.us, field.vs, xs))
 
 
@@ -463,13 +459,7 @@ def k_oga(
     targets, plus one per step.
     """
     k = _count("k", k, 1)
-    xs = _targets(targets).xs
-    a, b = field.domain
-    if xs[0] < a or xs[-1] > b:
-        outside = xs.item(0) if xs[0] < a else xs.item(-1)
-        raise ParameterError(
-            f"targets must lie in the domain [{a}, {b}], got {outside}"
-        )
+    xs = _targets(targets, field.domain).xs
     ids = field.ids
     first, last = _target_spans(field.us, field.vs, xs)
     virtual_all = _gap_spans(field, xs, k, first, last)
@@ -581,6 +571,7 @@ def find_gaps(
     gap records which failed sensors overlap it. Gaps come back sorted
     left to right; adjacent failures merge into one gap.
     """
+    _segment(domain)
     failed = _failed(failed_ids, previous.selected_ids)
     ids = np.array(previous.selected_ids, dtype=np.int64)
     us, vs, _ = previous.selected_spans(field)

@@ -38,9 +38,10 @@ from .model import (
     TargetSet,
     _count,
     _segment,
+    _target_spans,
     _targets,
 )
-from .algorithms import SelectionResult, SelectionStep, _target_spans
+from .algorithms import SelectionResult, SelectionStep
 
 LEFT = -1
 RIGHT = -2
@@ -62,21 +63,17 @@ def greedy_max_coverage(
     or no remaining sensor adds coverage; in the latter case the result is
     flagged not fully covered. Never inserts virtual sensors.
     """
-    xs = _targets(targets).xs
+    xs = _targets(targets, field.domain).xs
     m = len(xs)
     ids = field.ids.tolist()
     n = len(ids)
-    if n == 0:
-        return SelectionResult(
-            selected_ids=(), fully_covered=False, trace=(), comparisons=0
-        )
     lo, hi = _target_spans(field.us, field.vs, xs)
     uncovered = np.ones(m, dtype=np.int64)
     available = np.ones(n, dtype=bool)
     selected: list[int] = []
     steps: list[SelectionStep] = []
     comparisons = 0
-    while uncovered.any():
+    while uncovered.any() and available.any():
         prefix = np.concatenate(([0], np.cumsum(uncovered)))
         gains = prefix[hi] - prefix[lo]
         gains[~available] = -1
@@ -254,7 +251,7 @@ def brute_force_min_kcover(
     refused; None marks infeasibility even with every sensor selected.
     """
     k = _count("k", k, 1)
-    targets = _targets(targets)
+    targets = _targets(targets, field.domain)
     n = field.ids.size
     if n > 20:
         raise InstanceTooLargeError(

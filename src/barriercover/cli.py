@@ -204,6 +204,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         config = _read_json(args.config, "config", ExperimentConfig.from_dict)
     else:
         config = default_config(args.name)
+    if args.k_values is not None and config.experiment != "k_barrier":
+        raise ParameterError("--k-values applies to k_barrier only")
     # only what was given overrides the stock or saved configuration
     given = {
         "base_seed": args.seed,

@@ -25,8 +25,8 @@ read-only, sorted float64 array ``xs``; target sets, like fields,
 compare by identity.
 
 Each input rule has one gate: ``_segment`` for a covered segment,
-``_count`` for whole numbers, ``_targets`` for target sets and
-``_failed`` for failed sensor ids.
+``_count`` for whole numbers, ``_targets`` for target sets inside a
+field's domain and ``_failed`` for failed sensor ids.
 """
 
 from __future__ import annotations
@@ -360,9 +360,16 @@ class TargetSet:
         return self.xs.item(i)
 
 
-def _targets(targets: TargetSet | Iterable[float]) -> TargetSet:
-    """The given targets as a ``TargetSet``."""
-    return targets if isinstance(targets, TargetSet) else TargetSet(targets)
+def _targets(targets: TargetSet | Iterable[float], domain: Domain) -> TargetSet:
+    """The given targets as a ``TargetSet``, each inside the closed domain."""
+    targets = targets if isinstance(targets, TargetSet) else TargetSet(targets)
+    a, b = domain
+    lo, hi = targets[0], targets[-1]
+    if lo < a or hi > b:
+        raise ParameterError(
+            f"targets must lie in the domain [{a}, {b}], got {lo if lo < a else hi}"
+        )
+    return targets
 
 
 class SensorField:
@@ -485,6 +492,14 @@ def discretize(field: SensorField) -> TargetSet:
     grid = np.sort(np.concatenate((field.domain, field.us, field.vs)))
     grid = grid[np.append(True, grid[1:] != grid[:-1])]
     return TargetSet((grid[:-1] + grid[1:]) / 2.0)
+
+
+def _target_spans(
+    us: np.ndarray, vs: np.ndarray, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per closed interval [us[i], vs[i]], the first target it covers and
+    one past the last, as indices into the sorted targets ``xs``."""
+    return np.searchsorted(xs, us, "left"), np.searchsorted(xs, vs, "right")
 
 
 def _sum(values: Iterable) -> float:

@@ -16,6 +16,7 @@ from barriercover.algorithms import (
     oga,
     oga_continuous,
 )
+from barriercover.baselines import brute_force_min_kcover, greedy_max_coverage
 from barriercover.model import (
     ParameterError,
     SensorField,
@@ -123,16 +124,23 @@ class TestKOga:
             k_oga(field, discretize(field), 0)
 
     def test_targets_must_lie_in_the_domain(self):
+        # every selector that takes targets refuses the same ones
         field = make_field([(0.0, 4.0)], domain=(0.0, 10.0))
-        for select, xs, bad in (
-            (oga, (1.0, 10.5), "10.5"),
-            (lambda f, t: k_oga(f, t, 2), (3.0, -0.5, 40000.0), "-0.5"),
+        for select in (
+            oga,
+            lambda f, t: k_oga(f, t, 2),
+            lambda f, t: augment_with_gap_sensors(f, t, 1),
+            greedy_max_coverage,
+            lambda f, t: brute_force_min_kcover(f, t, 1),
         ):
-            with pytest.raises(
-                ParameterError,
-                match=rf"^targets must lie in the domain \[0.0, 10.0\], got {bad}$",
+            for xs, bad in (
+                ((1.0, 10.5), "10.5"),
+                ((3.0, -0.5, 40000.0), "-0.5"),
+                ([40000.0], "40000.0"),
             ):
-                select(field, TargetSet(xs))
+                message = rf"^targets must lie in the domain \[0.0, 10.0\], got {bad}$"
+                with pytest.raises(ParameterError, match=message):
+                    select(field, TargetSet(xs))
         # the domain's ends are inside it; what nothing covers is bridged
         sel = oga(field, TargetSet((0.0, 10.0)))
         assert sel.selected_ids == (0, 1)

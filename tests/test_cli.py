@@ -13,7 +13,7 @@ import pytest
 from barriercover import baselines, cli
 from barriercover.algorithms import _Frontier
 from barriercover.cli import main
-from barriercover.harness import run_experiment
+from barriercover.harness import default_config, run_experiment
 
 FIELD8 = str(Path(__file__).parent / "data" / "field8.jsonl")
 F8 = ["--field", FIELD8, "--domain", "0", "20"]
@@ -310,6 +310,17 @@ class TestExperiment:
         a, b = json.loads(out_a), json.loads(out_b)
         assert a["records"] != b["records"]
 
+    def test_k_values_apply_to_k_barrier_only(self, capsys, tmp_path):
+        # a saved config of another experiment is refused as its name is
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(default_config("multi_gap").to_dict()))
+        code, out, err = run_main(
+            capsys, ["experiment", "--config", str(cfg), "--k-values", "7,9"]
+        )
+        assert code == 1
+        assert err == "error: --k-values applies to k_barrier only\n"
+        assert out == ""
+
     def test_needs_name_or_config(self, capsys):
         code, _, err = run_main(capsys, ["experiment"])
         assert code == 1
@@ -430,6 +441,11 @@ class TestDiagnostics:
                 '{"selected": [0], "virtual": [20], "virtual_spans": {"20": [1, 2]}}',
                 "virtual_ids must be a subset of selected_ids",
             ),
+            (
+                '{"selected": [0, 1, 99], "virtual": [],'
+                ' "virtual_spans": {"99": [4.0, 9.0]}}',
+                "virtual span 99 has no virtual sensor",
+            ),
         ],
         ids=[
             "bool-id",
@@ -439,6 +455,7 @@ class TestDiagnostics:
             "reversed-span",
             "duplicate-id",
             "virtual-not-selected",
+            "span-not-virtual",
         ],
     )
     def test_result_file_faults_name_the_file(self, capsys, tmp_path, text, fault):
@@ -488,8 +505,13 @@ class TestDiagnostics:
         [
             (["kcover", "--k", "1", "--targets", "40000"], "40000.0"),
             (["kcover", "--k", "1", "--targets=-5,3"], "-5.0"),
+            (["baseline", "--algorithm", "greedy", "--targets", "40000"], "40000.0"),
+            (["baseline", "--algorithm", "greedy", "--targets=-5,3"], "-5.0"),
+            (["oracle", "--targets", "40000"], "40000.0"),
+            (["oracle", "--targets=-5,3"], "-5.0"),
         ],
-        ids=["above", "below"],
+        ids=["above", "below", "greedy-above", "greedy-below", "oracle-above",
+             "oracle-below"],
     )
     def test_targets_must_lie_in_the_domain(self, capsys, argv, bad):
         code, out, err = run_main(capsys, argv + F8)
@@ -527,6 +549,8 @@ class TestDiagnostics:
               "--line-sigma", "3"], "--line-sigma"),
             (["gen", "--n", "3", "--width", "30", "--kind", "line",
               "--strip-height", "5"], "--strip-height"),
+            (["experiment", "--name", "multi_gap", "--k-values", "7,9"],
+             "--k-values"),
         ],
         ids=[
             "gen-format", "gen-jobs", "cover-seed", "cover-jobs", "cover-mode",
@@ -534,6 +558,7 @@ class TestDiagnostics:
             "mend-jobs", "baseline-seed", "baseline-jobs", "oracle-seed",
             "oracle-jobs", "greedy-k", "kpaths-targets", "csv-timing",
             "omni-fov", "poisson-line-sigma", "line-strip-height",
+            "multi-gap-k-values",
         ],
     )
     def test_no_option_is_ignored(self, capsys, argv, option):

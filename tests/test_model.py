@@ -9,6 +9,7 @@ import pytest
 
 from barriercover.algorithms import (
     augment_with_gap_sensors,
+    find_gaps,
     k_oga,
     logm,
     oga_continuous,
@@ -401,10 +402,13 @@ class TestInputGates:
             single_failure_counts,
             build_barrier_graph,
             lambda field, domain: coverage_fraction(field.us, field.vs, domain),
+            lambda field, domain: find_gaps(
+                oga_continuous(field, field.domain), [], field, domain
+            ),
         ],
         ids=[
             "oga_continuous", "logm", "single_failure_counts",
-            "build_barrier_graph", "coverage_fraction",
+            "build_barrier_graph", "coverage_fraction", "find_gaps",
         ],
     )
     def test_a_covered_segment_is_bounded(self, select):

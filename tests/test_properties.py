@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -19,11 +20,14 @@ from barriercover import (
     TargetSet,
     augment_with_gap_sensors,
     brute_force_min_kcover,
+    build_barrier_graph,
     complement_segments,
     coverage_fraction,
     discretize,
     find_gaps,
     generate,
+    greedy_max_coverage,
+    k_disjoint_paths,
     k_oga,
     logm,
     merge_segments,
@@ -626,3 +630,30 @@ class TestFrontierAgainstNaiveScans:
             lambda **kw: logm(cont, gaps, field, domain, failed, **kw),
             naive_logm(cont, gaps, field, set(failed)),
         )
+
+
+class TestResultFiles:
+    @settings(max_examples=100, deadline=None)
+    @given(interval_tables(max_chains=2), st.integers(min_value=1, max_value=3),
+           st.data())
+    def test_every_selector_result_reads_back(self, field, k, data):
+        """A result written by ``to_dict`` and read back through JSON is the
+        same result, but for ``comparisons``, which the file omits: the
+        reader refuses nothing that a selector or the mender writes."""
+        targets = discretize(field)
+        cont = oga_continuous(field, field.domain)
+        real = [sid for sid in cont.selected_ids if sid not in cont.virtual_ids]
+        failed = data.draw(st.lists(st.sampled_from(real), unique=True, max_size=3)
+                           if real else st.just([]))
+        gaps = find_gaps(cont, failed, field, field.domain)
+        for result in (
+            oga(field, targets),
+            k_oga(field, targets, k),
+            cont,
+            logm(cont, gaps, field, field.domain, failed),
+            greedy_max_coverage(field, targets),
+            k_disjoint_paths(build_barrier_graph(field, field.domain), k),
+        ):
+            text = json.dumps(result.to_dict())
+            read = SelectionResult.from_dict(json.loads(text))
+            assert read == dataclasses.replace(result, comparisons=0)
