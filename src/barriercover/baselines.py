@@ -27,8 +27,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress
-from typing import Mapping
+from itertools import combinations, compress, islice
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -202,6 +202,35 @@ def _gap_free_path(graph: BarrierGraph, alive: np.ndarray) -> np.ndarray | None:
     return rows[path]
 
 
+def _path_rounds(graph: BarrierGraph) -> Iterator[np.ndarray]:
+    """Rows of each round's path (``_gap_free_path``, then node removal),
+    until the alive sensors hold no gap-free path. No round reads k, so
+    every k-path extraction takes the first k rounds."""
+    alive = np.ones(graph.ids.size, dtype=bool)
+    while (rows := _gap_free_path(graph, alive)) is not None:
+        alive[rows] = False
+        yield rows
+
+
+def _k_paths(graph: BarrierGraph, paths: list[np.ndarray], k: int) -> SelectionResult:
+    """The k-path selection from ``paths``, the leading rounds of
+    ``_path_rounds(graph)``: at least k, or all there are. Each missing
+    round takes the terminal edge, bridged by one virtual sensor over the
+    whole domain."""
+    paths = paths[:k]
+    selected = [sid for rows in paths for sid in graph.ids[rows].tolist()]
+    a, b = graph.domain
+    virtual_ids = tuple(range(graph.first_free_id, graph.first_free_id + k - len(paths)))
+    return SelectionResult(
+        selected_ids=tuple(selected) + virtual_ids,
+        virtual_ids=virtual_ids,
+        virtual_spans={vid: (a, b) for vid in virtual_ids},
+        trace=(),
+        fully_covered=not virtual_ids,
+        comparisons=0,
+    )
+
+
 def k_disjoint_paths(graph: BarrierGraph, k: int) -> SelectionResult:
     """k rounds of cheapest-path extraction with node removal.
 
@@ -219,26 +248,7 @@ def k_disjoint_paths(graph: BarrierGraph, k: int) -> SelectionResult:
     real count.
     """
     k = _count("k", k, 1)
-    alive = np.ones(graph.ids.size, dtype=bool)
-    selected: list[int] = []
-    rounds = 0
-    while rounds < k:
-        rows = _gap_free_path(graph, alive)
-        if rows is None:
-            break
-        alive[rows] = False
-        selected += graph.ids[rows].tolist()
-        rounds += 1
-    a, b = graph.domain
-    virtual_ids = tuple(range(graph.first_free_id, graph.first_free_id + k - rounds))
-    return SelectionResult(
-        selected_ids=tuple(selected) + virtual_ids,
-        virtual_ids=virtual_ids,
-        virtual_spans={vid: (a, b) for vid in virtual_ids},
-        trace=(),
-        fully_covered=not virtual_ids,
-        comparisons=0,
-    )
+    return _k_paths(graph, list(islice(_path_rounds(graph), k)), k)
 
 
 def brute_force_min_kcover(

@@ -77,6 +77,20 @@ def _load_field(args: argparse.Namespace) -> SensorField:
     return read_field(args.field, _segment(args.domain))
 
 
+def _read_result(path: str, field: SensorField) -> SelectionResult:
+    """A result file made for ``field``, none of whose virtual ids is a
+    real sensor there."""
+
+    def parse(data: dict) -> SelectionResult:
+        result = SelectionResult.from_dict(data)
+        held = [vid for vid in result.virtual_ids if field.span_of(vid) is not None]
+        if held:
+            raise ValueError(f"virtual sensor {held[0]} is a real sensor of the field")
+        return result
+
+    return _read_json(path, "result", parse)
+
+
 def _targets_for(args: argparse.Namespace, field: SensorField) -> TargetSet:
     if args.targets is not None:
         return TargetSet(_list(args.targets, float))
@@ -150,7 +164,7 @@ def cmd_kcover(args: argparse.Namespace) -> int:
 
 def cmd_mend(args: argparse.Namespace) -> int:
     field = _load_field(args)
-    previous = _read_json(args.result, "result", SelectionResult.from_dict)
+    previous = _read_result(args.result, field)
     failed = _list(args.failed, int)
     gaps = find_gaps(previous, failed, field, field.domain)
     mended = logm(

@@ -28,14 +28,14 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .algorithms import _Frontier, find_gaps, k_oga, logm, oga, oga_continuous
-from .baselines import build_barrier_graph, greedy_max_coverage, k_disjoint_paths
+from .baselines import _k_paths, _path_rounds, build_barrier_graph, greedy_max_coverage
 from .deployment import RNG_ALGORITHM, DeploymentSpec, child_seed, generate
 from .model import (
     Domain,
@@ -158,10 +158,13 @@ class ExperimentReport:
 def _pmap(fn: Callable, tasks: Sequence[tuple], jobs: int) -> list:
     """``fn(*task)`` for every task in order, optionally over worker
     processes: at most ``jobs``, one per task and one per core, since a
-    pool starts all of its workers at once."""
+    pool starts all of its workers at once. The pool's modules load only
+    when workers start, so a serial run never pays for them."""
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(*t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
@@ -403,14 +406,16 @@ def _intersection_rows(
 
 def _k_barrier(config: ExperimentConfig, n: int, r: int) -> list[tuple]:
     """Per k of the config: k_oga and benchmark sizes and whether each
-    covered k times, all on the same field."""
+    covered k times, all on the same field. The benchmark's paths are
+    extracted once, for the largest k; each k reads its first k."""
     field = _field(config, n, r)
     targets = discretize(field)
     graph = build_barrier_graph(field, field.domain)
+    paths = list(islice(_path_rounds(graph), max(config.k_values)))
     out = []
     for k in config.k_values:
         rounds = k_oga(field, targets, k, record_trace=False)
-        bench = k_disjoint_paths(graph, k)
+        bench = _k_paths(graph, paths, k)
         out.append(
             (rounds.count, rounds.fully_covered, bench.count, bench.fully_covered)
         )

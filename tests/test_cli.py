@@ -446,6 +446,11 @@ class TestDiagnostics:
                 ' "virtual_spans": {"99": [4.0, 9.0]}}',
                 "virtual span 99 has no virtual sensor",
             ),
+            (
+                '{"selected": [0, 1, 2], "virtual": [2],'
+                ' "virtual_spans": {"2": [15.0, 16.0]}}',
+                "virtual sensor 2 is a real sensor of the field",
+            ),
         ],
         ids=[
             "bool-id",
@@ -456,18 +461,21 @@ class TestDiagnostics:
             "duplicate-id",
             "virtual-not-selected",
             "span-not-virtual",
+            "virtual-is-real",
         ],
     )
     def test_result_file_faults_name_the_file(self, capsys, tmp_path, text, fault):
         sel = tmp_path / "sel.json"
         sel.write_text(text + "\n")
-        code, out, err = run_main(
-            capsys, ["mend", "--result", str(sel), "--failed", "0"] + F8
-        )
-        assert code == 1
-        assert err.startswith(f"error: malformed result file {sel}: ")
-        assert fault in err
-        assert out == ""
+        for fmt in ("json", "csv"):
+            code, out, err = run_main(
+                capsys,
+                ["mend", "--result", str(sel), "--failed", "0", "--format", fmt] + F8,
+            )
+            assert code == 1, fmt
+            assert err.startswith(f"error: malformed result file {sel}: "), fmt
+            assert fault in err, fmt
+            assert out == "", fmt
 
     @pytest.mark.parametrize(
         "argv, bad",

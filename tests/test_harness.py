@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barriercover import harness
-from barriercover.algorithms import find_gaps, logm, oga_continuous
+from barriercover.algorithms import find_gaps, k_oga, logm, oga_continuous
+from barriercover.baselines import build_barrier_graph, k_disjoint_paths
 from barriercover.deployment import DeploymentSpec, child_seed, generate
 from barriercover.harness import (
     EXPERIMENTS,
@@ -25,7 +30,7 @@ from barriercover.harness import (
     run_experiment,
     single_failure_counts,
 )
-from barriercover.model import ParameterError
+from barriercover.model import ParameterError, discretize
 from conftest import ENDPOINTS, make_field, oracle_single_failure_counts, table_field
 
 
@@ -105,7 +110,7 @@ class TestWorkerPool:
             def map(self, fn, *columns, chunksize=1):
                 return map(fn, *columns)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         tasks = [(-i,) for i in range(10)]
         assert harness._pmap(abs, tasks, 100_000) == list(range(10))
@@ -115,6 +120,22 @@ class TestWorkerPool:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert harness._pmap(abs, tasks, 100_000) == list(range(10))
         assert started == [4, 3, 2]
+
+    def test_importing_the_package_loads_no_pool(self):
+        # compared with the modules loaded at start-up, as .pth files may add some
+        code = (
+            "import sys; before = set(sys.modules); "
+            "import barriercover, barriercover.cli; "
+            "print(sorted(m for m in set(sys.modules) - before"
+            " if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        src = str(Path(harness.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert done.stdout == "[]\n"
 
 
 class TestPrefixCoverage:
@@ -216,6 +237,29 @@ class TestRunners:
         report = run_experiment(config)
         assert len(report.records) == 4
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("k_values", [(2, 4), (4, 2), (3, 3)])
+    def test_k_barrier_matches_the_selectors_per_k(self, k_values):
+        config = tiny_config("k_barrier", k_values=list(k_values))
+        missing = set()
+        for n in (50, 100):
+            for r in range(15):
+                field = harness._field(config, n, r)
+                targets = discretize(field)
+                graph = build_barrier_graph(field, field.domain)
+                expected = []
+                for k in k_values:
+                    rounds = k_oga(field, targets, k, record_trace=False)
+                    bench = k_disjoint_paths(graph, k)
+                    expected.append(
+                        (rounds.count, rounds.fully_covered,
+                         bench.count, bench.fully_covered)
+                    )
+                assert harness._k_barrier(config, n, r) == expected
+                missing.add(len(k_disjoint_paths(graph, max(k_values)).virtual_ids))
+        # fields with enough gap-free paths, and fields with some but too few
+        assert 0 in missing
+        assert any(0 < m < max(k_values) for m in missing)
 
     def test_single_failure_diff_bounds(self):
         config = tiny_config(
