@@ -28,6 +28,7 @@ from .algorithms import (
     logm,
     oga,
     oga_continuous,
+    single_failure_counts,
 )
 from .baselines import (
     LEFT,
@@ -60,7 +61,6 @@ from .harness import (
     default_config,
     prefix_coverage,
     run_experiment,
-    single_failure_counts,
 )
 from .model import (
     Domain,

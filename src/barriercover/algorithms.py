@@ -15,13 +15,16 @@ The selectors here solve minimum-cardinality coverage of a line segment
 * ``find_gaps`` / ``logm``: after some selected sensors fail, locate the
   uncovered stretches and mend each one locally with fresh sensors
   instead of re-running selection from scratch.
+* ``single_failure_counts``: mended vs. from-scratch selection sizes for
+  every single failure of a continuous selection, all at once.
 
-Stretches that no sensor covers are bridged by virtual gap sensors so
-the main loops never stall; ``k_oga`` adds them up front
-(``augment_with_gap_sensors``). A field holds real sensors only: the
-virtual ones exist only in a result, as ids in ``virtual_ids`` with
-their spans in ``virtual_spans``, and a selection counts as fully
-covered only when no virtual sensor was needed.
+Every one walks a ``_Frontier`` table: ``walk`` for one frontier,
+``walk_all`` for many at once. Stretches that no sensor covers are
+bridged by virtual gap sensors so the walks never stall; ``k_oga`` adds
+them up front (``augment_with_gap_sensors``). A field holds real sensors
+only: the virtual ones exist only in a result, as ids in
+``virtual_ids`` with their spans in ``virtual_spans``, and a selection
+counts as fully covered only when no virtual sensor was needed.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .model import (
     TargetSet,
     _count,
     _failed,
+    _first_max,
     _segment,
     _target_spans,
     _targets,
@@ -269,15 +273,9 @@ class _Frontier:
 
     def __init__(self, u: np.ndarray, v: np.ndarray, ids: np.ndarray) -> None:
         self.u, self.v, self.ids = u, v, ids
-        self.m = m = len(u)
-        self.best = best = np.empty(m + 1)
-        best[m] = -np.inf
-        np.maximum.accumulate(v, out=best[:m])
-        # the running maximum of the positions that set a new best
-        self.arg = arg = np.arange(m + 1)
-        arg[1:m][v[1:] <= best[: m - 1]] = 0
-        np.maximum.accumulate(arg, out=arg)
-        arg[m] = -1
+        self.m = len(u)
+        self.best, self.arg = best, arg = _first_max(np.concatenate((v, [-np.inf])))
+        best[-1], arg[-1] = -np.inf, -1  # the sentinel: no reach, no position
         # candidate listing for traces: the positions with u <= f < v for
         # the last f asked about, and how far the table has been entered
         self._listed_at = -np.inf
@@ -308,27 +306,40 @@ class _Frontier:
         runner_up = np.where(self.v > before, before, self.v)
         return np.concatenate((np.maximum.accumulate(runner_up), [-np.inf]))
 
-    def step_all(
-        self, f: np.ndarray, end, skip: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One ``walk`` step from every frontier in f at once: the reaches,
-        and whether a real interval made each.
-
-        ``end`` is one stretch end or one per frontier. With ``skip``,
-        frontier f[i] steps as if table position skip[i] were absent: the
-        runner-up wins where the skipped position would have, and a bridge
-        passes over it to the next position with positive extent.
+    def walk_all(
+        self, f: np.ndarray, stop, end, skip: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``walk`` from every frontier in f at once, each until it reaches
+        its stop: where each walk left off, its step count, and whether it
+        never bridged. ``stop`` and ``end`` (where a bridge ends at the
+        latest) are one value or one per frontier. With ``skip``, f[i]
+        walks as if table position skip[i] were absent: the runner-up wins
+        where the skipped position would have, and a bridge passes over it
+        to the next position with positive extent.
         """
-        pos = np.searchsorted(self.u, f, "right")
-        reach = self.best[pos - 1]
-        p = self.nxt[pos]
-        if skip is not None:
-            reach = np.where(self.arg[pos - 1] == skip, self.second[pos - 1], reach)
-            hit = p == skip
-            p[hit] = self.nxt[p[hit] + 1]
-        real = reach > f
-        bridge = np.minimum(np.append(self.u, np.inf)[p], end)
-        return np.where(real, reach, bridge), real
+        f = np.array(f, dtype=float)
+        stop, end = np.full(f.shape, stop), np.full(f.shape, end)
+        steps = np.zeros(f.size, dtype=np.int64)
+        clean = np.ones(f.size, dtype=bool)
+        bridge_ends = np.append(self.u, np.inf)
+        walking = np.flatnonzero(f < stop)
+        while walking.size:
+            at = f[walking]
+            pos = np.searchsorted(self.u, at, "right")
+            reach = self.best[pos - 1]
+            p = self.nxt[pos]
+            if skip is not None:
+                gone = skip[walking]
+                reach = np.where(self.arg[pos - 1] == gone, self.second[pos - 1], reach)
+                hit = p == gone
+                p[hit] = self.nxt[p[hit] + 1]
+            real = reach > at
+            reach = np.where(real, reach, np.minimum(bridge_ends[p], end[walking]))
+            f[walking] = reach
+            steps[walking] += 1
+            clean[walking] &= real
+            walking = walking[reach < stop[walking]]
+        return f, steps, clean
 
     def covers(self, a, b) -> bool:
         """Whether ``walk(a, b)`` never bridges.
@@ -600,9 +611,14 @@ def logm(
     not selected previously, from the gap's left edge until its right edge
     is covered. Virtual sensors are inserted only where no usable sensor
     exists. ``failed_ids`` names every failed sensor, also one that
-    opened no gap at all.
+    opened no gap at all. Every gap must lie in the domain.
     """
-    _segment(domain)
+    a, b = _segment(domain)
+    stray = [g for g in gaps if not (a <= g.u and g.v <= b)]
+    if stray:
+        raise ParameterError(
+            f"gaps must lie in the domain [{a}, {b}], got [{stray[0].u}, {stray[0].v}]"
+        )
     failed = _failed(failed_ids, previous.selected_ids)
     previously = set(previous.selected_ids)
     surviving = [sid for sid in previous.selected_ids if sid not in failed]
@@ -618,4 +634,113 @@ def logm(
         virtual_spans,
         max(field.max_id, max(previously, default=-1)) + 1,
         record_trace,
+    )
+
+
+# --------------------------------------------------------------------------
+# fast per-failure evaluation
+#
+# Removing one sensor from a frontier-greedy selection chain leaves the
+# earlier picks covering [a, f] (f = the frontier when the failed sensor
+# was picked) and the later picks covering from min(their left endpoints)
+# onward, so exactly one hole opens. Mending it and re-running selection
+# from scratch both advance a frontier by "furthest reach among intervals
+# touching it", which depends only on the frontier position, never on
+# tie-breaking among equal reaches: the chain is Markov in the frontier.
+#
+# So one successor table per field answers every failure at once. Its
+# states are the table positions: state i stands for the frontier at
+# v[i], the only values a winning step reaches, and its successor is the
+# position that wins from there. Pointer jumping (Wyllie 1979) gives every
+# state its number of steps to b in about log2(chain length) rounds of
+# gathers, and the selection is the chain of successors from the winner
+# at a. The from-scratch count for pick t is t, plus the few steps that
+# walk past the failed interval with it removed, plus the steps to b from
+# where that walk leaves off. The mend is a walk over the never-selected
+# sensors from the pick's frontier to where the later picks resume. Both
+# walks advance every pick at once (``_Frontier.walk_all``) and end within
+# a few rounds. ``single_failure_counts`` is cross-checked against the
+# plain ``find_gaps`` + ``logm`` + fresh ``oga_continuous`` route and
+# against the former memoized per-pick walks in the test suite.
+# --------------------------------------------------------------------------
+
+
+def _steps_to_root(succ: np.ndarray) -> np.ndarray:
+    """Per node of a successor forest, the links to its root (a node that
+    is its own successor), by pointer jumping."""
+    jump = succ
+    dist = (succ != np.arange(succ.size)).astype(np.int64)
+    ahead = jump[jump]
+    while (ahead != jump).any():
+        dist += dist[jump]
+        jump, ahead = ahead, ahead[ahead]
+    return dist
+
+
+def single_failure_counts(
+    field: SensorField, domain: Domain
+) -> list[tuple[int, int, int, bool]] | None:
+    """Mended vs. from-scratch selection sizes for every single failure.
+
+    Runs the continuous frontier selection once, then for each selected
+    sensor in turn reports ``(failed_id, mended_total, fresh_total,
+    clean)``: the total selection size after locating and locally mending
+    that sensor's hole, the size of a fresh selection over the surviving
+    field, and whether both sides managed without virtual gap sensors.
+    Returns None when the initial selection itself is not fully covered.
+
+    Works on one successor table over the field's positions (see the
+    comment above): the selection is a chain of successors, the steps to
+    b come from pointer jumping, and every pick's skip walk and mend walk
+    are one ``walk_all`` each.
+    """
+    a, b = _segment(domain)
+    whole = _Frontier.over(field)
+    if not whole.covers(a, b):
+        return None
+    # state i is the frontier at v[i]. With no hole in [a, b), a real
+    # interval wins every step from there, and its position is the
+    # successor; depth[i] is the number of steps from v[i] on to b
+    v = whole.v
+    live = np.flatnonzero((a <= v) & (v < b))
+    succ = np.arange(whole.m)
+    succ[live] = whole.winners(v[live])
+    depth = _steps_to_root(succ)
+
+    # the selection: the winner at a, then its successors; at[t] is the
+    # frontier that pick t was made at
+    pick = whole.winners(np.array([a])).item()
+    chain = [pick]
+    links = succ.tolist()
+    for _ in range(depth.item(pick)):
+        pick = links[pick]
+        chain.append(pick)
+    picks = np.array(chain)
+    n_sel = picks.size
+    at = np.append(a, v[picks[:-1]])
+
+    # from scratch without pick t: walk with it removed until the
+    # frontier passes its right end, then follow the table
+    f, skipped, fresh_clean = whole.walk_all(at, np.minimum(v[picks], b), b, picks)
+    # the walk stops at a value, not at a state (a runner-up's v, or a u
+    # after a bridge), so take one table step from there first
+    rest = np.where(f < b, 1 + depth[whole.winners(f)], 0)
+    fresh = np.arange(n_sel) + skipped + rest
+
+    # the mend: never-selected sensors from the pick's frontier to the
+    # leftmost left end among the later picks, where coverage resumes
+    unpicked = np.ones(whole.m, dtype=bool)
+    unpicked[picks] = False
+    pool = _Frontier.over(field, unpicked)
+    resume = np.minimum.accumulate(whole.u[picks][::-1])[::-1]
+    end = np.minimum(np.append(resume[1:], b), b)
+    _, mend, mend_clean = pool.walk_all(at, end, end)
+
+    return list(
+        zip(
+            field.ids[picks].tolist(),
+            (n_sel - 1 + mend).tolist(),
+            fresh.tolist(),
+            (fresh_clean & mend_clean).tolist(),
+        )
     )

@@ -1,12 +1,15 @@
 """Seeded Monte-Carlo studies over random deployments.
 
-An experiment is a worker plus a reduction, one row of ``_EXPERIMENTS``.
-``run_experiment`` runs the worker once per (sweep value, realization) on
-a freshly generated field, and hands each sweep value's outcomes, in
-realization order, to the reduction, which returns that value's report
-rows. Every random draw is keyed by ``child_seed(base_seed, <labels>)``,
-so reports are byte-identical for a given configuration no matter how
-many worker processes run the realizations.
+This module holds the studies only: the selectors and walks they run,
+``single_failure_counts`` included, are in ``algorithms`` and
+``baselines``. An experiment is a worker plus a reduction, one row of
+``_EXPERIMENTS``. ``run_experiment`` runs the worker once per (sweep
+value, realization) on a freshly generated field, and hands each sweep
+value's outcomes, in realization order, to the reduction, which returns
+that value's report rows. Every random draw is keyed by
+``child_seed(base_seed, <labels>)``, so reports are byte-identical for a
+given configuration no matter how many worker processes run the
+realizations.
 
 Experiments
 -----------
@@ -34,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algorithms import _Frontier, find_gaps, k_oga, logm, oga, oga_continuous
+from .algorithms import find_gaps, k_oga, logm, oga, oga_continuous, single_failure_counts
 from .baselines import _k_paths, _path_rounds, build_barrier_graph, greedy_max_coverage
 from .deployment import RNG_ALGORITHM, DeploymentSpec, child_seed, generate
 from .model import (
@@ -42,7 +45,6 @@ from .model import (
     ParameterError,
     SensorField,
     _count,
-    _segment,
     _sum,
     coverage_fraction,
     discretize,
@@ -207,131 +209,6 @@ def curve_intersection(
             return float(i)
         return (i - 1) + before / denom
     return None
-
-
-# --------------------------------------------------------------------------
-# fast per-failure evaluation
-#
-# Removing one sensor from a frontier-greedy selection chain leaves the
-# earlier picks covering [a, f] (f = the frontier when the failed sensor
-# was picked) and the later picks covering from min(their left endpoints)
-# onward, so exactly one hole opens. Mending it and re-running selection
-# from scratch both advance a frontier by "furthest reach among intervals
-# touching it", which depends only on the frontier position, never on
-# tie-breaking among equal reaches: the chain is Markov in the frontier.
-#
-# So one successor table per field answers every failure at once. Its
-# states are the table positions: state i stands for the frontier at
-# v[i], the only values a winning step reaches, and its successor is the
-# position that wins from there. Pointer jumping (Wyllie 1979) gives every
-# state its number of steps to b in about log2(chain length) rounds of
-# gathers, and the selection is the chain of successors from the winner
-# at a. The from-scratch count for pick t is t, plus the few steps that
-# walk past the failed interval with it removed, plus the steps to b from
-# where that walk leaves off. The mend is a walk over the never-selected
-# sensors from the pick's frontier to where the later picks resume. Both
-# walks advance every pick at once, one array step per round, and end
-# within a few rounds. ``single_failure_counts`` is cross-checked against
-# the plain ``find_gaps`` + ``logm`` + fresh ``oga_continuous`` route and
-# against the former memoized per-pick walks in the test suite.
-# --------------------------------------------------------------------------
-
-
-def _steps_to_root(succ: np.ndarray) -> np.ndarray:
-    """Per node of a successor forest, the links to its root (a node that
-    is its own successor), by pointer jumping."""
-    jump = succ
-    dist = (succ != np.arange(succ.size)).astype(np.int64)
-    ahead = jump[jump]
-    while (ahead != jump).any():
-        dist += dist[jump]
-        jump, ahead = ahead, ahead[ahead]
-    return dist
-
-
-def single_failure_counts(
-    field: SensorField, domain: Domain
-) -> list[tuple[int, int, int, bool]] | None:
-    """Mended vs. from-scratch selection sizes for every single failure.
-
-    Runs the continuous frontier selection once, then for each selected
-    sensor in turn reports ``(failed_id, mended_total, fresh_total,
-    clean)``: the total selection size after locating and locally mending
-    that sensor's hole, the size of a fresh selection over the surviving
-    field, and whether both sides managed without virtual gap sensors.
-    Returns None when the initial selection itself is not fully covered.
-
-    Works on one successor table over the field's positions (see the
-    comment above): the selection is a chain of successors, the steps to
-    b come from pointer jumping, and every pick's skip walk and mend walk
-    advance together, one array step per round.
-    """
-    a, b = _segment(domain)
-    whole = _Frontier.over(field)
-    if not whole.covers(a, b):
-        return None
-    # state i is the frontier at v[i]. With no hole in [a, b), a real
-    # interval wins every step from there, and its position is the
-    # successor; depth[i] is the number of steps from v[i] on to b
-    v = whole.v
-    live = np.flatnonzero((a <= v) & (v < b))
-    succ = np.arange(whole.m)
-    succ[live] = whole.winners(v[live])
-    depth = _steps_to_root(succ)
-
-    # the selection: the winner at a, then its successors; at[t] is the
-    # frontier that pick t was made at
-    pick = whole.winners(np.array([a])).item()
-    chain = [pick]
-    links = succ.tolist()
-    for _ in range(depth.item(pick)):
-        pick = links[pick]
-        chain.append(pick)
-    picks = np.array(chain)
-    n_sel = picks.size
-    at = np.append(a, v[picks[:-1]])
-
-    # from scratch without pick t: step with it removed until the
-    # frontier passes its right end, then follow the table
-    f = at.copy()
-    skipped = np.zeros(n_sel, dtype=np.int64)
-    clean = np.ones(n_sel, dtype=bool)
-    right = v[picks]
-    walking = np.arange(n_sel)
-    while walking.size:
-        f[walking], real = whole.step_all(f[walking], b, picks[walking])
-        skipped[walking] += 1
-        clean[walking] &= real
-        walking = walking[(f[walking] < b) & (f[walking] < right[walking])]
-    # the walk stops at a value, not at a state (a runner-up's v, or a u
-    # after a bridge), so take one table step from there first
-    rest = np.where(f < b, 1 + depth[whole.winners(f)], 0)
-    fresh = np.arange(n_sel) + skipped + rest
-
-    # the mend: never-selected sensors from the pick's frontier to the
-    # leftmost left end among the later picks, where coverage resumes
-    unpicked = np.ones(whole.m, dtype=bool)
-    unpicked[picks] = False
-    pool = _Frontier.over(field, unpicked)
-    resume = np.minimum.accumulate(whole.u[picks][::-1])[::-1]
-    end = np.minimum(np.append(resume[1:], b), b)
-    f = at.copy()
-    mend = np.zeros(n_sel, dtype=np.int64)
-    walking = np.flatnonzero(f < end)
-    while walking.size:
-        f[walking], real = pool.step_all(f[walking], end[walking])
-        mend[walking] += 1
-        clean[walking] &= real
-        walking = walking[f[walking] < end[walking]]
-
-    return list(
-        zip(
-            field.ids[picks].tolist(),
-            (n_sel - 1 + mend).tolist(),
-            fresh.tolist(),
-            clean.tolist(),
-        )
-    )
 
 
 # --------------------------------------------------------------------------
@@ -592,9 +469,7 @@ _EXPERIMENTS = {
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
-def default_config(
-    experiment: str, *, base_seed: int = 0, jobs: int = 1
-) -> ExperimentConfig:
+def default_config(experiment: str) -> ExperimentConfig:
     """The stock configuration for each experiment."""
     if experiment not in _EXPERIMENTS:
         raise ParameterError(
@@ -607,6 +482,4 @@ def default_config(
         deployment=deployment,
         sweep=sweep,
         realizations=realizations,
-        base_seed=base_seed,
-        jobs=jobs,
     )

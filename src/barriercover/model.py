@@ -481,12 +481,13 @@ class SensorField:
 def discretize(field: SensorField) -> TargetSet:
     """Representative targets: midpoints of the elementary sub-intervals.
 
-    The sorted, deduplicated set of all interval endpoints plus the domain
-    endpoints cuts the domain into elementary sub-intervals; the midpoint
-    of each becomes one target. A set of sensors 1-covers these midpoints
-    exactly when it covers the whole continuous segment, because interval
-    endpoints never fall strictly inside an elementary sub-interval.
+    The sorted, deduplicated set of all interval endpoints plus the ends
+    of the domain, which must be finite with a < b, cuts the domain into
+    elementary sub-intervals; the midpoint of each becomes one target. A
+    set of sensors 1-covers these midpoints exactly when it covers the
+    whole segment, as no endpoint falls strictly inside a sub-interval.
     """
+    _segment(field.domain)
     if not field.ids.size:
         raise ParameterError("discretize needs a field with at least one interval")
     grid = np.sort(np.concatenate((field.domain, field.us, field.vs)))
@@ -509,13 +510,14 @@ def _sum(values: Iterable) -> float:
     return reduce(operator.add, values, 0)
 
 
-def _first_max(x: np.ndarray) -> np.ndarray:
-    """Running maximum of a non-empty x that keeps the earlier of equal
-    values, as ``max`` does; numpy's keeps the later, which tells -0.0
-    from 0.0."""
-    best = np.maximum.accumulate(x)
-    new = np.append(True, x[1:] > best[:-1])
-    return x[np.maximum.accumulate(np.where(new, np.arange(x.size), 0))]
+def _first_max(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running maximum of x and the first position that holds it, at every
+    position; x may be empty. Of equal values the earlier is kept, as
+    ``max`` does; numpy's keeps the later, which tells -0.0 from 0.0."""
+    at = np.arange(x.size)
+    at[1:] *= x[1:] > np.maximum.accumulate(x)[:-1]
+    at = np.maximum.accumulate(at)
+    return x[at], at
 
 
 def merge_segments(us, vs) -> tuple[np.ndarray, np.ndarray]:
@@ -532,7 +534,7 @@ def merge_segments(us, vs) -> tuple[np.ndarray, np.ndarray]:
     us, vs = us[order], vs[order]
     if not us.size:
         return us, vs
-    reach = _first_max(vs)
+    reach, _ = _first_max(vs)
     starts = np.flatnonzero(np.append(True, us[1:] > reach[:-1]))
     return us[starts], reach[np.append(starts[1:], us.size) - 1]
 
@@ -545,7 +547,7 @@ def complement_segments(us, vs, domain: Domain) -> tuple[np.ndarray, np.ndarray]
     meets = (vs >= a) & (us <= b)
     us, vs, _ = _clip(us[meets], vs[meets], domain)
     # a stretch runs from the furthest end so far to the next block's start
-    lo = _first_max(np.append(a, vs))
+    lo, _ = _first_max(np.append(a, vs))
     hi = np.append(us, b)
     gap = hi > lo
     return lo[gap], hi[gap]

@@ -8,6 +8,7 @@ not a crashed run.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import time
@@ -64,7 +65,8 @@ def k_cover_instances(k):
 
 @functools.lru_cache(maxsize=None)
 def single_failure_records():
-    return run_experiment(default_config("single_failure", jobs=JOBS)).records
+    config = dataclasses.replace(default_config("single_failure"), jobs=JOBS)
+    return run_experiment(config).records
 
 
 def test_01_single_cover_minimality(report):
@@ -157,8 +159,9 @@ def test_05b_single_failure_extra_mean(report):
 
 
 def test_06_multi_gap_bound_and_monotone_mean(report):
+    config = dataclasses.replace(default_config("multi_gap"), jobs=JOBS)
     start = time.perf_counter()
-    records = run_experiment(default_config("multi_gap", jobs=JOBS)).records
+    records = run_experiment(config).records
     wall = time.perf_counter() - start
     violations = sum(row["violations"] for row in records)
     means = [row["mean_extra"] for row in records]
@@ -204,7 +207,7 @@ def test_07_frontier_beats_plain_greedy(report):
 
 
 def test_08_kcover_beats_path_benchmark(report):
-    base = default_config("k_barrier", jobs=JOBS)
+    base = dataclasses.replace(default_config("k_barrier"), jobs=JOBS)
     config = ExperimentConfig.from_dict({**base.to_dict(), "realizations": 50})
     records = run_experiment(config).records
     measured = [row for row in records if row["coverable"]]

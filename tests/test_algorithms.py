@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -375,6 +377,26 @@ class TestLogm:
         assert mended.selected_ids == (0, 1)
         assert mended.fully_covered
         assert [s.chosen_id for s in mended.trace] == [1, 1]
+
+    @pytest.mark.parametrize(
+        "gap, shown",
+        [
+            (Gap(5.0, math.inf), r"\[5.0, inf\]"),
+            (Gap(20.0, 30.0), r"\[20.0, 30.0\]"),
+            (Gap(-1.0, 2.0), r"\[-1.0, 2.0\]"),
+        ],
+        ids=["unbounded", "past-the-end", "before-the-start"],
+    )
+    def test_gaps_must_lie_in_the_domain(self, gap, shown):
+        field = make_field([(0.0, 5.0), (4.0, 9.0), (8.0, 12.0)], domain=(0.0, 12.0))
+        sel = oga_continuous(field, (0.0, 12.0))
+        message = r"^gaps must lie in the domain \[0.0, 12.0\], got " + shown + "$"
+        with pytest.raises(ParameterError, match=message):
+            logm(sel, [Gap(4.0, 5.0), gap], field, (0.0, 12.0), failed_ids=[1])
+        # a gap may reach both ends of the domain; no unselected sensor
+        # is left, so a virtual one spans it
+        whole = logm(sel, [Gap(0.0, 12.0)], field, (0.0, 12.0), failed_ids=[1])
+        assert whole.virtual_spans == {3: (0.0, 12.0)}
 
     def test_mended_union_always_covers(self):
         import sys

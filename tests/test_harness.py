@@ -17,7 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barriercover import harness
-from barriercover.algorithms import find_gaps, k_oga, logm, oga_continuous
+from barriercover.algorithms import (
+    find_gaps,
+    k_oga,
+    logm,
+    oga_continuous,
+    single_failure_counts,
+)
 from barriercover.baselines import build_barrier_graph, k_disjoint_paths
 from barriercover.deployment import DeploymentSpec, child_seed, generate
 from barriercover.harness import (
@@ -28,7 +34,6 @@ from barriercover.harness import (
     default_config,
     prefix_coverage,
     run_experiment,
-    single_failure_counts,
 )
 from barriercover.model import ParameterError, discretize
 from conftest import ENDPOINTS, make_field, oracle_single_failure_counts, table_field
@@ -43,7 +48,7 @@ def tiny_config(experiment, **overrides):
 
 class TestExperimentConfig:
     def test_round_trip(self):
-        config = default_config("k_barrier", base_seed=5, jobs=2)
+        config = dataclasses.replace(default_config("k_barrier"), base_seed=5, jobs=2)
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
     def test_rejects_unknown_experiment(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -13,13 +14,13 @@ from barriercover.algorithms import (
     k_oga,
     logm,
     oga_continuous,
+    single_failure_counts,
 )
 from barriercover.baselines import (
     brute_force_min_kcover,
     build_barrier_graph,
     k_disjoint_paths,
 )
-from barriercover.harness import single_failure_counts
 from barriercover.model import (
     ParameterError,
     Sensor,
@@ -386,6 +387,15 @@ class TestCoverageFraction:
             coverage_fraction([], [], (3.0, 3.0))
 
 
+def _on_domain(field, domain):
+    """A copy of the field on another domain, set after construction so
+    that even a NaN end, which a field refuses, reaches the segment gate
+    of a function that reads the field's own domain."""
+    field = copy.copy(field)
+    field.domain = domain
+    return field
+
+
 class TestInputGates:
     """Each input rule has one gate; every entry point that takes such an
     input goes through it."""
@@ -405,10 +415,11 @@ class TestInputGates:
             lambda field, domain: find_gaps(
                 oga_continuous(field, field.domain), [], field, domain
             ),
+            lambda field, domain: discretize(_on_domain(field, domain)),
         ],
         ids=[
             "oga_continuous", "logm", "single_failure_counts",
-            "build_barrier_graph", "coverage_fraction", "find_gaps",
+            "build_barrier_graph", "coverage_fraction", "find_gaps", "discretize",
         ],
     )
     def test_a_covered_segment_is_bounded(self, select):

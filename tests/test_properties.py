@@ -541,15 +541,19 @@ class TestFrontierAgainstNaiveScans:
     @settings(max_examples=150, deadline=None)
     @given(interval_tables())
     def test_array_step_matches_naive_scans(self, field):
-        """``step_all`` from every grid frontier, with each position in
-        turn removed and with none, against full scans of the table."""
+        """One-step ``walk_all`` from every grid frontier, with each
+        position in turn removed and with none, against full scans of the
+        table. Any step passes the next double up, so each walk stops
+        after one."""
         frontier = _Frontier.over(field)
         spans = list(zip(field.us.tolist(), field.vs.tolist()))
         end = 10.0
         f = np.array([x for x in ENDPOINTS if x < end])
+        stop = np.nextafter(f, np.inf)
         for removed in (None, *range(frontier.m)):
             skip = None if removed is None else np.full(f.size, removed)
-            reach, real = frontier.step_all(f, end, skip)
+            reach, steps, real = frontier.walk_all(f, stop, end, skip)
+            assert steps.tolist() == [1] * f.size
             rows = [(u, v) for i, (u, v) in enumerate(spans) if i != removed]
             for x, got, made in zip(f.tolist(), reach.tolist(), real.tolist()):
                 reaches = [v for u, v in rows if u <= x < v]
@@ -558,6 +562,21 @@ class TestFrontierAgainstNaiveScans:
                     assert (got, made) == (max(reaches), True)
                 else:
                     assert (got, made) == (min(resumes + [end]), False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(interval_tables())
+    def test_batched_walks_match_the_scalar_walk(self, field):
+        """``walk_all(f, e, e)`` from every grid frontier f below each
+        stretch end e: the steps, the end point and whether the walk never
+        bridged are those of the scalar ``walk(f, e)``."""
+        frontier = _Frontier.over(field)
+        for e in ENDPOINTS[1:]:
+            f = np.array([x for x in ENDPOINTS if x < e])
+            last, steps, clean = frontier.walk_all(f, e, e)
+            walks = zip(f.tolist(), last.tolist(), steps.tolist(), clean.tolist())
+            for x, *got in walks:
+                winners, reaches = frontier.walk(x, e)
+                assert got == [reaches[-1], len(winners), -1 not in winners]
 
     @settings(max_examples=100, deadline=None)
     @given(interval_tables())
