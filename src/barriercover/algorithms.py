@@ -42,6 +42,7 @@ from .model import (
     ParameterError,
     SensorField,
     TargetSet,
+    _canonical_order,
     _count,
     _failed,
     _first_max,
@@ -481,7 +482,7 @@ def k_oga(
         us, vs = np.array(list(virtual_all.values())).T
         gap_first, gap_last = _target_spans(us, vs, xs)
         ids = np.concatenate((ids, list(virtual_all)))
-        order = np.lexsort((ids, np.append(field.vs, vs), np.append(field.us, us)))
+        order = _canonical_order(np.append(field.us, us), np.append(field.vs, vs), ids)
         ids = ids[order]
         first = np.concatenate((first, gap_first))[order]
         last = np.concatenate((last, gap_last))[order]

@@ -17,7 +17,8 @@ selection adds are spans in its result, never rows of a field.
 sensors into columns and refuses only what a column cannot hold; every
 range rule, and the rule that ids are unique, is in ``_pose_rules``,
 which runs once for every field made from poses: in
-``SensorField.from_poses``, or in the file rules of ``read_field``.
+``SensorField.from_poses``, or in the file rules of ``read_field``; its
+id rules (``_id_rules``) also gate a field made from intervals.
 ``Sensor`` objects are built only when ``SensorField.sensors`` is read.
 ``merge_segments``, ``complement_segments`` and ``coverage_fraction``
 take and return columns of segment ends. A ``TargetSet`` holds its points as one
@@ -184,7 +185,7 @@ def _check_record(sensor: Sensor) -> None:
                 raise ParameterError(f"{name} must be a number, got {value!r}")
 
 
-def _id_column(ids: list) -> np.ndarray:
+def _id_column(ids: Sequence[int]) -> np.ndarray:
     """Ids as int64, or as Python ints when one lies outside int64, so that
     the range rules can name it."""
     try:
@@ -193,17 +194,26 @@ def _id_column(ids: list) -> np.ndarray:
         return np.array(ids, dtype=object)
 
 
+def _id_rules(ids: np.ndarray) -> list[tuple[np.ndarray, str, np.ndarray]]:
+    """The id rules of ``_pose_rules``; the last marks each repeat."""
+    return [
+        (ids < 0, "sensor id must be >= 0, got {}", ids),
+        # ids only reach 2**63 in an object column; 2**63 - 1 compares
+        # exactly with int64 under every numpy version
+        (ids > 2**63 - 1, "sensor id must be < 2**63, got {}", ids),
+        (_repeats(ids), "duplicate sensor id {}", ids),
+    ]
+
+
 def _pose_rules(poses: Poses) -> list[tuple[np.ndarray, str, np.ndarray]]:
     """Every rule a pose must meet, over whole columns and in the order
     they are checked: one (mask of failing rows, message, column holding
     the value) per rule. The last marks each repeat of an id."""
+    *in_range, repeats = _id_rules(poses.ids)
     on = poses.directional
     with np.errstate(invalid="ignore"):
         return [
-            (poses.ids < 0, "sensor id must be >= 0, got {}", poses.ids),
-            # ids only reach 2**63 in an object column; 2**63 - 1 compares
-            # exactly with int64 under every numpy version
-            (poses.ids > 2**63 - 1, "sensor id must be < 2**63, got {}", poses.ids),
+            *in_range,
             (~np.isfinite(poses.x), "x must be finite, got {}", poses.x),
             (~np.isfinite(poses.y), "y must be finite, got {}", poses.y),
             (~np.isfinite(poses.radius), "radius must be finite, got {}", poses.radius),
@@ -218,7 +228,7 @@ def _pose_rules(poses: Poses) -> list[tuple[np.ndarray, str, np.ndarray]]:
                 "direction must be in [0, 360), got {}",
                 poses.direction,
             ),
-            (_repeats(poses.ids), "duplicate sensor id {}", poses.ids),
+            repeats,
         ]
 
 
@@ -244,36 +254,31 @@ def _repeats(ids: np.ndarray) -> np.ndarray:
 
 
 def _project(poses: Poses) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal projections [u, v] of every pose onto the x axis.
+    """Orthogonal projections [u, v] of poses that meet ``_pose_rules``,
+    computed over whole columns, every row as directional too.
 
-    Omnidirectional: [x - r, x + r]. Directional: the x extent of the
-    sector, i.e. the min/max over the apex, the two arc edge endpoints,
-    and the arc points at angle 0 or 180 degrees when those directions
-    fall inside the sector. The extremes are folded in that order with
-    strict comparisons, so a tie keeps the earlier value, signed zeros
-    included.
+    Omni: [x - r, x + r]. Directional: the apex and the two arc edge
+    endpoints, folded in that order with strict comparisons, so a tie keeps
+    the earlier value, signed zeros included. As r > 0 is finite, x + r and
+    x - r bound every other extreme and are never -0.0, so x + r (x - r)
+    replaces v (u) outright when the sector holds 0 (180) degrees.
     """
+    x, r, c = poses.x, poses.radius, poses.direction
     with np.errstate(all="ignore"):
-        u = poses.x - poses.radius
-        v = poses.x + poses.radius
-        rows = np.flatnonzero(poses.directional)
-        if rows.size:
-            x, r, c = poses.x[rows], poses.radius[rows], poses.direction[rows]
-            half = poses.fov[rows] / 2.0
-            lo = hi = x
-            for edge in (c - half, c + half):
-                end = x + r * np.cos(np.radians(edge))
-                lo = np.where(end < lo, end, lo)
-                hi = np.where(end > hi, end, hi)
-            # the sector contains theta when the circular distance from
-            # its center is at most half the fov
-            for theta, end in ((0.0, v[rows]), (180.0, u[rows])):
-                inside = np.abs((theta - c + 180.0) % 360.0 - 180.0) <= half
-                lo = np.where(inside & (end < lo), end, lo)
-                hi = np.where(inside & (end > hi), end, hi)
-            u[rows] = lo
-            v[rows] = hi
-    return u, v
+        half = poses.fov / 2.0
+        lo = hi = x
+        for edge in (c - half, c + half):
+            end = x + r * np.cos(np.radians(edge))
+            lo = np.where(end < lo, end, lo)
+            hi = np.where(end > hi, end, hi)
+        # the sector holds theta when |(theta - c + 180) % 360 - 180| <= half;
+        # for c in [0, 360) one conditional wrap gives % bit for bit
+        t = 180.0 - c
+        holds_0 = np.abs(np.where(t < 0.0, t + 360.0, t) - 180.0) <= half
+        t = t + 180.0
+        holds_180 = np.abs(np.where(t < 360.0, t, t - 360.0) - 180.0) <= half
+        omni = ~poses.directional
+        return np.where(omni | holds_180, x - r, lo), np.where(omni | holds_0, x + r, hi)
 
 
 def _clip(
@@ -372,20 +377,40 @@ def _targets(targets: TargetSet | Iterable[float], domain: Domain) -> TargetSet:
     return targets
 
 
+def _canonical_order(us: np.ndarray, vs: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The positions that sort rows by (u, v, id), rows equal in all three
+    in the order given: ``np.lexsort((ids, vs, us))`` for ``us`` without
+    NaN. One argsort of u places every row whose u is unique; only the rows
+    whose u repeats are lexsorted, with their position as the last key."""
+    order = us.argsort()
+    u = us[order]
+    same = u[1:] == u[:-1]
+    if same.any():
+        tied = np.zeros(u.size, dtype=bool)
+        tied[1:] = same
+        tied[:-1] |= same
+        rows = order[tied]
+        order[tied] = rows[np.lexsort((rows, ids[rows], vs[rows], us[rows]))]
+    return order
+
+
 class SensorField:
     """Sensor poses plus their clipped projections in canonical order.
 
     ``us``, ``vs`` and ``ids`` are the clipped projections sorted by
-    (u, v, sensor id) ascending; that position is the sensor's index for
-    every tie-break in the selection algorithms. Projections that miss
-    the domain entirely are dropped. ``poses`` holds the sensors in the
-    order they were given, and ``max_id`` the largest id among them and
-    the rows, dropped sensors included. A field holds real sensors only;
-    virtual gap sensors live in selection results. Fields are not changed
-    after construction; ``without`` returns a new one.
+    (u, v, sensor id) ascending (``_canonical_order``); that position is
+    the sensor's index for every tie-break in the selection algorithms.
+    Projections that miss the domain entirely are dropped. ``poses`` holds
+    the sensors in the order they were given, and ``max_id`` the largest
+    id among them and the rows, dropped sensors included. A field holds
+    real sensors only; virtual gap sensors live in selection results.
+    Fields are not changed after construction; ``without`` returns a new
+    one.
 
-    The constructor takes clipped intervals directly and sorts them;
-    ``build`` and ``from_poses`` project sensors first.
+    The constructor takes clipped intervals directly, checks their ids by
+    ``_id_rules`` unless poses are given, and sorts them. ``build`` and
+    ``from_poses`` check poses by ``_pose_rules``, whose ranges
+    ``_project`` needs, then project and clip them.
     """
 
     def __init__(
@@ -402,14 +427,18 @@ class SensorField:
             raise ParameterError(f"domain needs a <= b, got [{a}, {b}]")
         us = np.asarray(us, dtype=float)
         vs = np.asarray(vs, dtype=float)
-        ids = np.asarray(ids, dtype=np.int64)
         bad = np.flatnonzero(~(us <= vs))
         if bad.size:
             i = bad[0]
             raise ParameterError(
                 f"interval needs u <= v, got [{us[i].item()}, {vs[i].item()}]"
             )
-        order = np.lexsort((ids, vs, us))
+        if poses is None:  # intervals enter here; poses have met the id rules
+            fault = _first_fault(_id_rules(_id_column(ids)))
+            if fault is not None:
+                raise ParameterError(fault[1])
+        ids = np.asarray(ids, dtype=np.int64)
+        order = _canonical_order(us, vs, ids)
         self.us, self.vs, self.ids = us[order], vs[order], ids[order]
         self.domain = domain
         self.poses = Poses.of(()) if poses is None else poses

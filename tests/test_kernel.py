@@ -3,15 +3,19 @@
 A field's clipped intervals must carry the same IEEE bits as projecting,
 clipping and sorting one sensor at a time (``conftest.oracle_project``,
 ``oracle_clip`` and ``oracle_table``), signed zeros included, and list the
-same ids in the same canonical order. The checks the per-sensor objects
-once made (``conftest.oracle_check_sensor``) must survive as whole-column
-checks with the same messages.
+same ids in the same canonical order; that order equals
+``np.lexsort((ids, vs, us))``. The checks the per-sensor objects once made
+(``conftest.oracle_check_sensor``) must survive as whole-column checks
+with the same messages. Finally the reduction itself is certified in the
+plane: every vertical line across a segment that a selection claims to
+cover meets a selected sector.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +27,9 @@ from barriercover import (
     Sensor,
     SensorField,
     generate,
+    oga_continuous,
 )
+from barriercover.model import _canonical_order
 from conftest import bits, oracle_check_sensor, oracle_generate, oracle_table
 
 DOMAIN = (0.0, 100.0)
@@ -111,6 +117,30 @@ EDGES = [
     Sensor.directional(7, B, 0.0, 5.0, 90.0, 45.0),
 ]
 
+# sector edges that land on 0 or 180 degrees from either side: direction
+# fov/2, 180 - fov/2, 180 + fov/2 and 360 - fov/2
+AXIS_EDGES = [
+    Sensor.directional(4 * j + k, 50.0, 0.0, 5.0, fov, direction)
+    for j, fov in enumerate((30.0, 90.0, 200.0, 1e-9))
+    for k, direction in enumerate(
+        (fov / 2, 180.0 - fov / 2, 180.0 + fov / 2, 360.0 - fov / 2)
+    )
+]
+# full circles, and a sector facing one ulp below 360
+FULL_TURNS = [
+    Sensor.directional(0, 50.0, 0.0, 5.0, 360.0, 0.0),
+    Sensor.directional(1, 50.0, 0.0, 5.0, 360.0, 123.0),
+    Sensor.directional(2, 50.0, 0.0, 5.0, 360.0, math.nextafter(360.0, 0.0)),
+    Sensor.directional(3, 50.0, 0.0, 5.0, 90.0, math.nextafter(360.0, 0.0)),
+]
+# apexes at x = -r and x = r, where x + r and x - r are +0.0
+ZERO_ENDS = [
+    Sensor.directional(0, -5.0, 0.0, 5.0, 90.0, 0.0),
+    Sensor.directional(1, 5.0, 0.0, 5.0, 90.0, 180.0),
+    Sensor.directional(2, -0.5, 0.0, 0.5, 360.0, 270.0),
+    Sensor.omni(3, -2.5, 0.0, 2.5),
+]
+
 
 class TestKernelMatchesScalarPath:
     def test_edge_cases_hit_what_they_pin(self):
@@ -122,6 +152,9 @@ class TestKernelMatchesScalarPath:
     @settings(max_examples=400, deadline=None)
     @given(sensor_lists())
     @example(EDGES)
+    @example(AXIS_EDGES)
+    @example(FULL_TURNS)
+    @example(ZERO_ENDS)
     @example([make_sensor(9, (B, 0.0, 5.0, 90.0, 45.0))])
     @example([make_sensor(9, (-0.0, 0.0, 5e-324, 10.0, 80.0))])
     def test_field_matches_per_sensor_path(self, sensors):
@@ -152,6 +185,154 @@ class TestKernelMatchesScalarPath:
         sensors = oracle_generate(spec)
         assert field.sensors == tuple(sensors)
         assert_matches_oracle(field, sensors)
+
+
+# u values that tie or nearly tie: both zeros, subnormals, adjacent
+# doubles and the infinities
+NEAR_TIES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, math.nextafter(1.0, 0.0),
+    math.nextafter(1.0, 2.0), 2.5, -math.inf, math.inf,
+]
+
+
+@st.composite
+def order_columns(draw):
+    """(us, vs, ids) with runs of equal u, equal (u, v) under distinct ids,
+    and repeated ids."""
+    n = draw(st.integers(0, 30))
+
+    def column(values):
+        pool = draw(st.lists(values, min_size=1, max_size=4))
+        return draw(
+            st.lists(st.one_of(st.sampled_from(pool), values), min_size=n, max_size=n)
+        )
+
+    floats = st.one_of(st.sampled_from(NEAR_TIES), st.floats(allow_nan=False))
+    return (
+        np.array(column(floats), dtype=float),
+        np.array(column(floats), dtype=float),
+        np.array(column(st.integers(0, 2**63 - 1)), dtype=np.int64),
+    )
+
+
+class TestCanonicalOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(order_columns())
+    @example((np.array([]), np.array([]), np.array([], dtype=np.int64)))
+    @example((np.array([-0.0]), np.array([1.0]), np.array([3])))
+    @example(
+        (
+            np.array([0.0, -0.0, 0.0, -0.0, 5e-324]),
+            np.array([1.0, 1.0, -0.0, 0.0, 5e-324]),
+            np.array([2, 1, 2, 1, 0]),
+        )
+    )
+    def test_equals_lexsort(self, columns):
+        us, vs, ids = columns
+        want = np.lexsort((ids, vs, us))
+        assert _canonical_order(us, vs, ids).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_lexsort_on_shuffled_stock_rows(self, seed):
+        field = generate(
+            DeploymentSpec(n=2000, width=1000.0, kind="poisson", fov=45.0, seed=seed)
+        )
+        rows = np.random.default_rng(seed).permutation(field.ids.size)
+        us, vs, ids = field.us[rows], field.vs[rows], field.ids[rows]
+        # the rows clipped to the domain's left end tie on u
+        assert (field.us[:2] == 0.0).all()
+        want = np.lexsort((ids, vs, us))
+        assert _canonical_order(us, vs, ids).tolist() == want.tolist()
+
+
+# A line within this angle of a sector counts as meeting it. Interval ends
+# carry rounding errors of a few ulps of |x| + r, under 1e-12 for the
+# fields below (|x| <= 100, r = 10). Near a chord's tip such an error in x
+# becomes up to sqrt(2 * 1e-12 / r) rad, about 2.6e-5 degrees.
+ANGLE_TOL = 1e-4
+
+# the stock deployments, and the same with every direction on or one ulp
+# beside an axis, or with a sector edge on 0 or 180 degrees
+CERTIFIED = [
+    (DeploymentSpec(n=400, width=100.0, kind=kind, fov=fov, seed=seed), axis)
+    for kind in ("line", "poisson")
+    for fov in (45.0, 90.0, 180.0, 330.0, 360.0)
+    for seed in (0, 1)
+    for axis in (False, True)
+] + [
+    (
+        DeploymentSpec(
+            n=400, width=100.0, kind="poisson", sensor_kind="omni", fov=None, seed=0
+        ),
+        False,
+    )
+]
+
+
+def axis_directions(rng, n, fov):
+    """n directions on or one ulp beside an axis, or with an edge on one."""
+    axes = np.array([0.0, 90.0, 180.0, 270.0, 360.0])
+    edges = [fov / 2, 180.0 - fov / 2, 180.0 + fov / 2, 360.0 - fov / 2]
+    near = np.concatenate(
+        (axes, np.nextafter(axes, -np.inf), np.nextafter(axes, np.inf), edges)
+    )
+    return rng.choice(near[(near >= 0.0) & (near < 360.0)], n)
+
+
+def lines_met(poses, cs):
+    """Whether each line x = c meets the sector of at least one pose.
+
+    The line meets a disk of radius r at apex x when |c - x| <= r, in a
+    chord that, seen from the apex, spans the angles within
+    alpha = atan2(s, |c - x|) of 0 degrees (c > x) or of 180 degrees
+    (c < x), where s = sqrt(r**2 - (c - x)**2) is half the chord. The line
+    meets the sector when that range meets the sector's, fov/2 either
+    side of its direction, or when it runs through the apex.
+    """
+    dx = cs[:, None] - poses.x
+    r = poses.radius
+    reach = np.abs(dx) <= r
+    with np.errstate(invalid="ignore"):
+        s = np.sqrt((r - np.abs(dx)) * (r + np.abs(dx)))
+        alpha = np.degrees(np.arctan2(s, np.abs(dx)))
+        apart = np.abs(poses.direction - np.where(dx > 0, 0.0, 180.0)) % 360.0
+        apart = np.minimum(apart, 360.0 - apart)
+        sector = apart <= poses.fov / 2 + alpha + ANGLE_TOL
+    return (reach & ((dx == 0) | ~poses.directional | sector)).any(axis=1)
+
+
+class TestCrossingLines:
+    """The 2D certificate of the projection, written without it: a
+    selection that claims to cover [a, b] meets every vertical line
+    x = c across it. c runs over a grid of step width / 20000 and over
+    every end of a selected interval and the doubles either side of it."""
+
+    @pytest.mark.parametrize(
+        "spec, axis", CERTIFIED,
+        ids=lambda v: f"{v.kind.value}-{v.sensor_kind.value}-fov{v.fov}-seed{v.seed}"
+        if isinstance(v, DeploymentSpec) else ("axis" if v else "drawn"),
+    )
+    def test_every_crossing_line_meets_a_selected_sector(self, spec, axis):
+        field = generate(spec)
+        if axis:
+            rng = np.random.default_rng(spec.seed)
+            directions = axis_directions(rng, spec.n, spec.fov)
+            field = SensorField.from_poses(
+                field.poses._replace(direction=directions), field.domain
+            )
+        a, b = field.domain
+        result = oga_continuous(field, field.domain)
+        assert result.fully_covered
+        us, vs, _ = result.selected_spans(field)
+        ends = np.concatenate((us, vs))
+        ends = np.concatenate(
+            (ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf))
+        )
+        cs = np.concatenate((np.linspace(a, b, 20001), ends))
+        cs = cs[(cs >= a) & (cs <= b)]
+        chosen = field.poses.take(np.isin(field.poses.ids, result.selected_ids))
+        met = lines_met(chosen, cs)
+        assert met.all(), f"no selected sector meets x = {cs[~met][:5].tolist()}"
 
 
 class TestChecksKeepTheirMessages:

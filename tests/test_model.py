@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -343,6 +344,22 @@ class TestSensorField:
         reduced = field.without([1])
         assert reduced.ids.tolist() == [0, 2]
         assert reduced.max_id == 2
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            # a repeated id would name one sensor for two rows: a selection
+            # of id 5 would claim both spans
+            ([5, 5], "duplicate sensor id 5"),
+            ([0, -1], "sensor id must be >= 0, got -1"),
+            ([2**63, 0], f"sensor id must be < 2**63, got {2**63}"),
+            ((0, 2**64), f"sensor id must be < 2**63, got {2**64}"),
+        ],
+        ids=["repeat", "negative", "2**63", "2**64"],
+    )
+    def test_intervals_enter_with_the_id_rules_of_poses(self, ids, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            SensorField([0.0, 1.0], [1.0, 2.0], ids, (0.0, 2.0))
 
 
 class TestDiscretize:
