@@ -10,17 +10,20 @@ A sensor-field file holds one JSON object per line:
 directional sensors and must be absent for omnidirectional ones. Virtual
 sensors never appear in input files.
 
-The reader parses each line straight into the ``Poses`` columns, keeping
-a row-to-line list. Per line it only decodes the JSON, checks the keys,
-the kind and the id type, and converts the numbers; ``_file_rules`` (the
-finiteness of each number, in file order, then every pose rule of the
-model, duplicate ids included) then runs once over whole columns. Every
-parse problem raises ``FieldFormatError`` carrying the line it comes
-from, and when several lines are bad, the first one is reported with the
-message a line-by-line reader would give. The writer checks the same
+The reader parses each line into row buffers, with a row-to-line list,
+and every ``_CHUNK`` rows moves them into column arrays, which it joins
+into the ``Poses`` columns once the file ends. Per line it only decodes
+the JSON, checks the keys, the kind and the id type, and converts the
+numbers; ``_file_rules`` (the finiteness of each number, in file order,
+then every pose rule of the model, duplicate ids included) then runs
+once over the whole file's columns. Every parse problem raises
+``FieldFormatError`` carrying the line it comes from, and when several
+lines are bad, the first one is reported with the message a line-by-line
+reader would give. The writer checks the same
 rules before it writes, so it never writes a file that the reader
 refuses, and formats every line from the columns, numbers as
-``float.__repr__``.
+``float.__repr__``. Reading and writing each hold at most one chunk of
+rows as Python objects.
 """
 
 from __future__ import annotations
@@ -55,6 +58,11 @@ class FieldFormatError(ValueError):
 
 _REQUIRED = ("id", "kind", "x", "y", "radius")
 _raw_decode = json.JSONDecoder().raw_decode
+
+# rows parsed or formatted at a time: reading and writing each hold at most
+# this many rows as Python objects, never all of a large field's lines or
+# numbers at once
+_CHUNK = 8192
 
 
 def _decode(line: str):
@@ -138,11 +146,13 @@ def _file_rules(poses: Poses) -> list[tuple[np.ndarray, str, np.ndarray]]:
 def _read_poses(path: str | Path) -> Poses:
     """The poses of a sensor-field file, in file order; errors carry the
     1-based line number, and a repeated id is reported on the line that
-    repeats it."""
+    repeats it. Every ``_CHUNK`` rows the parsed values move into column
+    arrays, joined once the file ends."""
     lines: list[int] = []
     ids: list[int] = []
     numbers: list[tuple[float, ...]] = []
     directional: list[bool] = []
+    chunks: list[tuple[np.ndarray, ...]] = []
     stopped: FieldFormatError | None = None
     with open(path, "r", encoding="utf-8") as fp:
         for line_no, line in enumerate(fp, start=1):
@@ -159,18 +169,35 @@ def _read_poses(path: str | Path) -> Poses:
             ids.append(sensor_id)
             numbers.append(row)
             directional.append(on)
-    flat = np.fromiter(chain.from_iterable(numbers), dtype=float, count=5 * len(numbers))
-    x, y, radius, fov, direction = flat.reshape(-1, 5).T.copy()
-    poses = Poses(
-        _id_column(ids), x, y, radius, fov, direction, np.array(directional, dtype=bool)
-    )
+            if len(lines) == _CHUNK:
+                chunks.append(_columns(lines, ids, numbers, directional))
+    chunks.append(_columns(lines, ids, numbers, directional))
+    line_of, *columns = map(np.concatenate, zip(*chunks))
+    # freed before the checks and the projection, which lowers the peak
+    del chunks
+    poses = Poses(*columns)
     fault = _first_fault(_file_rules(poses))
     if fault is not None:
         row, message = fault
-        raise FieldFormatError(lines[row], message)
+        raise FieldFormatError(line_of.item(row), message)
     if stopped is not None:
         raise stopped
     return poses
+
+
+def _columns(lines, ids, numbers, directional) -> tuple[np.ndarray, ...]:
+    """The row buffers of ``_read_poses`` as the line-number column followed
+    by the ``Poses`` columns; the buffers are emptied."""
+    flat = np.fromiter(chain.from_iterable(numbers), dtype=float, count=5 * len(numbers))
+    columns = (
+        np.array(lines, dtype=np.int64),
+        _id_column(ids),
+        *flat.reshape(-1, 5).T,
+        np.array(directional, dtype=bool),
+    )
+    for buffer in (lines, ids, numbers, directional):
+        buffer.clear()
+    return columns
 
 
 def read_sensors(path: str | Path) -> list[Sensor]:
@@ -183,11 +210,6 @@ def read_field(path: str | Path, domain: Domain) -> SensorField:
     """Parse a sensor-field file straight into a field over ``domain``."""
     # ``_read_poses`` has checked the pose rules with the file's
     return SensorField._from_checked(_read_poses(path), domain)
-
-
-# rows formatted at a time: a large field never holds all of its lines, or
-# all of its numbers as Python objects, at once
-_CHUNK = 8192
 
 
 def _write_poses(poses: Poses, out: str | Path | IO[str]) -> None:

@@ -13,12 +13,13 @@ projections as ``us``, ``vs`` and ``ids`` in canonical order; one
 vectorized kernel projects, checks and clips every sensor at once.
 A field holds real sensors only: the virtual gap sensors that a
 selection adds are spans in its result, never rows of a field.
-``Sensor`` is a plain record that checks nothing. ``Poses.of`` turns
+``Sensor`` is a plain slotted record that checks nothing. ``Poses.of`` turns
 sensors into columns and refuses only what a column cannot hold; every
 range rule, and the rule that ids are unique, is in ``_pose_rules``,
 which runs once for every field made from poses: in
 ``SensorField.from_poses``, or in the file rules of ``read_field``; its
-id rules (``_id_rules``) also gate a field made from intervals.
+id rules (``_id_rules``) also gate, through ``_ids``, a field made from
+intervals and the ids given to ``span_of`` and ``without``.
 ``Sensor`` objects are built only when ``SensorField.sensors`` is read.
 ``merge_segments``, ``complement_segments`` and ``coverage_fraction``
 take and return columns of segment ends. A ``TargetSet`` holds its points as one
@@ -26,8 +27,8 @@ read-only, sorted float64 array ``xs``; target sets, like fields,
 compare by identity.
 
 Each input rule has one gate: ``_segment`` for a covered segment,
-``_count`` for whole numbers, ``_targets`` for target sets inside a
-field's domain and ``_failed`` for failed sensor ids.
+``_count`` for whole numbers, ``_ids`` for sensor ids, ``_targets`` for
+target sets inside a field's domain and ``_failed`` for failed sensor ids.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class SensorKind(str, Enum):
         raise ParameterError(f"unknown sensor kind {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sensor:
     """A deployed sensor: ``position`` and ``radius``, plus ``fov`` and
     ``direction`` (degrees) when directional.
@@ -69,8 +70,10 @@ class Sensor:
     either side of ``direction`` (measured counterclockwise from the +x
     axis).
 
-    A plain record that checks nothing: a field built from a bad sensor,
-    or a file written from one, refuses it. ``kind`` may be its value.
+    A plain slotted record that checks nothing: a field built from a bad
+    sensor, or a file written from one, refuses it. ``kind`` may be its
+    value. It has no ``__dict__`` and takes no new attributes, which keeps
+    the records of a large field small.
     """
 
     id: int
@@ -159,9 +162,7 @@ def _check_record(sensor: Sensor) -> None:
     fov or direction on an omni sensor, and a value that is not a number. The ``is`` tests spare
     the slower tests behind them."""
     sensor_id, kind = sensor.id, sensor.kind
-    if type(sensor_id) is not int and (
-        isinstance(sensor_id, bool) or not isinstance(sensor_id, numbers.Integral)
-    ):
+    if not _is_integer(sensor_id):
         raise ParameterError(f"id must be an integer, got {sensor_id!r}")
     if kind is not SensorKind.OMNI and kind is not SensorKind.DIRECTIONAL:
         kind = SensorKind(kind)
@@ -185,6 +186,14 @@ def _check_record(sensor: Sensor) -> None:
                 raise ParameterError(f"{name} must be a number, got {value!r}")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, never a bool. The ``is`` test
+    spares the slower tests behind it."""
+    return type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    )
+
+
 def _id_column(ids: Sequence[int]) -> np.ndarray:
     """Ids as int64, or as Python ints when one lies outside int64, so that
     the range rules can name it."""
@@ -194,22 +203,54 @@ def _id_column(ids: Sequence[int]) -> np.ndarray:
         return np.array(ids, dtype=object)
 
 
-def _id_rules(ids: np.ndarray) -> list[tuple[np.ndarray, str, np.ndarray]]:
-    """The id rules of ``_pose_rules``; the last marks each repeat."""
-    return [
+def _id_rules(ids: np.ndarray, unique: bool) -> list[tuple[np.ndarray, str, np.ndarray]]:
+    """The id rules of ``_pose_rules``: the range rules, then with
+    ``unique`` the rule that marks each repeat."""
+    rules = [
         (ids < 0, "sensor id must be >= 0, got {}", ids),
         # ids only reach 2**63 in an object column; 2**63 - 1 compares
         # exactly with int64 under every numpy version
         (ids > 2**63 - 1, "sensor id must be < 2**63, got {}", ids),
-        (_repeats(ids), "duplicate sensor id {}", ids),
     ]
+    if unique:
+        rules.append((_repeats(ids), "duplicate sensor id {}", ids))
+    return rules
+
+
+def _ids(values: Iterable[int], unique: bool = False) -> np.ndarray:
+    """The given ids as an int64 column: the one id gate of a field's
+    doors (the constructor, ``span_of`` and ``without``). Each must be an
+    integer, never a bool, that meets the range rules of ``_id_rules``,
+    with ``unique`` its rule that no id repeats too; a fault raises
+    ``ParameterError`` naming the first bad id, type faults first."""
+    values = values if isinstance(values, np.ndarray) else list(values)
+    try:
+        column = np.asarray(values)
+    except ValueError:  # ragged nesting: some entry is a sequence
+        column = np.asarray(values, dtype=object)
+    # numpy reads a bool among ints as 0 or 1, and in an int column the
+    # range rules refuse only ids below 0, so only ids up to 1 need a look;
+    # any other column holds a float, a string, None, a sequence or bools
+    # alone, an id outside int64, or no id at all
+    integral = column.dtype.kind == "i" and column.ndim == 1
+    suspects = [values[i] for i in np.flatnonzero(column <= 1)] if integral else values
+    for value in suspects:
+        if not _is_integer(value):
+            raise ParameterError(f"id must be an integer, got {value!r}")
+    if not integral:
+        column = _id_column(list(map(operator.index, values)))
+    if len(suspects) or unique:
+        fault = _first_fault(_id_rules(column, unique))
+        if fault is not None:
+            raise ParameterError(fault[1])
+    return column.astype(np.int64, copy=False)
 
 
 def _pose_rules(poses: Poses) -> list[tuple[np.ndarray, str, np.ndarray]]:
     """Every rule a pose must meet, over whole columns and in the order
     they are checked: one (mask of failing rows, message, column holding
     the value) per rule. The last marks each repeat of an id."""
-    *in_range, repeats = _id_rules(poses.ids)
+    *in_range, repeats = _id_rules(poses.ids, unique=True)
     on = poses.directional
     with np.errstate(invalid="ignore"):
         return [
@@ -303,7 +344,7 @@ def _segment(domain: Domain) -> Domain:
 
 def _count(name: str, value, minimum: int) -> int:
     """An integral value, never a bool, of at least ``minimum``, as an int."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
@@ -311,9 +352,12 @@ def _count(name: str, value, minimum: int) -> int:
 
 
 def _failed(failed_ids: Iterable[int], selected_ids: Iterable[int]) -> set[int]:
-    """The failed ids as a set; each must be one of the selected ids."""
+    """The failed ids as a set; each must be one of the selected ids, and
+    an integer: True or 1.0 never stands for sensor 1."""
     failed = set(failed_ids)
-    stray = failed.difference(selected_ids)
+    stray = failed.difference(selected_ids).union(
+        f for f in failed if not _is_integer(f)
+    )
     if stray:
         raise ParameterError(f"failed ids {sorted(stray)} were never selected")
     return failed
@@ -408,9 +452,10 @@ class SensorField:
     one.
 
     The constructor takes clipped intervals directly, checks their ids by
-    ``_id_rules`` unless poses are given, and sorts them. ``build`` and
-    ``from_poses`` check poses by ``_pose_rules``, whose ranges
-    ``_project`` needs, then project and clip them.
+    ``_ids`` (integers, in range, none repeated), and sorts them; such a
+    field has no poses. ``build`` and ``from_poses`` check poses by
+    ``_pose_rules``, whose ranges ``_project`` needs, then project and
+    clip them.
     """
 
     def __init__(
@@ -419,31 +464,42 @@ class SensorField:
         vs: Sequence[float],
         ids: Sequence[int],
         domain: Domain,
-        poses: Poses | None = None,
     ) -> None:
-        a, b = domain
-        # an unbounded or one-point domain is a field's to hold; NaN is not
-        if not a <= b:
-            raise ParameterError(f"domain needs a <= b, got [{a}, {b}]")
         us = np.asarray(us, dtype=float)
         vs = np.asarray(vs, dtype=float)
+        ids = _ids(ids, unique=True)
+        if not us.size == vs.size == ids.size:
+            raise ParameterError(
+                f"us, vs and ids need one length, got {us.size}, {vs.size} and {ids.size}"
+            )
         bad = np.flatnonzero(~(us <= vs))
         if bad.size:
             i = bad[0]
             raise ParameterError(
                 f"interval needs u <= v, got [{us[i].item()}, {vs[i].item()}]"
             )
-        if poses is None:  # intervals enter here; poses have met the id rules
-            fault = _first_fault(_id_rules(_id_column(ids)))
-            if fault is not None:
-                raise ParameterError(fault[1])
-        ids = np.asarray(ids, dtype=np.int64)
+        self._place(us, vs, ids, domain, Poses.of(()))
+
+    @classmethod
+    def _trusted(cls, us, vs, ids, domain: Domain, poses: Poses) -> "SensorField":
+        """A field of clipped rows (float and int64 arrays) and poses that
+        already meet every rule: ``_from_checked`` and ``without`` build
+        their fields here."""
+        field = cls.__new__(cls)
+        field._place(us, vs, ids, domain, poses)
+        return field
+
+    def _place(self, us, vs, ids, domain: Domain, poses: Poses) -> None:
+        a, b = domain
+        # an unbounded or one-point domain is a field's to hold; NaN is not
+        if not a <= b:
+            raise ParameterError(f"domain needs a <= b, got [{a}, {b}]")
         order = _canonical_order(us, vs, ids)
         self.us, self.vs, self.ids = us[order], vs[order], ids[order]
         self.domain = domain
-        self.poses = Poses.of(()) if poses is None else poses
+        self.poses = poses
         self.max_id = max(
-            self.poses.ids.max(initial=-1).item(), ids.max(initial=-1).item()
+            poses.ids.max(initial=-1).item(), ids.max(initial=-1).item()
         )
 
     @classmethod
@@ -459,7 +515,7 @@ class SensorField:
         """Project and clip poses that already meet ``_pose_rules``."""
         us, vs = _project(poses)
         us, vs, kept = _clip(us, vs, domain)
-        return cls(us[kept], vs[kept], poses.ids[kept], domain, poses)
+        return cls._trusted(us[kept], vs[kept], poses.ids[kept], domain, poses)
 
     @classmethod
     def build(cls, sensors: Iterable[Sensor], domain: Domain) -> "SensorField":
@@ -482,10 +538,13 @@ class SensorField:
 
     def _rows_of(self, sensor_ids: Iterable[int]) -> np.ndarray:
         """The row in ``us``, ``vs`` and ``ids`` of each given id, -1
-        where the field holds no interval for it."""
+        where the field holds no interval for it; the ids pass ``_ids``."""
         ids, rows = self._rows_by_id
-        sensor_ids = np.asarray(sensor_ids, dtype=np.int64)
-        at = np.searchsorted(ids[:-1], sensor_ids)
+        sensor_ids = _ids(sensor_ids)
+        # numpy searches sorted keys about twice as fast as unsorted ones
+        order = sensor_ids.argsort()
+        at = np.empty_like(order)
+        at[order] = np.searchsorted(ids[:-1], sensor_ids[order])
         return np.where(ids[at] == sensor_ids, rows[at], -1)
 
     def span_of(self, sensor_id: int) -> tuple[float, float] | None:
@@ -495,10 +554,12 @@ class SensorField:
         return self.us.item(row), self.vs.item(row)
 
     def without(self, sensor_ids: Iterable[int]) -> "SensorField":
-        """A copy of the field with the given sensors removed."""
-        gone = list(set(sensor_ids))
+        """A copy of the field with the given sensors removed. The ids pass
+        ``_ids``; an id that the field does not hold removes nothing and
+        is not refused."""
+        gone = _ids(sensor_ids)
         kept = ~np.isin(self.ids, gone)
-        return SensorField(
+        return SensorField._trusted(
             self.us[kept],
             self.vs[kept],
             self.ids[kept],

@@ -300,6 +300,109 @@ def test_non_integer_ids_are_rejected(tmp_path, value):
         assert info.value.line == 2
 
 
+# -- reading in chunks -------------------------------------------------------
+
+CHUNKS = (1, 2, 3)
+
+# five sensor lines and a blank one, so that a chunk of 1, 2 or 3 rows ends
+# between any two of them
+CHUNKED = [
+    '{"id": 0, ' + OMNI + "}",
+    '{"id": 1, ' + DIRECTIONAL + ', "fov": 90.0, "direction": 10.0}',
+    "",
+    '{"id": 2, ' + OMNI + "}",
+    '{"id": 3, ' + OMNI + "}",
+    '{"id": 4, ' + DIRECTIONAL + ', "fov": 45.0, "direction": 200.0}',
+]
+
+
+def test_the_bad_line_catalogue_reads_the_same_in_every_chunk(tmp_path, monkeypatch):
+    path = tmp_path / "field.jsonl"
+    files = [
+        [*CHUNKED[:at], bad, *CHUNKED[at:]]
+        for bad in BAD_LINES
+        for at in range(len(CHUNKED) + 1)
+    ]
+    # every ordered pair, the first in the first chunk and the second in a
+    # later one at every chunk size
+    files += [
+        [CHUNKED[0], first, *CHUNKED[1:4], second, *CHUNKED[4:]]
+        for first in BAD_LINES
+        for second in BAD_LINES
+    ]
+    for lines in files:
+        write_lines(path, lines, "\n")
+        expected = read_error(oracle_read_field, path)
+        monkeypatch.setattr(fieldio, "_CHUNK", 8192)
+        assert read_error(read_field, path) == expected, lines
+        for chunk in CHUNKS:
+            monkeypatch.setattr(fieldio, "_CHUNK", chunk)
+            assert read_error(read_field, path) == expected, (chunk, lines)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_fields_round_trip_bit_for_bit_in_every_chunk(tmp_path, monkeypatch, chunk):
+    path = tmp_path / "field.jsonl"
+    for n in (chunk - 1, chunk, chunk + 1):
+        spec = DeploymentSpec(n=n, width=100.0, fov=45.0, seed=n)
+        field = generate(spec)
+        monkeypatch.setattr(fieldio, "_CHUNK", 8192)
+        out = io.StringIO()
+        write_field(field, out)
+        monkeypatch.setattr(fieldio, "_CHUNK", chunk)
+        write_field(field, path)
+        assert path.read_text() == out.getvalue()
+        assert_same_field(read_field(path, field.domain), field)
+
+
+def chunked_error(path, monkeypatch, lines):
+    """The error of every chunk size, which must be one."""
+    write_lines(path, lines, "\n")
+    errors = set()
+    for chunk in CHUNKS:
+        monkeypatch.setattr(fieldio, "_CHUNK", chunk)
+        with pytest.raises(FieldFormatError) as info:
+            read_field(path, DOMAIN)
+        errors.add((info.value.line, str(info.value)))
+    (error,) = errors
+    return error
+
+
+def test_a_repeat_of_an_earlier_chunk_is_reported_where_it_repeats(tmp_path, monkeypatch):
+    lines = [*CHUNKED, "", '{"id": 1, ' + OMNI + "}"]
+    assert chunked_error(tmp_path / "f.jsonl", monkeypatch, lines) == (
+        8, "line 8: duplicate sensor id 1"
+    )
+
+
+@pytest.mark.parametrize(
+    "sensor_id, message",
+    [
+        (2**63, f"sensor id must be < 2**63, got {2**63}"),
+        (-(2**64), f"sensor id must be >= 0, got {-(2**64)}"),
+    ],
+    ids=["2**63", "-2**64"],
+)
+def test_an_id_past_int64_in_a_later_chunk_is_reported_on_its_line(
+    tmp_path, monkeypatch, sensor_id, message
+):
+    # the earlier chunks hold int64 ids, the last one does not
+    lines = [*CHUNKED, '{"id": ' + str(sensor_id) + ", " + OMNI + "}"]
+    error = chunked_error(tmp_path / "f.jsonl", monkeypatch, lines)
+    assert error == (7, f"line 7: {message}")
+
+
+def test_a_column_fault_in_the_first_chunk_beats_a_later_parse_error(tmp_path, monkeypatch):
+    lines = [
+        '{"id": 9, "kind": "omni", "x": 1.0, "y": Infinity, "radius": 2.0}',
+        *CHUNKED,
+        "{not json}",
+    ]
+    assert chunked_error(tmp_path / "f.jsonl", monkeypatch, lines) == (
+        1, "line 1: y must be finite, got inf"
+    )
+
+
 # -- writing -----------------------------------------------------------------
 
 adversarial = st.one_of(st.sampled_from(ADVERSARIAL), st.floats(allow_nan=False, allow_infinity=False))
@@ -354,8 +457,9 @@ def test_writers_refuse_what_could_not_be_read_back(tmp_path):
     ):
         # a field built straight from unchecked columns can hold such a pose
         bad = poses._replace(**{column: np.array([getattr(poses, column)[0], value])})
+        none = np.empty(0)
         with pytest.raises(ParameterError, match=f"^{message}$"):
-            write_field(SensorField((), (), (), DOMAIN, bad), path)
+            write_field(SensorField._trusted(none, none, none.astype(int), DOMAIN, bad), path)
     for sensors, message in (
         (
             [good, Sensor.omni(1, 1.0, 0.0, -2.0)],
@@ -378,7 +482,12 @@ def test_write_field_refuses_rows_without_poses(tmp_path):
     for field, message in (
         # built from intervals: rows, but no poses to write
         (SensorField([0.0, 4.0], [5.0, 10.0], [0, 1], (0.0, 10.0)), "sensor id 0"),
-        (SensorField([-1.0, 2.0], [3.0, 4.0], [0, 7], DOMAIN, posed), "sensor id 7"),
+        (
+            SensorField._trusted(
+                np.array([-1.0, 2.0]), np.array([3.0, 4.0]), np.array([0, 7]), DOMAIN, posed
+            ),
+            "sensor id 7",
+        ),
     ):
         with pytest.raises(ParameterError, match=f"^{message}: row has no pose$"):
             write_field(field, path)

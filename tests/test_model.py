@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
 
 from barriercover.algorithms import (
+    SelectionResult,
     augment_with_gap_sensors,
     find_gaps,
     k_oga,
@@ -24,6 +27,7 @@ from barriercover.baselines import (
 )
 from barriercover.model import (
     ParameterError,
+    Poses,
     Sensor,
     SensorField,
     SensorKind,
@@ -65,6 +69,23 @@ class TestSensorValidation:
         s = Sensor.directional(0, 1.0, 0.0, 3.0, fov=90.0, direction=45.0)
         assert s.kind is SensorKind.DIRECTIONAL
         assert (s.fov, s.direction) == (90.0, 45.0)
+
+    def test_a_record_is_slotted_and_round_trips(self):
+        for s in (Sensor.omni(3, 5.0, 1.0, 2.0), Sensor.directional(4, 1.0, 0.0, 3.0, 90.0, 45.0)):
+            twin = dataclasses.replace(s)
+            assert twin == s and hash(twin) == hash(s) and twin is not s
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(s, protocol)) == s
+            assert copy.deepcopy(s) == s
+            moved = dataclasses.replace(s, radius=7.0)
+            assert (moved.radius, moved.id, moved.kind) == (7.0, s.id, s.kind)
+            assert moved != s
+            assert not hasattr(s, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                s.radius = 1.0
+            # past the frozen guard, a slotted record has nowhere to put it
+            with pytest.raises(AttributeError):
+                object.__setattr__(s, "tilt", 1.0)
 
     def test_a_record_checks_nothing_when_made(self):
         s = Sensor.omni(-1, math.nan, 0.0, -2.0)
@@ -361,6 +382,52 @@ class TestSensorField:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             SensorField([0.0, 1.0], [1.0, 2.0], ids, (0.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "ids, shown",
+        [
+            ([1.5, 2.7], "1.5"),
+            ([True, False], "True"),
+            ([0, True], "True"),
+            ([0, "1"], "'1'"),
+            ([[0], [1]], r"\[0\]"),
+            ([[0], 1], r"\[0\]"),
+        ],
+        ids=["floats", "bools", "a-bool-among-ints", "a-string", "nested", "ragged"],
+    )
+    def test_interval_ids_are_integers_as_sensor_ids_are(self, ids, shown):
+        with pytest.raises(ParameterError, match=f"^id must be an integer, got {shown}$"):
+            SensorField([0.0, 1.0], [1.0, 2.7], ids, (0.0, 2.0))
+        sensors = [Sensor.omni(i, 1.0, 0.0, 1.0) for i in ids]
+        with pytest.raises(ParameterError, match=f"^id must be an integer, got {shown}$"):
+            SensorField.build(sensors, (0.0, 2.0))
+
+    def test_span_of_takes_one_id(self):
+        field = make_field([(0.0, 2.0), (1.0, 3.0)])
+        assert field.span_of(np.int64(1)) == (1.0, 3.0)
+        with pytest.raises(ParameterError, match=r"^id must be an integer, got \[0, 1\]$"):
+            field.span_of([0, 1])
+
+    def test_integer_arrays_are_ids(self):
+        arrays = (np.array([4, 2], dtype=np.int32), np.array([4, 2], dtype=np.uint64))
+        for ids in (*arrays, [np.int64(4), 2]):
+            assert SensorField([0.0, 1.0], [1.0, 2.0], ids, (0.0, 2.0)).ids.tolist() == [4, 2]
+
+    @pytest.mark.parametrize(
+        "us, vs, ids",
+        [([0.0, 1.0], [1.0], [0, 1]), ([0.0], [1.0, 2.0], [0, 1]), ([0.0, 1.0], [1.0, 2.0], [0])],
+        ids=["vs", "us", "ids"],
+    )
+    def test_intervals_need_one_length(self, us, vs, ids):
+        sizes = f"{len(us)}, {len(vs)} and {len(ids)}"
+        with pytest.raises(ParameterError, match=f"^us, vs and ids need one length, got {sizes}$"):
+            SensorField(us, vs, ids, (0.0, 2.0))
+
+    def test_poses_do_not_switch_the_id_rules_off(self):
+        # the constructor takes no poses; only fields built from checked
+        # poses or from a field's own rows skip the id rules
+        with pytest.raises(TypeError):
+            SensorField([0.0, 1.0], [1.0, 2.0], [5, 5], (0.0, 2.0), Poses.of(()))
+
 
 class TestDiscretize:
     def test_midpoints_of_elementary_cells(self):
@@ -481,6 +548,49 @@ class TestInputGates:
             with pytest.raises(ParameterError, match=f"^{message}$"):
                 select(field, k)
         assert select(field, np.int64(2)) == select(field, 2)
+
+    # what is not a sensor id, with the message of the id gate
+    NOT_IDS = {
+        "1.5": (1.5, "id must be an integer, got 1.5"),
+        "True": (True, "id must be an integer, got True"),
+        "-1": (-1, "sensor id must be >= 0, got -1"),
+        "2**63": (2**63, f"sensor id must be < 2**63, got {2**63}"),
+        "nan": (math.nan, "id must be an integer, got nan"),
+        "str": ("3", "id must be an integer, got '3'"),
+        "None": (None, "id must be an integer, got None"),
+    }
+
+    @pytest.mark.parametrize("value, message", NOT_IDS.values(), ids=NOT_IDS.keys())
+    @pytest.mark.parametrize(
+        "door",
+        [
+            lambda field, i: SensorField([0.0], [1.0], [i], (0.0, 1.0)),
+            lambda field, i: SensorField.build([Sensor.omni(i, 1.0, 0.0, 1.0)], (0.0, 1.0)),
+            lambda field, i: field.span_of(i),
+            lambda field, i: field.without([i]),
+        ],
+        ids=["SensorField", "build", "span_of", "without"],
+    )
+    def test_every_field_door_refuses_what_is_not_an_id(self, door, value, message):
+        # the field holds sensors 1 and 3: True, 1.5 and "3" would pass for them
+        field = make_field([(0.0, 1.0), (1.0, 4.0), (3.0, 10.0), (5.0, 6.0)], domain=(0.0, 10.0))
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            door(field, value)
+
+    @pytest.mark.parametrize("value, _", NOT_IDS.values(), ids=NOT_IDS.keys())
+    def test_result_files_and_the_mender_keep_their_errors(self, value, _):
+        field = make_field(self.FIELD, domain=(0.0, 10.0))
+        result = oga_continuous(field, field.domain)
+        assert result.selected_ids == (0, 1)  # True would pass for sensor 1
+        shown = repr(value)
+        refused = f"selected ids must be integers in [0, 2**63), got {shown}"
+        with pytest.raises(TypeError, match=f"^{re.escape(refused)}$"):
+            SelectionResult.from_dict({"selected": [value]})
+        never = f"^{re.escape(f'failed ids [{shown}] were never selected')}$"
+        with pytest.raises(ParameterError, match=never):
+            find_gaps(result, [value], field, field.domain)
+        with pytest.raises(ParameterError, match=never):
+            logm(result, [], field, field.domain, [value])
 
     def test_target_lists_are_coerced_once_and_never_empty(self):
         field = make_field([(2.0, 4.0)], domain=(0.0, 10.0))
