@@ -28,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, compress, islice
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -109,14 +109,16 @@ def greedy_max_coverage(
 
 @dataclass(frozen=True, eq=False)
 class BarrierGraph:
-    """Complete weighted graph over sensor nodes plus LEFT/RIGHT terminals.
+    """The barrier graph over a field's sensors, held as the field's rows.
 
-    ``us``, ``vs`` and ``ids`` are the sensors' spans in the field's
-    canonical order; ``nodes`` and ``spans`` list them with the terminals,
-    which carry the degenerate intervals [a, a] and [b, b]. An edge weighs
-    0 when the two spans share a point and 1 otherwise (one bridging gap
-    sensor). ``first_free_id`` is the lowest id above every sensor of the
-    field, for the gap sensors a selection adds.
+    The graph is complete: its nodes are the sensors plus the LEFT and
+    RIGHT terminals, which carry the degenerate intervals [a, a] and
+    [b, b], and an edge weighs 0 when the two spans share a point and 1
+    otherwise (one bridging gap sensor). No round walks its edges (see
+    ``_gap_free_path``), so only the rows are held: ``us``, ``vs`` and
+    ``ids`` are the sensors' spans in the field's canonical order.
+    ``first_free_id`` is the lowest id above every sensor of the field,
+    for the gap sensors a selection adds.
     """
 
     us: np.ndarray
@@ -127,24 +129,13 @@ class BarrierGraph:
 
     @cached_property
     def nodes(self) -> tuple[int, ...]:
+        # read only by the benchmark's baselines.k_disjoint_paths.nodes counter
         return (LEFT, RIGHT, *self.ids.tolist())
-
-    @cached_property
-    def spans(self) -> Mapping[int, tuple[float, float]]:
-        a, b = self.domain
-        spans = {LEFT: (a, a), RIGHT: (b, b)}
-        spans.update(zip(self.ids.tolist(), zip(self.us.tolist(), self.vs.tolist())))
-        return spans
 
     @cached_property
     def by_v(self) -> np.ndarray:
         """Rows in ascending v order."""
         return np.argsort(self.vs, kind="stable")
-
-    def weight(self, i: int, j: int) -> int:
-        ui, vi = self.spans[i]
-        uj, vj = self.spans[j]
-        return 0 if (ui <= vj and uj <= vi) else 1
 
 
 def build_barrier_graph(field: SensorField, domain: Domain) -> BarrierGraph:

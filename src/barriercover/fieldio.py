@@ -1,4 +1,4 @@
-"""Reading and writing sensor fields and selection results.
+"""Reading and writing sensor-field files.
 
 A sensor-field file holds one JSON object per line:
 
@@ -8,7 +8,9 @@ A sensor-field file holds one JSON object per line:
 
 ``id`` is a JSON integer. ``fov`` and ``direction`` are required for
 directional sensors and must be absent for omnidirectional ones. Virtual
-sensors never appear in input files.
+sensors never appear in input files. Selection results have no reader
+here: ``SelectionResult.to_dict`` and ``from_dict`` turn them into JSON
+objects and back, and the command line reads and writes their files.
 
 The reader parses each line into row buffers, with a row-to-line list,
 and every ``_CHUNK`` rows moves them into column arrays, which it joins

@@ -222,27 +222,19 @@ def _ids(values: Iterable[int], unique: bool = False) -> np.ndarray:
     doors (the constructor, ``span_of`` and ``without``). Each must be an
     integer, never a bool, that meets the range rules of ``_id_rules``,
     with ``unique`` its rule that no id repeats too; a fault raises
-    ``ParameterError`` naming the first bad id, type faults first."""
-    values = values if isinstance(values, np.ndarray) else list(values)
-    try:
-        column = np.asarray(values)
-    except ValueError:  # ragged nesting: some entry is a sequence
-        column = np.asarray(values, dtype=object)
-    # numpy reads a bool among ints as 0 or 1, and in an int column the
-    # range rules refuse only ids below 0, so only ids up to 1 need a look;
-    # any other column holds a float, a string, None, a sequence or bools
-    # alone, an id outside int64, or no id at all
-    integral = column.dtype.kind == "i" and column.ndim == 1
-    suspects = [values[i] for i in np.flatnonzero(column <= 1)] if integral else values
-    for value in suspects:
+    ``ParameterError`` naming the first bad id, as given, type faults
+    first."""
+    given = values if isinstance(values, np.ndarray) else list(values)
+    # an array's ids as Python scalars, which the ``is`` test of
+    # ``_is_integer`` passes at once when they are ints
+    plain = given.tolist() if isinstance(given, np.ndarray) else given
+    for i, value in enumerate(plain):
         if not _is_integer(value):
-            raise ParameterError(f"id must be an integer, got {value!r}")
-    if not integral:
-        column = _id_column(list(map(operator.index, values)))
-    if len(suspects) or unique:
-        fault = _first_fault(_id_rules(column, unique))
-        if fault is not None:
-            raise ParameterError(fault[1])
+            raise ParameterError(f"id must be an integer, got {given[i]!r}")
+    column = _id_column(plain)
+    fault = _first_fault(_id_rules(column, unique))
+    if fault is not None:
+        raise ParameterError(fault[1])
     return column.astype(np.int64, copy=False)
 
 
@@ -353,14 +345,15 @@ def _count(name: str, value, minimum: int) -> int:
 
 def _failed(failed_ids: Iterable[int], selected_ids: Iterable[int]) -> set[int]:
     """The failed ids as a set; each must be one of the selected ids, and
-    an integer: True or 1.0 never stands for sensor 1."""
-    failed = set(failed_ids)
-    stray = failed.difference(selected_ids).union(
-        f for f in failed if not _is_integer(f)
-    )
+    an integer: True or 1.0 never stands for sensor 1. A fault names the
+    stray integers in ascending order, then the other strays as given."""
+    failed = list(failed_ids)
+    integers = {f for f in failed if _is_integer(f)}
+    stray = sorted(integers.difference(selected_ids))
+    stray += [f for f in failed if not _is_integer(f)]
     if stray:
-        raise ParameterError(f"failed ids {sorted(stray)} were never selected")
-    return failed
+        raise ParameterError(f"failed ids {stray} were never selected")
+    return integers
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,7 +365,7 @@ class TargetSet:
     compare by identity.
     """
 
-    xs: np.ndarray = ()
+    xs: np.ndarray
 
     def __post_init__(self) -> None:
         xs = self.xs
@@ -541,10 +534,7 @@ class SensorField:
         where the field holds no interval for it; the ids pass ``_ids``."""
         ids, rows = self._rows_by_id
         sensor_ids = _ids(sensor_ids)
-        # numpy searches sorted keys about twice as fast as unsorted ones
-        order = sensor_ids.argsort()
-        at = np.empty_like(order)
-        at[order] = np.searchsorted(ids[:-1], sensor_ids[order])
+        at = np.searchsorted(ids[:-1], sensor_ids)
         return np.where(ids[at] == sensor_ids, rows[at], -1)
 
     def span_of(self, sensor_id: int) -> tuple[float, float] | None:

@@ -548,11 +548,36 @@ def naive_k_oga(field, targets, k):
     )
 
 
+class CompleteGraph(NamedTuple):
+    """The complete weighted graph that a ``BarrierGraph`` stands for: its
+    sensors plus the LEFT and RIGHT terminals, which carry the spans
+    [a, a] and [b, b]. An edge weighs 0 when its two spans share a point
+    and 1 otherwise (one bridging gap sensor)."""
+
+    nodes: tuple[int, ...]
+    spans: dict[int, tuple[float, float]]
+
+    def weight(self, i, j):
+        ui, vi = self.spans[i]
+        uj, vj = self.spans[j]
+        return 0 if (ui <= vj and uj <= vi) else 1
+
+
+def complete_graph(graph):
+    """The ``CompleteGraph`` of ``graph``'s rows and domain, the terminals
+    first, then the sensors in the field's canonical order."""
+    a, b = graph.domain
+    spans = {LEFT: (a, a), RIGHT: (b, b)}
+    for sid, u, v in zip(graph.ids.tolist(), graph.us.tolist(), graph.vs.tolist()):
+        spans[sid] = (u, v)
+    return CompleteGraph(tuple(spans), spans)
+
+
 def _oracle_cheapest_path(graph, removed):
     """Cheapest LEFT->RIGHT path by (total weight, node count, node ids).
 
-    Dijkstra over the complete graph with whole path tuples as labels, so
-    the heap order is the tie-break itself.
+    Dijkstra over the ``CompleteGraph`` with whole path tuples as labels,
+    so the heap order is the tie-break itself.
     """
     best_seen = {}
     heap = [(0, 1, (LEFT,))]
@@ -630,6 +655,7 @@ def oracle_k_disjoint_paths(graph, k):
     largest real node id."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
+    graph = complete_graph(graph)
     removed = set()
     selected = []
     virtual_ids = []

@@ -29,6 +29,7 @@ from barriercover.model import (
     discretize,
 )
 from conftest import (
+    complete_graph,
     exhaustive_min_kcover,
     make_field,
     oracle_instance,
@@ -93,7 +94,9 @@ def graph_domains(draw):
 
 
 def cheapest_path_oracle(graph):
-    """Min (weight, node count, lexicographic) LEFT->RIGHT simple path."""
+    """Min (weight, node count, lexicographic) LEFT->RIGHT simple path
+    through ``graph``'s ``CompleteGraph``."""
+    graph = complete_graph(graph)
     interiors = [n for n in graph.nodes if n not in (LEFT, RIGHT)]
     best = [None]
 
@@ -171,15 +174,17 @@ class TestBarrierGraph:
         field = make_field([(0.0, 4.0), (3.0, 7.0)], domain=(0.0, 10.0))
         graph = build_barrier_graph(field, (0.0, 10.0))
         assert set(graph.nodes) == {LEFT, RIGHT, 0, 1}
-        assert graph.spans[LEFT] == (0.0, 0.0)
-        assert graph.spans[RIGHT] == (10.0, 10.0)
+        complete = complete_graph(graph)
+        assert complete.nodes == graph.nodes
+        assert complete.spans[LEFT] == (0.0, 0.0)
+        assert complete.spans[RIGHT] == (10.0, 10.0)
 
     def test_weights(self):
         field = make_field(
             [(0.0, 4.0), (2.0, 6.0), (4.0, 8.0), (9.0, 9.5)],
             domain=(0.0, 10.0),
         )
-        graph = build_barrier_graph(field, (0.0, 10.0))
+        graph = complete_graph(build_barrier_graph(field, (0.0, 10.0)))
         assert graph.weight(0, 1) == 0
         assert graph.weight(0, 2) == 0
         assert graph.weight(0, 3) == 1

@@ -558,39 +558,72 @@ class TestInputGates:
         "nan": (math.nan, "id must be an integer, got nan"),
         "str": ("3", "id must be an integer, got '3'"),
         "None": (None, "id must be an integer, got None"),
+        "0-d-array": (np.array(3), "id must be an integer, got array(3)"),
     }
 
-    @pytest.mark.parametrize("value, message", NOT_IDS.values(), ids=NOT_IDS.keys())
+    # the same as id arrays, each ending in what is not a sensor id; a
+    # message shows the id as the array holds it
+    NOT_ID_COLUMNS = {
+        **{key: ([value], message) for key, (value, message) in NOT_IDS.items()},
+        "int64": (np.array([3, -1]), "sensor id must be >= 0, got -1"),
+        "uint64-past-int64": (
+            np.array([3, 2**63], dtype=np.uint64),
+            f"sensor id must be < 2**63, got {2**63}",
+        ),
+        "bool-array": (np.array([True]), f"id must be an integer, got {np.True_!r}"),
+        "float-array": (np.array([1.5]), f"id must be an integer, got {np.float64(1.5)!r}"),
+        "whole-float-array": (
+            np.array([3.0]),
+            f"id must be an integer, got {np.float64(3.0)!r}",
+        ),
+        "2-D-array": (np.array([[1, 3]]), f"id must be an integer, got {np.array([1, 3])!r}"),
+    }
+
+    @pytest.mark.parametrize(
+        "ids, message", NOT_ID_COLUMNS.values(), ids=NOT_ID_COLUMNS.keys()
+    )
     @pytest.mark.parametrize(
         "door",
         [
-            lambda field, i: SensorField([0.0], [1.0], [i], (0.0, 1.0)),
-            lambda field, i: SensorField.build([Sensor.omni(i, 1.0, 0.0, 1.0)], (0.0, 1.0)),
-            lambda field, i: field.span_of(i),
-            lambda field, i: field.without([i]),
+            lambda field, ids: SensorField(
+                np.zeros(len(ids)), np.ones(len(ids)), ids, (0.0, 1.0)
+            ),
+            lambda field, ids: SensorField.build(
+                [Sensor.omni(ids[-1], 1.0, 0.0, 1.0)], (0.0, 1.0)
+            ),
+            lambda field, ids: field.span_of(ids[-1]),
+            lambda field, ids: field.without(ids),
         ],
         ids=["SensorField", "build", "span_of", "without"],
     )
-    def test_every_field_door_refuses_what_is_not_an_id(self, door, value, message):
+    def test_every_field_door_refuses_what_is_not_an_id(self, door, ids, message):
         # the field holds sensors 1 and 3: True, 1.5 and "3" would pass for them
         field = make_field([(0.0, 1.0), (1.0, 4.0), (3.0, 10.0), (5.0, 6.0)], domain=(0.0, 10.0))
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-            door(field, value)
+            door(field, ids)
 
-    @pytest.mark.parametrize("value, _", NOT_IDS.values(), ids=NOT_IDS.keys())
-    def test_result_files_and_the_mender_keep_their_errors(self, value, _):
+    # each failed list with its first entry that a result file refuses and
+    # its strays: the integers in ascending order, then the rest as given
+    FAILED = {
+        **{key: ([value], repr(value), f"[{value!r}]") for key, (value, _) in NOT_IDS.items()},
+        "str-and-int": (["3", 99], "'3'", "[99, '3']"),
+        "float-and-str": ([1.5, "x"], "1.5", "[1.5, 'x']"),
+        "nested": ([[1]], "[1]", "[[1]]"),
+    }
+
+    @pytest.mark.parametrize("failed, first, strays", FAILED.values(), ids=FAILED.keys())
+    def test_result_files_and_the_mender_keep_their_errors(self, failed, first, strays):
         field = make_field(self.FIELD, domain=(0.0, 10.0))
         result = oga_continuous(field, field.domain)
         assert result.selected_ids == (0, 1)  # True would pass for sensor 1
-        shown = repr(value)
-        refused = f"selected ids must be integers in [0, 2**63), got {shown}"
+        refused = f"selected ids must be integers in [0, 2**63), got {first}"
         with pytest.raises(TypeError, match=f"^{re.escape(refused)}$"):
-            SelectionResult.from_dict({"selected": [value]})
-        never = f"^{re.escape(f'failed ids [{shown}] were never selected')}$"
+            SelectionResult.from_dict({"selected": failed})
+        never = f"^{re.escape(f'failed ids {strays} were never selected')}$"
         with pytest.raises(ParameterError, match=never):
-            find_gaps(result, [value], field, field.domain)
+            find_gaps(result, failed, field, field.domain)
         with pytest.raises(ParameterError, match=never):
-            logm(result, [], field, field.domain, [value])
+            logm(result, [], field, field.domain, failed)
 
     def test_target_lists_are_coerced_once_and_never_empty(self):
         field = make_field([(2.0, 4.0)], domain=(0.0, 10.0))
