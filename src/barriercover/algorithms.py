@@ -134,18 +134,22 @@ class SelectionResult:
     @classmethod
     def from_dict(cls, data: dict) -> "SelectionResult":
         """The result ``to_dict`` wrote. Ids must be integers in
-        [0, 2**63), every virtual id needs its span and every span its
-        virtual id, spans must be finite with u <= v, and the checks of
-        the constructor hold; a fault raises TypeError or ValueError."""
+        [0, 2**63), trace coordinates finite numbers, ``fully_covered`` a
+        boolean, every virtual id needs its span and every span its virtual
+        id, spans must be finite with u <= v, and the checks of the
+        constructor hold; a fault raises TypeError or ValueError."""
         trace = tuple(
             SelectionStep(
-                current_target=s["current_target"],
+                current_target=_json_coordinate(s, i, "current_target"),
                 candidate_ids=_json_ids(s.get("candidate_ids", ()), "candidate"),
                 chosen_id=_json_ids([s["chosen_id"]], "chosen")[0],
-                reach=s["reach"],
+                reach=_json_coordinate(s, i, "reach"),
             )
-            for s in data.get("trace", ())
+            for i, s in enumerate(data.get("trace", ()))
         )
+        fully_covered = data.get("fully_covered", True)
+        if type(fully_covered) is not bool:
+            raise TypeError(f"fully_covered must be true or false, got {fully_covered!r}")
         spans = {}
         for key, span in data.get("virtual_spans", {}).items():
             u, v = map(float, span)
@@ -166,7 +170,7 @@ class SelectionResult:
                 virtual_ids=virtual,
                 virtual_spans=spans,
                 trace=trace,
-                fully_covered=bool(data.get("fully_covered", True)),
+                fully_covered=fully_covered,
             )
         except ParameterError as exc:
             # a fault of the file, not a bad setting: its reader names it
@@ -181,6 +185,16 @@ def _json_ids(values, what: str) -> tuple[int, ...]:
         if type(i) is not int or not 0 <= i < 2**63:
             raise TypeError(f"{what} ids must be integers in [0, 2**63), got {i!r}")
     return ids
+
+
+def _json_coordinate(step: dict, i: int, key: str):
+    """A coordinate of trace step i read from a result file: an integer
+    or a finite float, never a boolean."""
+    value = step[key]
+    finite = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    if isinstance(value, bool) or not finite:
+        raise ValueError(f"trace step {i} {key} must be a finite number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -264,6 +278,12 @@ class _Frontier:
     * ``second[i]``: the furthest reach over positions 0..i other than
       ``arg[i]``, for walks with one position removed (sentinel as above).
 
+    Nothing else is kept: each answer depends on the frontier alone. The
+    candidates at f lie in one window, from the first position whose
+    ``best`` exceeds f to the last with u <= f. One walk's windows are
+    disjoint, since its next frontier is the furthest reach over every
+    position with u <= f, or a bridge end past them.
+
     The same table serves coordinates (continuous cover and mending) and
     target indices (the discrete rounds), where an interval's u and v are
     the first needed target it covers and one past the last. There every
@@ -277,11 +297,6 @@ class _Frontier:
         self.m = len(u)
         self.best, self.arg = best, arg = _first_max(np.concatenate((v, [-np.inf])))
         best[-1], arg[-1] = -np.inf, -1  # the sentinel: no reach, no position
-        # candidate listing for traces: the positions with u <= f < v for
-        # the last f asked about, and how far the table has been entered
-        self._listed_at = -np.inf
-        self._entered = 0
-        self._active = np.zeros(0, dtype=np.int64)
 
     @classmethod
     def over(cls, field: SensorField, rows=slice(None)) -> "_Frontier":
@@ -382,20 +397,12 @@ class _Frontier:
         return winners, reaches
 
     def candidates(self, f) -> tuple[int, ...]:
-        """Sorted ids of the candidates at f, for traces.
-
-        The list is kept incrementally while f grows; a frontier that moves
-        back, as at the start of the next gap in a mend, rebuilds it once.
-        """
-        if f < self._listed_at:
-            self._entered = 0
-            self._active = self._active[:0]
-        self._listed_at = f
-        stop = bisect_right(self.us, f)
-        active = np.append(self._active, np.arange(self._entered, stop))
-        active = active[self.v[active] > f]
-        self._entered, self._active = stop, active
-        return tuple(sorted(self.ids[active].tolist()))
+        """Sorted ids of the candidates at f (u <= f < v), for traces. They
+        lie in one window of positions; see the class docstring."""
+        start = np.searchsorted(self.best[:-1], f, "right")
+        window = slice(start, bisect_right(self.us, f))
+        live = self.v[window] > f
+        return tuple(sorted(self.ids[window][live].tolist()))
 
 
 def _cover(
@@ -517,14 +524,8 @@ def k_oga(
             )
         if record_trace:
             for f, winner, reach in zip([0, *reaches], picked, reaches):
-                steps.append(
-                    SelectionStep(
-                        current_target=int(need[f]),
-                        candidate_ids=frontier.candidates(f),
-                        chosen_id=ids.item(winner),
-                        reach=int(need[reach - 1]),
-                    )
-                )
+                at, to = int(need[f]), int(need[reach - 1])
+                steps.append(SelectionStep(at, frontier.candidates(f), ids.item(winner), to))
         used += picked
         if s < k:  # no later round reads the coverage
             cov += _depth(first[picked], last[picked], xs.size)

@@ -64,12 +64,10 @@ def greedy_max_coverage(
     flagged not fully covered. Never inserts virtual sensors.
     """
     xs = _targets(targets, field.domain).xs
-    m = len(xs)
     ids = field.ids.tolist()
-    n = len(ids)
     lo, hi = _target_spans(field.us, field.vs, xs)
-    uncovered = np.ones(m, dtype=np.int64)
-    available = np.ones(n, dtype=bool)
+    uncovered = np.ones(xs.size, dtype=np.int64)
+    available = np.ones(len(ids), dtype=bool)
     selected: list[int] = []
     steps: list[SelectionStep] = []
     comparisons = 0
@@ -82,16 +80,11 @@ def greedy_max_coverage(
         if gains[best] <= 0:
             break
         if record_trace:
-            frontier = int(np.argmax(uncovered))
-            candidates = tuple(
-                sorted(
-                    ids[i] for i in np.nonzero((gains > 0) & available)[0]
-                )
-            )
             steps.append(
                 SelectionStep(
-                    current_target=frontier,
-                    candidate_ids=candidates,
+                    current_target=int(np.argmax(uncovered)),
+                    # a used sensor's gain is -1, so these are all unused
+                    candidate_ids=tuple(sorted(field.ids[gains > 0].tolist())),
                     chosen_id=ids[best],
                     reach=int(hi[best]) - 1,
                 )

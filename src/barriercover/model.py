@@ -36,10 +36,11 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,11 +224,15 @@ def _ids(values: Iterable[int], unique: bool = False) -> np.ndarray:
     integer, never a bool, that meets the range rules of ``_id_rules``,
     with ``unique`` its rule that no id repeats too; a fault raises
     ``ParameterError`` naming the first bad id, as given, type faults
-    first."""
-    given = values if isinstance(values, np.ndarray) else list(values)
+    first. A lone integer or a 0-d array is not a sequence of ids."""
+    array = isinstance(values, np.ndarray)
+    sequence = values.ndim > 0 if array else isinstance(values, Iterable)
+    if not sequence:
+        raise ParameterError(f"ids must be a sequence of integers, got {values!r}")
+    given = values if array else list(values)
     # an array's ids as Python scalars, which the ``is`` test of
     # ``_is_integer`` passes at once when they are ints
-    plain = given.tolist() if isinstance(given, np.ndarray) else given
+    plain = given.tolist() if array else given
     for i, value in enumerate(plain):
         if not _is_integer(value):
             raise ParameterError(f"id must be an integer, got {given[i]!r}")

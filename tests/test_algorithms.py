@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from barriercover.algorithms import (
     Gap,
     SelectionResult,
     SelectionStep,
+    _Frontier,
     augment_with_gap_sensors,
     find_gaps,
     k_oga,
@@ -29,6 +31,7 @@ from conftest import (
     exhaustive_min_kcover,
     make_field,
     markov_equality_holds,
+    naive_logm,
     oracle_instance,
     selected_cover_sets,
     table_field,
@@ -245,6 +248,33 @@ class TestSerialization:
         assert back.trace == sel.trace
         assert back.fully_covered == sel.fully_covered
 
+    STEP = {"current_target": 0.0, "candidate_ids": [0], "chosen_id": 0, "reach": 4.0}
+
+    @pytest.mark.parametrize(
+        "key, value, shown",
+        [
+            ("current_target", "x", "'x'"),
+            ("current_target", math.nan, "nan"),
+            ("reach", True, "True"),
+            ("reach", math.inf, "inf"),
+            ("reach", None, "None"),
+        ],
+        ids=["str-target", "nan-target", "bool-reach", "inf-reach", "null-reach"],
+    )
+    def test_trace_coordinates_must_be_finite_numbers(self, key, value, shown):
+        trace = [self.STEP, {**self.STEP, key: value}]
+        message = f"trace step 1 {key} must be a finite number, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SelectionResult.from_dict({"selected": [0], "trace": trace})
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
+    def test_fully_covered_must_be_a_boolean(self, value):
+        message = f"fully_covered must be true or false, got {value!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            SelectionResult.from_dict({"selected": [0], "fully_covered": value})
+        read = SelectionResult.from_dict({"selected": [0], "fully_covered": False})
+        assert read.fully_covered is False
+
     def test_duplicate_selection_rejected(self):
         with pytest.raises(ParameterError):
             SelectionResult(selected_ids=(1, 1))
@@ -398,6 +428,19 @@ class TestLogm:
         whole = logm(sel, [Gap(0.0, 12.0)], field, (0.0, 12.0), failed_ids=[1])
         assert whole.virtual_spans == {3: (0.0, 12.0)}
 
+    def test_overlapping_gaps_match_naive_scans(self):
+        # hand-made gaps that find_gaps never returns: the second starts
+        # inside the first, so its walk starts behind where the first ended
+        field = SensorField(
+            [0, 2, 4.5, 1, 3, 5], [3, 5, 10, 6, 9, 7], range(6), (0, 10)
+        )
+        previous = SelectionResult(selected_ids=(0, 1, 2))
+        gaps = [Gap(0.0, 6.0), Gap(0.5, 9.5)]
+        mended = logm(previous, gaps, field, (0, 10), failed_ids=[0, 2])
+        assert mended == naive_logm(previous, gaps, field, {0, 2})
+        assert [s.current_target for s in mended.trace] == [0.0, 1.0, 0.5, 1.0, 6.0, 9.0]
+        assert mended.trace[4].candidate_ids == (4, 5)
+
     def test_mended_union_always_covers(self):
         import sys
 
@@ -423,6 +466,20 @@ class TestLogm:
             )
             assert rid not in mended.selected_ids
         assert hits > 30
+
+
+class TestFrontierCandidates:
+    def test_any_order_of_frontiers_matches_a_full_scan(self):
+        # sorted by u, with zero-length rows at 1, 2 and 5, and a row at
+        # u = 2 masked to v = 0 as k_oga masks the rows it has used
+        u = np.array([0, 0, 1, 2, 2, 2, 3, 5, 5, 7])
+        v = np.array([3, 2, 1, 0, 6, 2, 4, 9, 5, 8])
+        ids = np.array([8, 3, 5, 9, 0, 7, 2, 6, 1, 4])
+        frontier = _Frontier(u, v, ids)
+        # decreasing, repeated, then increasing
+        for f in [9.5, 8, 6, 6, 4.5, 2, 2, 1, 0, 0, -1, 0, 0.5, 1, 2, 3, 5, 7, 9, 9.5]:
+            scan = sorted(ids[i].item() for i in range(u.size) if u[i] <= f < v[i])
+            assert frontier.candidates(f) == tuple(scan), f
 
 
 class TestMarkovProperty:

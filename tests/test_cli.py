@@ -423,6 +423,20 @@ class TestDiagnostics:
                 "selected ids must be integers in [0, 2**63), got 1.0",
             ),
             (
+                '{"selected": [0], "trace": [{"current_target": 0.0,'
+                ' "candidate_ids": [0], "chosen_id": 0, "reach": NaN}]}',
+                "trace step 0 reach must be a finite number, got nan",
+            ),
+            (
+                '{"selected": [0], "trace": [{"current_target": "x",'
+                ' "candidate_ids": [0], "chosen_id": 0, "reach": 4.0}]}',
+                "trace step 0 current_target must be a finite number, got 'x'",
+            ),
+            (
+                '{"selected": [0], "fully_covered": "false"}',
+                "fully_covered must be true or false, got 'false'",
+            ),
+            (
                 '{"selected": [0, 20], "virtual": [20], "virtual_spans": {}}',
                 "virtual sensor 20 has no virtual span",
             ),
@@ -455,6 +469,9 @@ class TestDiagnostics:
         ids=[
             "bool-id",
             "float-id",
+            "nan-reach",
+            "str-target",
+            "str-fully-covered",
             "virtual-no-span",
             "nan-span",
             "reversed-span",

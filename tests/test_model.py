@@ -602,6 +602,22 @@ class TestInputGates:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             door(field, ids)
 
+    @pytest.mark.parametrize(
+        "door, shown",
+        [
+            (lambda field: field.without(3), "3"),
+            (lambda field: field.without(np.array(3)), "array(3)"),
+            (lambda field: SensorField([0.0], [1.0], np.array(3), (0.0, 1.0)), "array(3)"),
+        ],
+        ids=["without-int", "without-0-d-array", "SensorField-0-d-array"],
+    )
+    def test_a_lone_id_is_not_a_sequence_of_ids(self, door, shown):
+        # the field holds sensor 3, which a lone 3 would name
+        field = make_field([(0.0, 1.0), (1.0, 4.0), (3.0, 10.0), (5.0, 6.0)], domain=(0.0, 10.0))
+        message = f"ids must be a sequence of integers, got {shown}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            door(field)
+
     # each failed list with its first entry that a result file refuses and
     # its strays: the integers in ascending order, then the rest as given
     FAILED = {
