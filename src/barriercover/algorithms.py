@@ -22,16 +22,16 @@ Every one walks a ``_Frontier`` table: ``walk`` for one frontier,
 ``walk_all`` for many at once. Stretches that no sensor covers are
 bridged by virtual gap sensors so the walks never stall; ``k_oga`` adds
 them up front (``augment_with_gap_sensors``). A field holds real sensors
-only: the virtual ones exist only in a result, as ids in
-``virtual_ids`` with their spans in ``virtual_spans``, and a selection
-counts as fully covered only when no virtual sensor was needed.
+only: the virtual ones exist only in a result, as the keys of its ledger
+``virtual_spans`` (``virtual_ids`` lists them in selection order), and a
+selection counts as fully covered only when no virtual sensor was needed.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
 from functools import cached_property
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -70,20 +70,39 @@ class SelectionStep:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Ordered selection with its trace and virtual-gap-sensor ledger."""
+    """Ordered selection with its trace and its ledger ``virtual_spans``
+    ({virtual id: span}); the constructor checks every result, and the
+    ``virtual_ids`` it may be given (a restatement, not kept) against the ledger."""
 
     selected_ids: tuple[int, ...]
-    virtual_ids: tuple[int, ...] = ()
     virtual_spans: Mapping[int, tuple[float, float]] = dc_field(default_factory=dict)
     trace: tuple[SelectionStep, ...] = ()
     fully_covered: bool = True
     comparisons: int = 0
+    virtual_ids: InitVar[Sequence[int] | None] = None
 
-    def __post_init__(self) -> None:
-        if len(set(self.selected_ids)) != len(self.selected_ids):
+    def __post_init__(self, virtual_ids: Sequence[int] | None) -> None:
+        if virtual_ids is not None:
+            lacking = [vid for vid in virtual_ids if vid not in self.virtual_spans]
+            if lacking:
+                raise ParameterError(f"virtual sensor {lacking[0]} has no virtual span")
+            listed = set(virtual_ids)
+            stray = [vid for vid in self.virtual_spans if vid not in listed]
+            if stray:
+                raise ParameterError(f"virtual span {stray[0]} has no virtual sensor")
+        selected = set(self.selected_ids)
+        if len(selected) != len(self.selected_ids):
             raise ParameterError("selected_ids must not contain duplicates")
-        if not set(self.virtual_ids) <= set(self.selected_ids):
+        if not selected.issuperset(self.virtual_spans):
             raise ParameterError("virtual_ids must be a subset of selected_ids")
+        for vid, (u, v) in self.virtual_spans.items():
+            if not (math.isfinite(u) and math.isfinite(v) and u <= v):
+                raise ParameterError(f"virtual span {vid} must be finite with u <= v, "
+                                     f"got [{u}, {v}]")
+        for i, step in enumerate(self.trace):
+            if step.chosen_id not in selected:
+                raise ParameterError(f"trace step {i} chose {step.chosen_id}, "
+                                     "which is not selected")
 
     @property
     def count(self) -> int:
@@ -133,40 +152,44 @@ class SelectionResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SelectionResult":
-        """The result ``to_dict`` wrote. Ids must be integers in
-        [0, 2**63), trace coordinates finite numbers, ``fully_covered`` a
-        boolean, every virtual id needs its span and every span its virtual
-        id, spans must be finite with u <= v, and the checks of the
-        constructor hold; a fault raises TypeError or ValueError."""
-        trace = tuple(
-            SelectionStep(
-                current_target=_json_coordinate(s, i, "current_target"),
-                candidate_ids=_json_ids(s.get("candidate_ids", ()), "candidate"),
-                chosen_id=_json_ids([s["chosen_id"]], "chosen")[0],
-                reach=_json_coordinate(s, i, "reach"),
+        """The result ``to_dict`` wrote. ``selected``, ``virtual`` and
+        ``trace`` must be lists, each trace step an object, and
+        ``virtual_spans`` an object of lists of two numbers. Ids must be
+        integers in [0, 2**63), ``count`` (if present) the number of
+        selected ids, trace coordinates finite numbers and ``fully_covered``
+        a boolean; then the constructor checks the result, and ``virtual``
+        against its ledger. A fault raises TypeError or ValueError."""
+        selected = _json_ids(_json_list(data["selected"], "selected"), "selected")
+        count = data.get("count", len(selected))
+        if type(count) is not int or count != len(selected):
+            raise ValueError(
+                f"count must be {len(selected)}, the number of selected ids, got {count!r}"
             )
-            for i, s in enumerate(data.get("trace", ()))
-        )
+        steps = _json_list(data.get("trace", []), "trace")
+        trace = tuple(_json_step(s, i) for i, s in enumerate(steps))
         fully_covered = data.get("fully_covered", True)
         if type(fully_covered) is not bool:
             raise TypeError(f"fully_covered must be true or false, got {fully_covered!r}")
+        ledger = data.get("virtual_spans", {})
+        if not isinstance(ledger, dict):
+            raise TypeError(f"virtual_spans must be an object, got {ledger!r}")
         spans = {}
-        for key, span in data.get("virtual_spans", {}).items():
-            u, v = map(float, span)
-            if not (math.isfinite(u) and math.isfinite(v) and u <= v):
+        for key, span in ledger.items():
+            if not (isinstance(span, list) and len(span) == 2
+                    and all(type(x) in (int, float) for x in span)):
+                raise TypeError(f"virtual span {key} must be a list of two numbers, "
+                                f"got {span!r}")
+            if key != str(vid := int(key)):  # " 5" and "05" would both be 5
+                raise ValueError(f"virtual span key {key!r} must be an id in decimal")
+            try:
+                spans[vid] = (float(span[0]), float(span[1]))
+            except OverflowError:  # an integer beyond the floats
                 raise ValueError(f"virtual span {key} must be finite with u <= v, "
-                                 f"got [{u}, {v}]")
-            spans[int(key)] = (u, v)
-        virtual = _json_ids(data.get("virtual", ()), "virtual")
-        lacking = [vid for vid in virtual if vid not in spans]
-        if lacking:
-            raise ValueError(f"virtual sensor {lacking[0]} has no virtual span")
-        stray = [vid for vid in spans if vid not in virtual]
-        if stray:
-            raise ValueError(f"virtual span {stray[0]} has no virtual sensor")
+                                 f"got {span!r}") from None
+        virtual = _json_ids(_json_list(data.get("virtual", []), "virtual"), "virtual")
         try:
             return cls(
-                selected_ids=_json_ids(data["selected"], "selected"),
+                selected_ids=selected,
                 virtual_ids=virtual,
                 virtual_spans=spans,
                 trace=trace,
@@ -177,7 +200,19 @@ class SelectionResult:
             raise ValueError(str(exc)) from None
 
 
-def _json_ids(values, what: str) -> tuple[int, ...]:
+# no field: the ledger's ids in selection order, set once the dataclass is made
+SelectionResult.virtual_ids = property(  # type: ignore[assignment]
+    lambda self: tuple(sid for sid in self.selected_ids if sid in self.virtual_spans))
+
+
+def _json_list(value, name: str) -> list:
+    """The value at ``name`` in a result file, which must be a list."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _json_ids(values: list, what: str) -> tuple[int, ...]:
     """Ids read from a result file: JSON integers, never booleans, in the
     range sensor ids take."""
     ids = tuple(values)
@@ -185,6 +220,21 @@ def _json_ids(values, what: str) -> tuple[int, ...]:
         if type(i) is not int or not 0 <= i < 2**63:
             raise TypeError(f"{what} ids must be integers in [0, 2**63), got {i!r}")
     return ids
+
+
+def _json_step(step, i: int) -> SelectionStep:
+    """Trace step i read from a result file: an object of finite
+    coordinates, candidate ids and the chosen id."""
+    if not isinstance(step, dict):
+        raise TypeError(f"trace step {i} must be an object, got {step!r}")
+    current_target = _json_coordinate(step, i, "current_target")
+    candidates = _json_list(step.get("candidate_ids", []), f"trace step {i} candidate_ids")
+    return SelectionStep(
+        current_target=current_target,
+        candidate_ids=_json_ids(candidates, "candidate"),
+        chosen_id=_json_ids([step["chosen_id"]], "chosen")[0],
+        reach=_json_coordinate(step, i, "reach"),
+    )
 
 
 def _json_coordinate(step: dict, i: int, key: str):
@@ -439,7 +489,6 @@ def _cover(
                 chosen.add(sid)
     return SelectionResult(
         selected_ids=tuple(selected),
-        virtual_ids=tuple(virtual_spans),
         virtual_spans=virtual_spans,
         trace=tuple(steps),
         fully_covered=not virtual_spans,
@@ -530,13 +579,12 @@ def k_oga(
         if s < k:  # no later round reads the coverage
             cov += _depth(first[picked], last[picked], xs.size)
     selected = ids[used].tolist()
-    virtual_sel = tuple(sid for sid in selected if sid in virtual_all)
+    virtual_spans = {sid: virtual_all[sid] for sid in selected if sid in virtual_all}
     return SelectionResult(
         selected_ids=tuple(selected),
-        virtual_ids=virtual_sel,
-        virtual_spans={vid: virtual_all[vid] for vid in virtual_sel},
+        virtual_spans=virtual_spans,
         trace=tuple(steps),
-        fully_covered=not virtual_sel,
+        fully_covered=not virtual_spans,
         comparisons=comparisons,
     )
 
@@ -627,7 +675,7 @@ def logm(
     virtual_spans = {
         sid: previous.virtual_spans[sid]
         for sid in surviving
-        if sid in previous.virtual_ids
+        if sid in previous.virtual_spans
     }
     return _cover(
         _Frontier.over(field, ~np.isin(field.ids, list(previously))),

@@ -204,14 +204,12 @@ def _k_paths(graph: BarrierGraph, paths: list[np.ndarray], k: int) -> SelectionR
     paths = paths[:k]
     selected = [sid for rows in paths for sid in graph.ids[rows].tolist()]
     a, b = graph.domain
-    virtual_ids = tuple(range(graph.first_free_id, graph.first_free_id + k - len(paths)))
+    first = graph.first_free_id
+    virtual_spans = {vid: (a, b) for vid in range(first, first + k - len(paths))}
     return SelectionResult(
-        selected_ids=tuple(selected) + virtual_ids,
-        virtual_ids=virtual_ids,
-        virtual_spans={vid: (a, b) for vid in virtual_ids},
-        trace=(),
-        fully_covered=not virtual_ids,
-        comparisons=0,
+        selected_ids=tuple(selected) + tuple(virtual_spans),
+        virtual_spans=virtual_spans,
+        fully_covered=not virtual_spans,
     )
 
 

@@ -83,7 +83,7 @@ def _read_result(path: str, field: SensorField) -> SelectionResult:
 
     def parse(data: dict) -> SelectionResult:
         result = SelectionResult.from_dict(data)
-        held = [vid for vid in result.virtual_ids if field.span_of(vid) is not None]
+        held = [vid for vid in result.virtual_spans if field.span_of(vid) is not None]
         if held:
             raise ValueError(f"virtual sensor {held[0]} is a real sensor of the field")
         return result

@@ -41,7 +41,6 @@ from .algorithms import find_gaps, k_oga, logm, oga, oga_continuous, single_fail
 from .baselines import _k_paths, _path_rounds, build_barrier_graph, greedy_max_coverage
 from .deployment import RNG_ALGORITHM, DeploymentSpec, child_seed, generate
 from .model import (
-    Domain,
     ParameterError,
     SensorField,
     _count,
@@ -172,15 +171,16 @@ def _pmap(fn: Callable, tasks: Sequence[tuple], jobs: int) -> list:
         return list(pool.map(fn, *zip(*tasks), chunksize=chunk))
 
 
-def prefix_coverage(field: SensorField, selected_ids, domain: Domain) -> list[float]:
-    """Covered fraction after each real selected sensor, starting at 0.
+def prefix_coverage(field: SensorField, selected_ids) -> list[float]:
+    """Covered fraction of ``field.domain`` after each real selected
+    sensor, starting at 0.
 
     Virtual gap sensors contribute no coverage and add no curve step.
     """
     rows = field._rows_of(selected_ids)
     rows = rows[rows >= 0]
     us, vs = field.us[rows], field.vs[rows]
-    return [coverage_fraction(us[:i], vs[:i], domain) for i in range(rows.size + 1)]
+    return [coverage_fraction(us[:i], vs[:i], field.domain) for i in range(rows.size + 1)]
 
 
 def curve_intersection(
@@ -237,8 +237,8 @@ def _curves(config: ExperimentConfig, n: int, r: int) -> tuple:
     frontier = oga(field, targets, record_trace=False)
     plain = greedy_max_coverage(field, targets, record_trace=False)
     return (
-        prefix_coverage(field, frontier.selected_ids, field.domain),
-        prefix_coverage(field, plain.selected_ids, field.domain),
+        prefix_coverage(field, frontier.selected_ids),
+        prefix_coverage(field, plain.selected_ids),
         frontier.fully_covered,
     )
 

@@ -418,7 +418,6 @@ def _naive_walks(intervals, stretches, selected, virtual_spans, next_vid):
             f = reach
     return SelectionResult(
         selected_ids=tuple(selected),
-        virtual_ids=tuple(virtual_spans),
         virtual_spans=virtual_spans,
         trace=tuple(steps),
         fully_covered=not virtual_spans,
@@ -537,13 +536,12 @@ def naive_k_oga(field, targets, k):
             selected.append(sid)
             pos += right
     comparisons += len(steps)
-    virtual_ids = tuple(sid for sid in selected if sid in virtual)
+    virtual_spans = {sid: virtual[sid] for sid in selected if sid in virtual}
     return SelectionResult(
         selected_ids=tuple(selected),
-        virtual_ids=virtual_ids,
-        virtual_spans={sid: virtual[sid] for sid in virtual_ids},
+        virtual_spans=virtual_spans,
         trace=tuple(steps),
-        fully_covered=not virtual_ids,
+        fully_covered=not virtual_spans,
         comparisons=comparisons,
     )
 
@@ -658,7 +656,6 @@ def oracle_k_disjoint_paths(graph, k):
     graph = complete_graph(graph)
     removed = set()
     selected = []
-    virtual_ids = []
     virtual_spans = {}
     next_vid = max((n for n in graph.nodes if n >= 0), default=-1) + 1
     for _ in range(k):
@@ -670,16 +667,14 @@ def oracle_k_disjoint_paths(graph, k):
             if graph.weight(i, j) == 1:
                 lo = min(graph.spans[i][1], graph.spans[j][1])
                 hi = max(graph.spans[i][0], graph.spans[j][0])
-                virtual_ids.append(next_vid)
                 selected.append(next_vid)
                 virtual_spans[next_vid] = (lo, hi)
                 next_vid += 1
     return SelectionResult(
         selected_ids=tuple(selected),
-        virtual_ids=tuple(virtual_ids),
         virtual_spans=virtual_spans,
         trace=(),
-        fully_covered=not virtual_ids,
+        fully_covered=not virtual_spans,
         comparisons=0,
     )
 

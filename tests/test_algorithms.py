@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -281,7 +282,56 @@ class TestSerialization:
 
     def test_virtuals_must_be_selected(self):
         with pytest.raises(ParameterError):
-            SelectionResult(selected_ids=(1,), virtual_ids=(2,))
+            SelectionResult(selected_ids=(1,), virtual_spans={2: (0.0, 1.0)})
+
+    def test_virtual_ids_are_the_ledger_in_selection_order(self):
+        sel = SelectionResult(
+            selected_ids=(4, 0, 3), virtual_spans={3: (1.0, 2.0), 4: (0.0, 1.0)}
+        )
+        assert sel.virtual_ids == (4, 3)
+        assert sel.to_dict()["virtual"] == [4, 3]
+        assert "virtual_ids" not in {f.name for f in dataclasses.fields(sel)}
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [({"selected_ids": (0, 5), "virtual_ids": (5,)}, "virtual sensor 5 has no virtual span"),
+         ({"selected_ids": (0, 2), "virtual_spans": {2: (0.0, 1.0)}, "virtual_ids": ()},
+          "virtual span 2 has no virtual sensor")],
+        ids=["lacking", "stray"],
+    )
+    def test_restated_virtual_ids_must_be_the_ledger(self, parts, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            SelectionResult(**parts)
+        kept = SelectionResult((4, 0, 3), {3: (1.0, 2.0), 4: (0.0, 1.0)}, virtual_ids=(3, 4))
+        assert kept == SelectionResult((4, 0, 3), {3: (1.0, 2.0), 4: (0.0, 1.0)})
+
+    @pytest.mark.parametrize(
+        "span, shown",
+        [((2.0, math.inf), "[2.0, inf]"), ((math.nan, 5.0), "[nan, 5.0]"),
+         ((5.0, 1.0), "[5.0, 1.0]")],
+        ids=["inf", "nan", "reversed"],
+    )
+    def test_spans_are_checked_where_a_result_is_made(self, span, shown):
+        message = f"virtual span 2 must be finite with u <= v, got {shown}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            SelectionResult(selected_ids=(0, 2), virtual_spans={2: span})
+
+    def test_trace_steps_choose_selected_ids(self):
+        message = "trace step 1 chose 5, which is not selected"
+        trace = (SelectionStep(0.0, (0,), 0, 4.0), SelectionStep(4.0, (1,), 5, 8.0))
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            SelectionResult(selected_ids=(0, 1), trace=trace)
+        trace = [self.STEP, {**self.STEP, "chosen_id": 5}]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SelectionResult.from_dict({"selected": [0, 1], "trace": trace})
+
+    @pytest.mark.parametrize("count", [99, 1, 2.0, True, None, "2"])
+    def test_count_must_be_the_number_selected(self, count):
+        message = f"count must be 2, the number of selected ids, got {count!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SelectionResult.from_dict({"selected": [0, 1], "count": count})
+        assert SelectionResult.from_dict({"selected": [0, 1], "count": 2}).count == 2
+        assert SelectionResult.from_dict({"selected": [0, 1]}).count == 2
 
 
 class TestFindGaps:

@@ -465,6 +465,57 @@ class TestDiagnostics:
                 ' "virtual_spans": {"2": [15.0, 16.0]}}',
                 "virtual sensor 2 is a real sensor of the field",
             ),
+            (
+                '{"selected": [0, 1], "count": 99}',
+                "count must be 2, the number of selected ids, got 99",
+            ),
+            (
+                '{"selected": [0, 1], "trace": [{"current_target": 0.0,'
+                ' "candidate_ids": [0], "chosen_id": 5, "reach": 4.0}]}',
+                "trace step 0 chose 5, which is not selected",
+            ),
+            ('{"selected": 5}', "selected must be a list, got 5"),
+            ('{"selected": [0], "virtual": 5}', "virtual must be a list, got 5"),
+            ('{"selected": [0], "trace": 5}', "trace must be a list, got 5"),
+            ('{"selected": [0], "trace": [5]}', "trace step 0 must be an object, got 5"),
+            (
+                '{"selected": [0], "trace": [{"current_target": 0.0,'
+                ' "candidate_ids": 5, "chosen_id": 0, "reach": 4.0}]}',
+                "trace step 0 candidate_ids must be a list, got 5",
+            ),
+            (
+                '{"selected": [0], "virtual_spans": [1]}',
+                "virtual_spans must be an object, got [1]",
+            ),
+            (
+                '{"selected": [0, 20], "virtual": [20], "virtual_spans": {"20": 5}}',
+                "virtual span 20 must be a list of two numbers, got 5",
+            ),
+            (
+                '{"selected": [0, 20], "virtual": [20],'
+                ' "virtual_spans": {"20": [1, 2, 3]}}',
+                "virtual span 20 must be a list of two numbers, got [1, 2, 3]",
+            ),
+            (
+                '{"selected": [0, 20], "virtual": [20],'
+                ' "virtual_spans": {"20": ["1", 2]}}',
+                "virtual span 20 must be a list of two numbers, got ['1', 2]",
+            ),
+            (
+                '{"selected": [0, 20], "virtual": [20],'
+                ' "virtual_spans": {"20": [true, 2]}}',
+                "virtual span 20 must be a list of two numbers, got [True, 2]",
+            ),
+            (
+                '{"selected": [0, 20], "virtual": [20],'
+                ' "virtual_spans": {"20": [1%s, 2]}}' % ("0" * 400),
+                "virtual span 20 must be finite with u <= v, got [1%s, 2]" % ("0" * 400),
+            ),
+            (
+                '{"selected": [0, 5], "virtual": [5],'
+                ' "virtual_spans": {" 5": [1.0, 2.0], "5": [3.0, 4.0]}}',
+                "virtual span key ' 5' must be an id in decimal",
+            ),
         ],
         ids=[
             "bool-id",
@@ -479,6 +530,20 @@ class TestDiagnostics:
             "virtual-not-selected",
             "span-not-virtual",
             "virtual-is-real",
+            "wrong-count",
+            "chosen-not-selected",
+            "selected-not-a-list",
+            "virtual-not-a-list",
+            "trace-not-a-list",
+            "step-not-an-object",
+            "candidates-not-a-list",
+            "spans-not-an-object",
+            "span-not-a-list",
+            "span-of-three",
+            "span-of-a-string",
+            "span-of-a-boolean",
+            "span-beyond-the-floats",
+            "span-key-not-decimal",
         ],
     )
     def test_result_file_faults_name_the_file(self, capsys, tmp_path, text, fault):

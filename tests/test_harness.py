@@ -146,12 +146,12 @@ class TestWorkerPool:
 class TestPrefixCoverage:
     def test_grows_along_the_chain(self):
         field = make_field([(0.0, 4.0), (2.0, 8.0), (7.0, 10.0)])
-        curve = prefix_coverage(field, (0, 1, 2), (0.0, 10.0))
+        curve = prefix_coverage(field, (0, 1, 2))
         assert curve == [0.0, 0.4, 0.8, 1.0]
 
     def test_virtual_ids_add_no_step(self):
         field = make_field([(0.0, 4.0)], domain=(0.0, 10.0))
-        curve = prefix_coverage(field, (0, 99), (0.0, 10.0))
+        curve = prefix_coverage(field, (0, 99))
         assert curve == [0.0, 0.4]
 
 

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from barriercover import (
     DeploymentSpec,
+    ParameterError,
     SelectionResult,
+    SelectionStep,
     Sensor,
     SensorField,
     TargetSet,
@@ -208,11 +210,7 @@ class TestSegmentAlgebra:
         field = table_field(spans[:in_field], domain)
         ledger = {i: span for i, span in enumerate(spans) if i >= in_field}
         order = data.draw(st.permutations(range(len(spans))))
-        previous = SelectionResult(
-            selected_ids=tuple(order),
-            virtual_ids=tuple(ledger),
-            virtual_spans=ledger,
-        )
+        previous = SelectionResult(selected_ids=tuple(order), virtual_spans=ledger)
         failed = data.draw(st.sets(st.sampled_from(order)))
         gaps = find_gaps(previous, failed, field, domain)
         surviving = [spans[i] for i in order if i not in failed]
@@ -651,7 +649,57 @@ class TestFrontierAgainstNaiveScans:
         )
 
 
+IDS = st.integers(min_value=0, max_value=2**63 - 1)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+COORDINATES = st.integers() | FINITE
+
+
+@st.composite
+def result_parts(draw):
+    """Keywords of a ``SelectionResult``: about half of them right, the
+    others drawn wide, with ids that may repeat, ledger ids and chosen ids
+    that may not be selected, and spans that may be infinite, NaN or
+    reversed."""
+    wide = draw(st.booleans())
+    some_ids = st.integers(min_value=0, max_value=6) | IDS
+    selected = draw(st.lists(some_ids, max_size=8, unique=not wide))
+    pool = st.sampled_from(selected) if selected else some_ids
+    spans = st.tuples(FINITE, FINITE).map(sorted).map(tuple)
+    if wide:
+        pool |= some_ids
+        spans = st.tuples(st.floats(), st.floats())
+    ledger = draw(st.dictionaries(pool, spans, max_size=4))
+    steps = st.builds(
+        SelectionStep, COORDINATES, st.lists(IDS, max_size=3).map(tuple), pool, COORDINATES
+    )
+    return {
+        "selected_ids": tuple(selected),
+        "virtual_spans": ledger,
+        "trace": tuple(draw(st.lists(steps, max_size=4))),
+        "fully_covered": draw(st.booleans()),
+        "comparisons": draw(st.integers(min_value=0, max_value=100)),
+    }
+
+
 class TestResultFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(result_parts())
+    @example({"selected_ids": (0, 2), "virtual_spans": {2: (0.0, 1.0)}})
+    @example({"selected_ids": (0, 5), "virtual_ids": (5,)})
+    @example({"selected_ids": (0, 2), "virtual_spans": {2: (2.0, math.inf)}})
+    def test_a_result_is_refused_where_it_is_made_or_reads_back(self, parts):
+        """The converse of the test below: whatever the constructor
+        accepts, its file reads back as the same result, but for
+        ``comparisons``, and writes the same bytes again."""
+        try:
+            result = SelectionResult(**parts)
+        except ParameterError:
+            return
+        text = json.dumps(result.to_dict())
+        read = SelectionResult.from_dict(json.loads(text))
+        assert read == dataclasses.replace(result, comparisons=0)
+        assert json.dumps(read.to_dict()) == text
+
     @settings(max_examples=100, deadline=None)
     @given(interval_tables(max_chains=2), st.integers(min_value=1, max_value=3),
            st.data())
