@@ -152,14 +152,17 @@ class SelectionResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SelectionResult":
-        """The result ``to_dict`` wrote. ``selected``, ``virtual`` and
-        ``trace`` must be lists, each trace step an object, and
-        ``virtual_spans`` an object of lists of two numbers. Ids must be
-        integers in [0, 2**63), ``count`` (if present) the number of
-        selected ids, trace coordinates finite numbers and ``fully_covered``
-        a boolean; then the constructor checks the result, and ``virtual``
-        against its ledger. A fault raises TypeError or ValueError."""
-        selected = _json_ids(_json_list(data["selected"], "selected"), "selected")
+        """The result ``to_dict`` wrote. ``selected`` must be present, as
+        must each trace step's ``current_target``, ``chosen_id`` and
+        ``reach``. ``selected``, ``virtual`` and ``trace`` must be lists,
+        each trace step an object, and ``virtual_spans`` an object of lists
+        of two numbers. Ids must be integers in [0, 2**63), ``count`` (if
+        present) the number of selected ids, trace coordinates finite
+        numbers and ``fully_covered`` a boolean; then the constructor
+        checks the result, and ``virtual`` against its ledger. A fault
+        raises TypeError or ValueError."""
+        selected = _json_list(_json_key(data, "selected", "result"), "selected")
+        selected = _json_ids(selected, "selected")
         count = data.get("count", len(selected))
         if type(count) is not int or count != len(selected):
             raise ValueError(
@@ -212,6 +215,14 @@ def _json_list(value, name: str) -> list:
     return value
 
 
+def _json_key(data: dict, key: str, where: str):
+    """The value at a key that an object of a result file must hold;
+    ``where`` names the object, as "result" or "trace step 3"."""
+    if key not in data:
+        raise ValueError(f"{where} lacks {key}")
+    return data[key]
+
+
 def _json_ids(values: list, what: str) -> tuple[int, ...]:
     """Ids read from a result file: JSON integers, never booleans, in the
     range sensor ids take."""
@@ -232,7 +243,7 @@ def _json_step(step, i: int) -> SelectionStep:
     return SelectionStep(
         current_target=current_target,
         candidate_ids=_json_ids(candidates, "candidate"),
-        chosen_id=_json_ids([step["chosen_id"]], "chosen")[0],
+        chosen_id=_json_ids([_json_key(step, "chosen_id", f"trace step {i}")], "chosen")[0],
         reach=_json_coordinate(step, i, "reach"),
     )
 
@@ -240,7 +251,7 @@ def _json_step(step, i: int) -> SelectionStep:
 def _json_coordinate(step: dict, i: int, key: str):
     """A coordinate of trace step i read from a result file: an integer
     or a finite float, never a boolean."""
-    value = step[key]
+    value = _json_key(step, key, f"trace step {i}")
     finite = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
     if isinstance(value, bool) or not finite:
         raise ValueError(f"trace step {i} {key} must be a finite number, got {value!r}")
@@ -362,7 +373,7 @@ class _Frontier:
     @cached_property
     def nxt(self) -> np.ndarray:
         starts = np.where(self.v > self.u, np.arange(self.m), self.m)
-        return np.append(np.minimum.accumulate(starts[::-1])[::-1], self.m)
+        return np.concatenate((np.minimum.accumulate(starts[::-1])[::-1], [self.m]))
 
     @cached_property
     def second(self) -> np.ndarray:
@@ -387,7 +398,7 @@ class _Frontier:
         stop, end = np.full(f.shape, stop), np.full(f.shape, end)
         steps = np.zeros(f.size, dtype=np.int64)
         clean = np.ones(f.size, dtype=bool)
-        bridge_ends = np.append(self.u, np.inf)
+        bridge_ends = np.concatenate((self.u, [np.inf]))
         walking = np.flatnonzero(f < stop)
         while walking.size:
             at = f[walking]
@@ -414,7 +425,7 @@ class _Frontier:
         reach is best[i - 1]; the walk bridges exactly when that reach is
         short of min(u[i], b) on a stretch that meets [a, b).
         """
-        ends = np.minimum(np.append(self.u, b), b)
+        ends = np.minimum(np.concatenate((self.u, [b])), b)
         reach = self.best[np.arange(-1, self.m)]
         return not ((reach < ends) & (ends > a)).any()
 
@@ -767,7 +778,7 @@ def single_failure_counts(
         chain.append(pick)
     picks = np.array(chain)
     n_sel = picks.size
-    at = np.append(a, v[picks[:-1]])
+    at = np.concatenate(([a], v[picks[:-1]]))
 
     # from scratch without pick t: walk with it removed until the
     # frontier passes its right end, then follow the table
@@ -783,7 +794,7 @@ def single_failure_counts(
     unpicked[picks] = False
     pool = _Frontier.over(field, unpicked)
     resume = np.minimum.accumulate(whole.u[picks][::-1])[::-1]
-    end = np.minimum(np.append(resume[1:], b), b)
+    end = np.minimum(np.concatenate((resume[1:], [b])), b)
     _, mend, mend_clean = pool.walk_all(at, end, end)
 
     return list(

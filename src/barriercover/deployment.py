@@ -17,6 +17,7 @@ child seed per (base seed, sweep index, realization, attempt) through
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 
@@ -69,8 +70,14 @@ class DeploymentSpec:
             object.__setattr__(self, name, _count(name, getattr(self, name), 0))
         for name in ("width", "strip_height", "line_sigma", "radius", "fov"):
             value = getattr(self, name)
-            # fov is None for omni sensors
-            if value is not None and not math.isfinite(value):
+            if value is None and name == "fov":
+                continue  # an omni sensor needs no fov
+            # a real number, never a bool; the ``is`` test spares the rest
+            if type(value) is not float and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+            ):
+                raise ParameterError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
         if not self.width > 0:
             raise ParameterError(f"width must be > 0, got {self.width}")
@@ -115,7 +122,13 @@ def generate(spec: DeploymentSpec) -> SensorField:
     """Deploy ``spec.n`` sensors with ids 0..n-1; domain is [0, width].
 
     The draws go straight into the field's pose arrays; ``Sensor`` objects
-    are made only if ``field.sensors`` is read.
+    are made only if ``field.sensors`` is read. They meet the pose rules
+    by construction, save one: the ids are 0..n-1, x lies in [0, width)
+    with width finite, radius and fov come from the checked spec, and a
+    direction is at most 360 * (1 - 2**-53) < 360. A line deployment's y
+    is ``line_sigma`` times a normal draw, which overflows for a huge
+    finite sigma, so only y is checked, with the message of
+    ``from_poses``.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n
@@ -124,6 +137,9 @@ def generate(spec: DeploymentSpec) -> SensorField:
         ys = rng.normal(0.0, spec.line_sigma, n)
     else:
         ys = rng.uniform(0.0, spec.strip_height, n)
+    bad = np.flatnonzero(~np.isfinite(ys))
+    if bad.size:
+        raise ParameterError(f"y must be finite, got {ys.item(bad[0])}")
     directional = spec.sensor_kind is SensorKind.DIRECTIONAL
     if directional:
         fov, direction = spec.fov, rng.uniform(0.0, 360.0, n)
@@ -138,4 +154,4 @@ def generate(spec: DeploymentSpec) -> SensorField:
         direction=direction,
         directional=np.full(n, directional),
     )
-    return SensorField.from_poses(poses, (0.0, spec.width))
+    return SensorField._from_checked(poses, (0.0, spec.width))

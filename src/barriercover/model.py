@@ -16,10 +16,12 @@ selection adds are spans in its result, never rows of a field.
 ``Sensor`` is a plain slotted record that checks nothing. ``Poses.of`` turns
 sensors into columns and refuses only what a column cannot hold; every
 range rule, and the rule that ids are unique, is in ``_pose_rules``,
-which runs once for every field made from poses: in
-``SensorField.from_poses``, or in the file rules of ``read_field``; its
-id rules (``_id_rules``) also gate, through ``_ids``, a field made from
-intervals and the ids given to ``span_of`` and ``without``.
+which runs once for every field made from poses that are not known to
+meet it: in ``SensorField.from_poses``, or in the file rules of
+``read_field``. ``generate`` draws poses that meet it by construction
+save for y, which it checks alone. The id rules (``_id_rules``) also
+gate, through ``_ids``, a field made from intervals and the ids given
+to ``span_of`` and ``without``.
 ``Sensor`` objects are built only when ``SensorField.sensors`` is read.
 ``merge_segments``, ``complement_segments`` and ``coverage_fraction``
 take and return columns of segment ends. A ``TargetSet`` holds its points as one
@@ -453,7 +455,9 @@ class SensorField:
     ``_ids`` (integers, in range, none repeated), and sorts them; such a
     field has no poses. ``build`` and ``from_poses`` check poses by
     ``_pose_rules``, whose ranges ``_project`` needs, then project and
-    clip them.
+    clip them. ``read_field`` checks them by its file rules, which
+    include the pose rules, and ``generate`` only the y of its draws;
+    both then go through ``_from_checked``.
     """
 
     def __init__(

@@ -516,6 +516,20 @@ class TestDiagnostics:
                 ' "virtual_spans": {" 5": [1.0, 2.0], "5": [3.0, 4.0]}}',
                 "virtual span key ' 5' must be an id in decimal",
             ),
+            ('{"count": 0}', "ValueError('result lacks selected')"),
+            (
+                '{"selected": [0], "trace": [{"current_target": 0.0, "chosen_id": 0}]}',
+                "ValueError('trace step 0 lacks reach')",
+            ),
+            (
+                '{"selected": [0, 1], "trace": [{"current_target": 0.0, "chosen_id": 0,'
+                ' "reach": 1.0}, {"chosen_id": 1, "reach": 2.0}]}',
+                "ValueError('trace step 1 lacks current_target')",
+            ),
+            (
+                '{"selected": [0], "trace": [{"current_target": 0.0, "reach": 1.0}]}',
+                "ValueError('trace step 0 lacks chosen_id')",
+            ),
         ],
         ids=[
             "bool-id",
@@ -544,6 +558,10 @@ class TestDiagnostics:
             "span-of-a-boolean",
             "span-beyond-the-floats",
             "span-key-not-decimal",
+            "no-selected",
+            "step-without-reach",
+            "step-without-target",
+            "step-without-chosen-id",
         ],
     )
     def test_result_file_faults_name_the_file(self, capsys, tmp_path, text, fault):
@@ -723,6 +741,23 @@ class TestDiagnostics:
         code, _, err = run_main(capsys, ["experiment", "--config", str(cfg)])
         assert code == 1
         assert err == "error: n must be an integer, got 1000.5\n"
+
+    @pytest.mark.parametrize(
+        "name, value, shown",
+        [("width", True, "True"), ("radius", [1], "[1]"), ("fov", "90", "'90'")],
+    )
+    def test_config_lengths_must_be_numbers(self, capsys, tmp_path, name, value, shown):
+        cfg = tmp_path / "config.json"
+        deployment = {"n": 10, "width": 100.0, "kind": "poisson", "radius": 2.0, "fov": 45.0}
+        cfg.write_text(json.dumps({
+            "experiment": "multi_gap",
+            "deployment": {**deployment, name: value},
+            "sweep": [1],
+        }))
+        code, out, err = run_main(capsys, ["experiment", "--config", str(cfg)])
+        assert code == 1
+        assert err == f"error: {name} must be a number, got {shown}\n"
+        assert out == ""
 
     def test_unknown_subcommand_exits_nonzero(self, capsys):
         code, _, _ = run_main(capsys, ["teleport"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,19 @@ class TestSpecValidation:
         ):
             with pytest.raises(ParameterError):
                 DeploymentSpec(**{"n": 10, "width": 100.0, **bad})
+        # a real number, never a bool: a fault names the field
+        for name, bad in (
+            ("width", True), ("width", "5"), ("strip_height", False),
+            ("line_sigma", None), ("radius", [1]), ("fov", "90"),
+            ("fov", np.True_), ("width", 3 + 0j),
+        ):
+            with pytest.raises(
+                ParameterError, match=rf"^{name} must be a number, got {re.escape(repr(bad))}$"
+            ):
+                DeploymentSpec(**{"n": 10, "width": 100.0, name: bad})
+        # omni sensors need no fov, but one that is given must be a number
+        with pytest.raises(ParameterError, match=r"^fov must be a number, got '90'$"):
+            DeploymentSpec(n=10, width=100.0, sensor_kind="omni", fov="90")
 
     def test_omni_needs_no_fov(self):
         spec = DeploymentSpec(n=10, width=100.0, sensor_kind="omni", fov=None)

@@ -187,6 +187,78 @@ class TestKernelMatchesScalarPath:
         assert_matches_oracle(field, sensors)
 
 
+# lengths from zero, through the subnormals, to near the largest double
+LENGTHS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1.0, 1e308, 1.7e308]),
+    st.floats(min_value=0.0, max_value=1.7e308),
+)
+POSITIVE = LENGTHS.filter(lambda x: x > 0)
+
+
+@st.composite
+def deployment_specs(draw):
+    """Specs that the gate accepts: both kinds, both sensor kinds, every
+    length up to 1.7e308, subnormal radii, and zero sigma and height."""
+    directional = draw(st.booleans())
+    return DeploymentSpec(
+        n=draw(st.integers(0, 20)),
+        width=draw(POSITIVE),
+        strip_height=draw(LENGTHS),
+        kind=draw(st.sampled_from(["line", "poisson"])),
+        line_sigma=draw(LENGTHS),
+        radius=draw(POSITIVE),
+        fov=draw(
+            st.one_of(st.sampled_from([5e-324, 45.0, 360.0]),
+                      st.floats(min_value=0.0, max_value=360.0, exclude_min=True))
+        ) if directional else None,
+        sensor_kind="directional" if directional else "omni",
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+def pose_bits(poses):
+    """The pose columns, the float ones as exact bit patterns."""
+    return [bits(c) if c.dtype == float else c.tolist() for c in poses]
+
+
+def outcome(make):
+    """What ``make`` returns, or the message of its ParameterError."""
+    try:
+        return make()
+    except ParameterError as exc:
+        return str(exc)
+
+
+class TestGenerateTrustsItsDraws:
+    """``generate`` checks only the y of its draws; everything else meets
+    the pose rules by construction."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(deployment_specs())
+    # a line deployment whose y overflows to -inf, and one whose does not
+    @example(DeploymentSpec(n=20, width=10.0, line_sigma=1e308, seed=1))
+    @example(DeploymentSpec(n=20, width=10.0, line_sigma=1e308, seed=0))
+    def test_same_field_or_error_as_the_checked_build(self, spec):
+        got = outcome(lambda: generate(spec))
+        want = outcome(lambda: SensorField.build(oracle_generate(spec), (0.0, spec.width)))
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return
+        assert got.ids.tolist() == want.ids.tolist()
+        assert (bits(got.us), bits(got.vs)) == (bits(want.us), bits(want.vs))
+        assert pose_bits(got.poses) == pose_bits(want.poses)
+
+    def test_pinned_sigma_examples_raise_and_pass(self):
+        spec = DeploymentSpec(n=20, width=10.0, line_sigma=1e308, seed=1)
+        with pytest.raises(ParameterError, match=r"^y must be finite, got -inf$"):
+            generate(spec)
+        assert len(generate(spec.with_(seed=0)).poses.y) == 20
+
+    def test_a_direction_never_reaches_360(self):
+        # uniform(0, 360) is 0 + 360 * u with u at most 1 - 2**-53
+        assert 0.0 + 360.0 * np.nextafter(1.0, 0.0) < 360.0
+
+
 # u values that tie or nearly tie: both zeros, subnormals, adjacent
 # doubles and the infinities
 NEAR_TIES = [
