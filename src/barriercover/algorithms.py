@@ -281,7 +281,8 @@ def augment_with_gap_sensors(
     field: SensorField, targets: TargetSet, k: int
 ) -> dict[int, tuple[float, float]]:
     """Virtual sensors with which every target can reach coverage
-    multiplicity k, as {id: (u, v)}; ids count up from ``field.max_id + 1``.
+    multiplicity k, as {id: (u, v)}; ids count up from ``field.max_id + 1``,
+    and a ParameterError says so when they would pass 2**63 - 1.
 
     For each maximal run of consecutive targets whose coverage count is
     below k, as many virtual sensors as the worst deficiency in the run
@@ -290,29 +291,37 @@ def augment_with_gap_sensors(
     """
     k = _count("k", k, 1)
     xs = _targets(targets, field.domain).xs
-    return _gap_spans(field, xs, k, *_target_spans(field.us, field.vs, xs))
+    first, last = _gap_spans(xs.size, k, *_target_spans(field.us, field.vs, xs))
+    base = _free_ids(field.max_id + 1, first.size)
+    spans = zip(xs[first].tolist(), xs[last - 1].tolist())
+    return dict(zip(range(base, base + first.size), spans))
 
 
 def _gap_spans(
-    field: SensorField, xs: np.ndarray, k: int, first: np.ndarray, last: np.ndarray
-) -> dict[int, tuple[float, float]]:
-    """``augment_with_gap_sensors`` on the sorted targets xs, given the
-    field's ``_target_spans``."""
-    cov = _depth(first, last, xs.size)
-    short = cov < k
-    if not short.any():
-        return {}
+    m: int, k: int, first: np.ndarray, last: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The target spans [first, last) of the gap sensors of
+    ``augment_with_gap_sensors``, in id order, given the field's
+    ``_target_spans`` over m targets: one copy of each run of short
+    targets per count the run lacks."""
+    cov = _depth(first, last, m)
+    short = np.concatenate(([False], cov < k, [False]))
     # the runs of short targets start and end (exclusive) where short flips
-    edges = np.flatnonzero(np.diff(short, prepend=False, append=False))
+    edges = np.flatnonzero(short[1:] != short[:-1])
     # a reduction from the last start runs on past its run, but only over
     # targets that are not short, so the run's minimum stands
-    worst = np.minimum.reduceat(cov, edges[:-1])[::2]
-    lo = xs[edges[::2]].tolist()
-    hi = xs[edges[1::2] - 1].tolist()
-    spans: list[tuple[float, float]] = []
-    for span, w in zip(zip(lo, hi), worst.tolist()):
-        spans.extend([span] * (k - w))
-    return dict(enumerate(spans, field.max_id + 1))
+    lacking = k - np.minimum.reduceat(cov, edges[:-1])[::2]
+    return np.repeat(edges[::2], lacking), np.repeat(edges[1::2], lacking)
+
+
+def _free_ids(first: int, count: int) -> int:
+    """``first``, the id after every id in use, once ``count`` virtual
+    sensors can take the ids from there: sensor ids stay below 2**63."""
+    if first + count > 2**63:
+        raise ParameterError(
+            f"no id is left for a virtual sensor: the largest id in use is {first - 1}"
+        )
+    return first
 
 
 class _Frontier:
@@ -477,7 +486,8 @@ def _cover(
     """Walk the frontier across each stretch, adding winners to ``selected``.
 
     Winners already selected are not added twice. Where nothing covers the
-    frontier, a virtual sensor with the next free id bridges the hole.
+    frontier, a virtual sensor with the next free id (``_free_ids``)
+    bridges the hole.
     ``comparisons`` counts one per table entry plus one per step.
     """
     chosen = set(selected)
@@ -488,7 +498,7 @@ def _cover(
         comparisons += len(winners)
         for f, winner, reach in zip([start, *reaches], winners, reaches):
             if winner < 0:
-                sid = next_vid
+                sid = _free_ids(next_vid, 1)
                 next_vid += 1
                 virtual_spans[sid] = (f, reach)
             else:
@@ -527,6 +537,15 @@ def k_oga(
     virtual gap sensors from ``augment_with_gap_sensors`` take part as
     rows sorted among the field's.
 
+    A gap row's target span is the run of targets covered fewer than k
+    times that it was made for, taken as found. That is exact: a row
+    covers a target only through the target's coordinate, so equal
+    targets have equal coverage, and no run begins or ends inside a group
+    of equal targets. Only the merge reads the gap rows' coordinates, and
+    it stays on (u, v, id), not on target spans: a gap row can share its
+    target span with a field row that starts on the same target, and
+    their (u, v, id) order decides which wins.
+
     Every round walks one ``_Frontier`` over the whole table in
     need-index space, where a row's u and v are the first needed target
     it covers and one past the last, counted among the needed targets
@@ -541,41 +560,45 @@ def k_oga(
     xs = _targets(targets, field.domain).xs
     ids = field.ids
     first, last = _target_spans(field.us, field.vs, xs)
-    virtual_all = _gap_spans(field, xs, k, first, last)
-    if virtual_all:
-        # the gap sensors join the table in (u, v, id) order, as field rows
-        # would; inside the domain, no span needs clipping. Only the gap rows
-        # are mapped to targets; the field's keep their spans
-        us, vs = np.array(list(virtual_all.values())).T
-        gap_first, gap_last = _target_spans(us, vs, xs)
-        ids = np.concatenate((ids, list(virtual_all)))
-        order = _canonical_order(np.append(field.us, us), np.append(field.vs, vs), ids)
+    gap_first, gap_last = _gap_spans(xs.size, k, first, last)
+    gap_us, gap_vs = xs[gap_first], xs[gap_last - 1]
+    base = _free_ids(field.max_id + 1, gap_first.size)
+    if gap_first.size:
+        # the gap rows join the table in (u, v, id) order, as field rows
+        # would; inside the domain, no span needs clipping
+        ids = np.concatenate((ids, base + np.arange(gap_first.size)))
+        order = _canonical_order(
+            np.concatenate((field.us, gap_us)), np.concatenate((field.vs, gap_vs)), ids
+        )
         ids = ids[order]
         first = np.concatenate((first, gap_first))[order]
         last = np.concatenate((last, gap_last))[order]
-    cov = np.zeros(xs.size, dtype=np.int64)
+    cov = 0  # coverage so far: round 1 needs every target, and sets it
     used: list[int] = []  # table positions, in selection order
     steps: list[SelectionStep] = []
     comparisons = 0
     for s in range(1, k + 1):
         if s == 1:
             # every target is needed, so need indices are target indices
-            need, u, v = range(xs.size), first, last
+            m, u, v = xs.size, first, last
         else:
-            short = cov < s
-            need = np.flatnonzero(short)
-            if not need.size:
-                continue
             # in need-index space the discrete key (right, total, -index)
             # becomes the frontier rule's (reach, span, -position); the
             # needed targets before target index t number before[t]
-            before = np.concatenate(([0], np.cumsum(short)))
+            before = np.zeros(xs.size + 1, dtype=np.int64)
+            (cov < s).cumsum(out=before[1:])
+            m = before.item(-1)
+            if not m:
+                continue
             u, v = before[first], before[last]
             v[used] = 0  # a used row reaches no needed target
         frontier = _Frontier(u, v, ids)
         comparisons += len(ids) - len(used)
-        picked, reaches = frontier.walk(0, len(need))
+        picked, reaches = frontier.walk(0, m)
         comparisons += len(picked)
+        if record_trace or -1 in picked:
+            # only the trace and the error read where the needed targets are
+            need = range(xs.size) if s == 1 else np.flatnonzero(cov < s)
         if -1 in picked:
             f = [0, *reaches][picked.index(-1)]
             raise RuntimeError(
@@ -590,7 +613,11 @@ def k_oga(
         if s < k:  # no later round reads the coverage
             cov += _depth(first[picked], last[picked], xs.size)
     selected = ids[used].tolist()
-    virtual_spans = {sid: virtual_all[sid] for sid in selected if sid in virtual_all}
+    virtual_spans = {
+        sid: (gap_us.item(sid - base), gap_vs.item(sid - base))
+        for sid in selected
+        if sid >= base
+    }
     return SelectionResult(
         selected_ids=tuple(selected),
         virtual_spans=virtual_spans,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, islice
+from itertools import combinations, islice
 from typing import Iterator
 
 import numpy as np
@@ -41,7 +41,7 @@ from .model import (
     _target_spans,
     _targets,
 )
-from .algorithms import SelectionResult, SelectionStep
+from .algorithms import SelectionResult, SelectionStep, _free_ids
 
 LEFT = -1
 RIGHT = -2
@@ -178,9 +178,10 @@ def _gap_free_path(graph: BarrierGraph, alive: np.ndarray) -> np.ndarray | None:
     path = []
     v = float(a)
     for start, end in zip(bounds[:0:-1], bounds[-2::-1]):
-        level = ids[start:end]
-        meets = map(v.__ge__, us[start:end])  # u <= v
-        pick = start + level.index(min(compress(level, meets)))
+        least = 2**63  # above every id
+        for i in range(start, end):
+            if us[i] <= v and ids[i] < least:
+                least, pick = ids[i], i
         path.append(pick)
         v = vs[pick]
     return rows[path]
@@ -204,7 +205,7 @@ def _k_paths(graph: BarrierGraph, paths: list[np.ndarray], k: int) -> SelectionR
     paths = paths[:k]
     selected = [sid for rows in paths for sid in graph.ids[rows].tolist()]
     a, b = graph.domain
-    first = graph.first_free_id
+    first = _free_ids(graph.first_free_id, k - len(paths))
     virtual_spans = {vid: (a, b) for vid in range(first, first + k - len(paths))}
     return SelectionResult(
         selected_ids=tuple(selected) + tuple(virtual_spans),
@@ -225,7 +226,8 @@ def k_disjoint_paths(graph: BarrierGraph, k: int) -> SelectionResult:
     A round takes one suffix-minimum table over the alive sensors in v
     order and one bisection per breadth-first level (``_gap_free_path``),
     so k rounds cost O(k (n + L log n)) for n sensors and L-sensor paths.
-    Virtual ids count up from ``graph.first_free_id``. The result counts
+    Virtual ids count up from ``graph.first_free_id``, and stay below
+    2**63 (a ParameterError otherwise). The result counts
     real and virtual sensors together; subtract the virtual ones for the
     real count.
     """

@@ -536,7 +536,7 @@ class SensorField:
     def _rows_by_id(self) -> tuple[np.ndarray, np.ndarray]:
         rows = np.argsort(self.ids)
         # a -1 sentinel, which no id can match, is what ids past the end find
-        return np.append(self.ids[rows], -1), np.append(rows, -1)
+        return np.concatenate((self.ids[rows], [-1])), np.concatenate((rows, [-1]))
 
     def _rows_of(self, sensor_ids: Iterable[int]) -> np.ndarray:
         """The row in ``us``, ``vs`` and ``ids`` of each given id, -1
@@ -580,7 +580,7 @@ def discretize(field: SensorField) -> TargetSet:
     if not field.ids.size:
         raise ParameterError("discretize needs a field with at least one interval")
     grid = np.sort(np.concatenate((field.domain, field.us, field.vs)))
-    grid = grid[np.append(True, grid[1:] != grid[:-1])]
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     return TargetSet((grid[:-1] + grid[1:]) / 2.0)
 
 
@@ -624,8 +624,8 @@ def merge_segments(us, vs) -> tuple[np.ndarray, np.ndarray]:
     if not us.size:
         return us, vs
     reach, _ = _first_max(vs)
-    starts = np.flatnonzero(np.append(True, us[1:] > reach[:-1]))
-    return us[starts], reach[np.append(starts[1:], us.size) - 1]
+    starts = np.flatnonzero(np.concatenate(([True], us[1:] > reach[:-1])))
+    return us[starts], reach[np.concatenate((starts[1:], [us.size])) - 1]
 
 
 def complement_segments(us, vs, domain: Domain) -> tuple[np.ndarray, np.ndarray]:
@@ -636,8 +636,8 @@ def complement_segments(us, vs, domain: Domain) -> tuple[np.ndarray, np.ndarray]
     meets = (vs >= a) & (us <= b)
     us, vs, _ = _clip(us[meets], vs[meets], domain)
     # a stretch runs from the furthest end so far to the next block's start
-    lo, _ = _first_max(np.append(a, vs))
-    hi = np.append(us, b)
+    lo, _ = _first_max(np.concatenate(([a], vs)))
+    hi = np.concatenate((us, [b]))
     gap = hi > lo
     return lo[gap], hi[gap]
 

@@ -518,6 +518,67 @@ class TestLogm:
         assert hits > 30
 
 
+# the largest id a sensor may take
+TOP_ID = 2**63 - 1
+NO_ID_LEFT = rf"^no id is left for a virtual sensor: the largest id in use is {TOP_ID}$"
+
+
+class TestVirtualIdsStayInRange:
+    """A selector that needs a virtual sensor above id 2**63 - 1 refuses;
+    one that needs none selects as usual."""
+
+    @staticmethod
+    def field(pairs, ids):
+        return SensorField(
+            [u for u, _ in pairs], [v for _, v in pairs], ids, (0.0, 10.0)
+        )
+
+    def test_discrete_selectors_refuse(self):
+        field = self.field([(1.0, 3.0), (7.0, 9.0)], [TOP_ID, 5])
+        targets = discretize(field)
+        for select in (
+            lambda: k_oga(field, targets, 1),
+            lambda: k_oga(field, targets, 2, record_trace=False),
+            lambda: augment_with_gap_sensors(field, targets, 1),
+        ):
+            with pytest.raises(ParameterError, match=NO_ID_LEFT):
+                select()
+
+    def test_the_last_two_ids_take_two_gap_sensors_not_three(self):
+        field = self.field([(1.0, 3.0)], [2**63 - 3])
+        with pytest.raises(ParameterError, match=str(2**63 - 3)):
+            augment_with_gap_sensors(field, TargetSet((5.0,)), 3)
+        assert augment_with_gap_sensors(field, TargetSet((2.0,)), 3) == {
+            2**63 - 2: (2.0, 2.0),
+            TOP_ID: (2.0, 2.0),
+        }
+        sel = k_oga(field, TargetSet((2.0,)), 3)
+        assert sel.selected_ids == (2**63 - 3, 2**63 - 2, TOP_ID)
+
+    def test_continuous_cover_refuses(self):
+        field = self.field([(1.0, 3.0), (7.0, 9.0)], [TOP_ID, 5])
+        with pytest.raises(ParameterError, match=NO_ID_LEFT):
+            oga_continuous(field, field.domain)
+
+    def test_mend_refuses(self):
+        field = self.field([(0.0, 5.0), (5.0, 10.0)], [TOP_ID, 5])
+        sel = oga_continuous(field, field.domain)
+        gaps = find_gaps(sel, [5], field, field.domain)
+        with pytest.raises(ParameterError, match=NO_ID_LEFT):
+            logm(sel, gaps, field, field.domain, [5])
+
+    def test_no_virtual_sensor_needed(self):
+        field = self.field([(0.0, 5.0), (5.0, 10.0), (5.0, 10.0)], [TOP_ID, 5, 7])
+        targets = discretize(field)
+        assert augment_with_gap_sensors(field, targets, 1) == {}
+        assert k_oga(field, targets, 1).selected_ids == (TOP_ID, 5)
+        sel = oga_continuous(field, field.domain)
+        assert sel.selected_ids == (TOP_ID, 5) and sel.fully_covered
+        gaps = find_gaps(sel, [5], field, field.domain)
+        mended = logm(sel, gaps, field, field.domain, [5])
+        assert mended.selected_ids == (TOP_ID, 7) and mended.fully_covered
+
+
 class TestFrontierCandidates:
     def test_any_order_of_frontiers_matches_a_full_scan(self):
         # sorted by u, with zero-length rows at 1, 2 and 5, and a row at

@@ -217,6 +217,16 @@ class TestKDisjointPaths:
         assert result.virtual_spans[result.virtual_ids[0]] == (0.0, 10.0)
         assert not result.fully_covered
 
+    def test_virtual_ids_stay_below_2_pow_63(self):
+        top = 2**63 - 1
+        field = SensorField([0.0, 5.0], [5.0, 10.0], [top, 5], (0.0, 10.0))
+        graph = build_barrier_graph(field, field.domain)
+        # one path, so the second round needs an id above the largest
+        assert k_disjoint_paths(graph, 1).selected_ids == (top, 5)
+        message = rf"^no id is left for a virtual sensor: the largest id in use is {top}$"
+        with pytest.raises(ParameterError, match=message):
+            k_disjoint_paths(graph, 2)
+
     def test_second_round_is_node_disjoint(self):
         field = make_field(
             [(0.0, 6.0), (5.0, 10.0), (0.0, 5.5), (5.0, 10.0)],

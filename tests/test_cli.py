@@ -713,6 +713,34 @@ class TestDiagnostics:
         )
 
     @pytest.mark.parametrize(
+        "command",
+        [["cover"], ["kcover", "--k", "1"], ["baseline", "--algorithm", "kpaths", "--k", "2"]],
+        ids=["cover", "kcover", "kpaths"],
+    )
+    def test_no_virtual_id_past_the_id_range(self, capsys, tmp_path, command):
+        # the sensors cover [1, 3] twice and [7, 9] once of [0, 10]; the
+        # largest id is the largest a sensor may take, so no virtual sensor
+        # has an id
+        top = 2**63 - 1
+        field = tmp_path / "top.jsonl"
+        field.write_text(
+            f'{{"id": {top}, "kind": "omni", "x": 2.0, "y": 0.0, "radius": 1.0}}\n'
+            '{"id": 5, "kind": "omni", "x": 8.0, "y": 0.0, "radius": 1.0}\n'
+            '{"id": 6, "kind": "omni", "x": 2.0, "y": 0.0, "radius": 1.0}\n'
+        )
+        out = tmp_path / "result.json"
+        argv = command + ["--field", str(field), "--domain", "0", "10", "--out", str(out)]
+        code, _, err = run_main(capsys, argv)
+        assert code == 1
+        assert err == f"error: no id is left for a virtual sensor: the largest id in use is {top}\n"
+        assert not out.exists()
+        # a domain the sensors cover needs no virtual sensor
+        argv = command + ["--field", str(field), "--domain", "1", "3"]
+        code, result, _ = run_main(capsys, argv)
+        assert code == 0
+        assert json.loads(result)["virtual"] == []
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--width", "inf"], "width must be finite, got inf"),

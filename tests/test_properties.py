@@ -312,6 +312,19 @@ class TestSelectionInvariants:
         augmented = SensorField(us, vs, ids, field.domain)
         assert augment_with_gap_sensors(augmented, targets, k) == {}
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        interval_tables(max_chains=2), st.integers(min_value=1, max_value=4), target_lists()
+    )
+    def test_gap_sensors_span_the_short_runs(self, field, k, xs):
+        """``augment_with_gap_sensors`` on target lists that ``discretize``
+        never makes: repeats, both zeros, subnormals and points on interval
+        ends, where runs of short targets start and end. repr tells -0.0
+        from 0.0."""
+        targets = TargetSet(xs)
+        spans = augment_with_gap_sensors(field, targets, k)
+        assert repr(spans) == repr(naive_augment(field, targets, k))
+
 
 class TestAgainstExhaustiveSearch:
     def test_oga_is_minimum_on_small_instances(self):
@@ -611,6 +624,10 @@ class TestFrontierAgainstNaiveScans:
         2,
         [1.0, 5.0, 8.0],
     )
+    # gap sensor 3 and row 0 cover targets 0 and 1 in round 1, and the
+    # gap sensor comes first in (u, v, id) order: (3, 1, 0, 2). Merged by
+    # target span with field rows first, row 0 would win: (0, 1, 3, 2)
+    @example(table_field([(1.0, 1.6), (1.9, 2.1), (1.9, 2.1)], (0.0, 10.0)), 2, [1.0, 1.5, 2.0])
     def test_explicit_targets_match_naive(self, field, k, xs):
         """``k_oga`` on target lists that ``discretize`` never makes:
         repeats, points on interval ends and points nothing covers."""
