@@ -46,6 +46,7 @@ from .model import (
     _count,
     _failed,
     _first_max,
+    _is_integer,
     _segment,
     _target_spans,
     _targets,
@@ -82,6 +83,12 @@ class SelectionResult:
     virtual_ids: InitVar[Sequence[int] | None] = None
 
     def __post_init__(self, virtual_ids: Sequence[int] | None) -> None:
+        for sid in self.selected_ids:
+            if type(sid) is not int and _is_integer(sid):
+                sid = int(sid)  # a numpy integer, compared exactly
+            if type(sid) is not int or not 0 <= sid < 2**63:
+                raise ParameterError(
+                    f"selected ids must be integers in [0, 2**63), got {sid!r}")
         if virtual_ids is not None:
             lacking = [vid for vid in virtual_ids if vid not in self.virtual_spans]
             if lacking:

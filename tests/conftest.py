@@ -288,17 +288,27 @@ def lp_min_kcover(field, targets, k):
     contiguous run of the sorted targets, so the matrix has consecutive
     ones in every column and is totally unimodular: the relaxation has
     an integral optimum, which is the minimum k-cover.
+
+    The incidence is built from its definition, u <= x <= v, over 1024
+    targets at a time, so a field of 1e4 sensors never holds a dense
+    targets-by-sensors mask.
     """
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
-    xs = np.array(list(targets))[:, None]
-    covers = (field.us <= xs) & (xs <= field.vs)
-    rows, cols = np.nonzero(covers)
+    xs = np.array(list(targets), dtype=float)
+    rows, cols = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for start in range(0, xs.size, 1024):
+        chunk = xs[start:start + 1024, None]
+        chunk_rows, chunk_cols = np.nonzero((field.us <= chunk) & (chunk <= field.vs))
+        rows.append(chunk_rows + start)
+        cols.append(chunk_cols)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     result = linprog(
         np.ones(field.ids.size),
-        A_ub=csr_matrix((np.full(rows.size, -1.0), (rows, cols)), shape=covers.shape),
-        b_ub=np.full(len(xs), -float(k)),
+        A_ub=csr_matrix((np.full(rows.size, -1.0), (rows, cols)),
+                        shape=(xs.size, field.ids.size)),
+        b_ub=np.full(xs.size, -float(k)),
         bounds=(0.0, 1.0),
         method="highs",
     )

@@ -280,6 +280,25 @@ class TestSerialization:
         with pytest.raises(ParameterError):
             SelectionResult(selected_ids=(1, 1))
 
+    @pytest.mark.parametrize(
+        "parts, bad",
+        [({"selected_ids": (2**63, -4), "virtual_spans": {2**63: (0.0, 1.0)}}, 2**63),
+         ({"selected_ids": (0, -4)}, -4),
+         ({"selected_ids": (True, 1.5)}, True),
+         ({"selected_ids": (0, 1.5)}, 1.5)],
+        ids=["past-int64", "negative", "bool", "float"],
+    )
+    def test_ids_are_those_a_result_file_takes(self, parts, bad):
+        """A result that is made can be written and read back: its ids pass
+        the rule that ``from_dict`` applies, with the same message."""
+        message = f"selected ids must be integers in [0, 2**63), got {bad!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            SelectionResult(**parts)
+
+    def test_numpy_integer_ids_are_ids(self):
+        kept = SelectionResult(selected_ids=(np.int64(3), np.uint64(2**63 - 1), 0))
+        assert kept.selected_ids == (3, 2**63 - 1, 0)
+
     def test_virtuals_must_be_selected(self):
         with pytest.raises(ParameterError):
             SelectionResult(selected_ids=(1,), virtual_spans={2: (0.0, 1.0)})
