@@ -72,8 +72,9 @@ class SelectionStep:
 @dataclass(frozen=True)
 class SelectionResult:
     """Ordered selection with its trace and its ledger ``virtual_spans``
-    ({virtual id: span}); the constructor checks every result, and the
-    ``virtual_ids`` it may be given (a restatement, not kept) against the ledger."""
+    ({virtual id: span}). The constructor is the one gate of every result:
+    it holds each rule a result file is read by, keeps ids as ints and span
+    ends as floats, and checks any ``virtual_ids`` (not kept) against the ledger."""
 
     selected_ids: tuple[int, ...]
     virtual_spans: Mapping[int, tuple[float, float]] = dc_field(default_factory=dict)
@@ -83,33 +84,40 @@ class SelectionResult:
     virtual_ids: InitVar[Sequence[int] | None] = None
 
     def __post_init__(self, virtual_ids: Sequence[int] | None) -> None:
-        for sid in self.selected_ids:
-            if type(sid) is not int and _is_integer(sid):
-                sid = int(sid)  # a numpy integer, compared exactly
-            if type(sid) is not int or not 0 <= sid < 2**63:
-                raise ParameterError(
-                    f"selected ids must be integers in [0, 2**63), got {sid!r}")
+        ids = tuple(_id(sid, "selected") for sid in self.selected_ids)
         if virtual_ids is not None:
-            lacking = [vid for vid in virtual_ids if vid not in self.virtual_spans]
+            listed = dict.fromkeys(_id(vid, "virtual") for vid in virtual_ids)
+            lacking = [vid for vid in listed if vid not in self.virtual_spans]
             if lacking:
                 raise ParameterError(f"virtual sensor {lacking[0]} has no virtual span")
-            listed = set(virtual_ids)
             stray = [vid for vid in self.virtual_spans if vid not in listed]
             if stray:
                 raise ParameterError(f"virtual span {stray[0]} has no virtual sensor")
-        selected = set(self.selected_ids)
-        if len(selected) != len(self.selected_ids):
+        selected = set(ids)
+        if len(selected) != len(ids):
             raise ParameterError("selected_ids must not contain duplicates")
         if not selected.issuperset(self.virtual_spans):
             raise ParameterError("virtual_ids must be a subset of selected_ids")
-        for vid, (u, v) in self.virtual_spans.items():
-            if not (math.isfinite(u) and math.isfinite(v) and u <= v):
-                raise ParameterError(f"virtual span {vid} must be finite with u <= v, "
-                                     f"got [{u}, {v}]")
+        spans = {_id(vid, "virtual"): _span(vid, uv) for vid, uv in self.virtual_spans.items()}
+        if type(self.fully_covered) is not bool:
+            raise ParameterError(
+                f"fully_covered must be true or false, got {self.fully_covered!r}")
+        trace = []
         for i, step in enumerate(self.trace):
-            if step.chosen_id not in selected:
-                raise ParameterError(f"trace step {i} chose {step.chosen_id}, "
-                                     "which is not selected")
+            for key in ("current_target", "reach"):
+                x = getattr(step, key)  # an int or a finite float, never a bool
+                if isinstance(x, bool) or not (
+                        isinstance(x, int) or isinstance(x, float) and math.isfinite(x)):
+                    raise ParameterError(f"trace step {i} {key} must be a finite number, "
+                                         f"got {x!r}")
+            chosen_id = _id(step.chosen_id, "chosen")
+            if chosen_id not in selected:
+                raise ParameterError(f"trace step {i} chose {chosen_id}, which is not selected")
+            candidates = tuple(_id(sid, "candidate") for sid in step.candidate_ids)
+            trace.append(SelectionStep(step.current_target, candidates, chosen_id, step.reach))
+        object.__setattr__(self, "selected_ids", ids)
+        object.__setattr__(self, "virtual_spans", spans)
+        object.__setattr__(self, "trace", tuple(trace))
 
     @property
     def count(self) -> int:
@@ -159,27 +167,19 @@ class SelectionResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SelectionResult":
-        """The result ``to_dict`` wrote. ``selected`` must be present, as
-        must each trace step's ``current_target``, ``chosen_id`` and
-        ``reach``. ``selected``, ``virtual`` and ``trace`` must be lists,
-        each trace step an object, and ``virtual_spans`` an object of lists
-        of two numbers. Ids must be integers in [0, 2**63), ``count`` (if
-        present) the number of selected ids, trace coordinates finite
-        numbers and ``fully_covered`` a boolean; then the constructor
-        checks the result, and ``virtual`` against its ledger. A fault
-        raises TypeError or ValueError."""
+        """The result ``to_dict`` wrote. Only the JSON's shape is checked
+        here: lists, objects and spans of two numbers where ``to_dict``
+        writes them (TypeError), and the keys a result must hold, span keys
+        in decimal and a ``count`` that counts ``selected`` (ValueError).
+        Every other rule is the constructor's, and its fault a ValueError."""
         selected = _json_list(_json_key(data, "selected", "result"), "selected")
-        selected = _json_ids(selected, "selected")
         count = data.get("count", len(selected))
         if type(count) is not int or count != len(selected):
             raise ValueError(
                 f"count must be {len(selected)}, the number of selected ids, got {count!r}"
             )
         steps = _json_list(data.get("trace", []), "trace")
-        trace = tuple(_json_step(s, i) for i, s in enumerate(steps))
-        fully_covered = data.get("fully_covered", True)
-        if type(fully_covered) is not bool:
-            raise TypeError(f"fully_covered must be true or false, got {fully_covered!r}")
+        trace = [_json_step(s, i) for i, s in enumerate(steps)]
         ledger = data.get("virtual_spans", {})
         if not isinstance(ledger, dict):
             raise TypeError(f"virtual_spans must be an object, got {ledger!r}")
@@ -191,19 +191,14 @@ class SelectionResult:
                                 f"got {span!r}")
             if key != str(vid := int(key)):  # " 5" and "05" would both be 5
                 raise ValueError(f"virtual span key {key!r} must be an id in decimal")
-            try:
-                spans[vid] = (float(span[0]), float(span[1]))
-            except OverflowError:  # an integer beyond the floats
-                raise ValueError(f"virtual span {key} must be finite with u <= v, "
-                                 f"got {span!r}") from None
-        virtual = _json_ids(_json_list(data.get("virtual", []), "virtual"), "virtual")
+            spans[vid] = span
         try:
             return cls(
                 selected_ids=selected,
-                virtual_ids=virtual,
+                virtual_ids=_json_list(data.get("virtual", []), "virtual"),
                 virtual_spans=spans,
                 trace=trace,
-                fully_covered=fully_covered,
+                fully_covered=data.get("fully_covered", True),
             )
         except ParameterError as exc:
             # a fault of the file, not a bad setting: its reader names it
@@ -213,6 +208,30 @@ class SelectionResult:
 # no field: the ledger's ids in selection order, set once the dataclass is made
 SelectionResult.virtual_ids = property(  # type: ignore[assignment]
     lambda self: tuple(sid for sid in self.selected_ids if sid in self.virtual_spans))
+
+
+def _id(value, what: str) -> int:
+    """An id of a result as an int: an integer, never a bool, in [0, 2**63)."""
+    if type(value) is not int and _is_integer(value):
+        value = int(value)  # a numpy integer, compared exactly
+    if type(value) is not int or not 0 <= value < 2**63:
+        raise ParameterError(f"{what} ids must be integers in [0, 2**63), got {value!r}")
+    return value
+
+
+def _span(vid, span) -> tuple[float, float]:
+    """Ledger span of ``vid`` as floats: two numbers, never bools, finite, u <= v."""
+    u, v = span if isinstance(span, (tuple, list)) and len(span) == 2 else (None, None)
+    if not all(isinstance(x, (float, np.floating)) or _is_integer(x) for x in (u, v)):
+        raise ParameterError(f"virtual span {vid} must be two numbers, got {span!r}")
+    try:
+        u, v = float(u), float(v)
+    except OverflowError:  # an integer beyond the floats, shown as given
+        pass
+    else:
+        if math.isfinite(u) and math.isfinite(v) and u <= v:
+            return u, v
+    raise ParameterError(f"virtual span {vid} must be finite with u <= v, got [{u}, {v}]")
 
 
 def _json_list(value, name: str) -> list:
@@ -230,39 +249,18 @@ def _json_key(data: dict, key: str, where: str):
     return data[key]
 
 
-def _json_ids(values: list, what: str) -> tuple[int, ...]:
-    """Ids read from a result file: JSON integers, never booleans, in the
-    range sensor ids take."""
-    ids = tuple(values)
-    for i in ids:
-        if type(i) is not int or not 0 <= i < 2**63:
-            raise TypeError(f"{what} ids must be integers in [0, 2**63), got {i!r}")
-    return ids
-
-
 def _json_step(step, i: int) -> SelectionStep:
-    """Trace step i read from a result file: an object of finite
-    coordinates, candidate ids and the chosen id."""
+    """Trace step i of a result file, an object, with its keys picked out;
+    the constructor checks their values."""
     if not isinstance(step, dict):
         raise TypeError(f"trace step {i} must be an object, got {step!r}")
-    current_target = _json_coordinate(step, i, "current_target")
-    candidates = _json_list(step.get("candidate_ids", []), f"trace step {i} candidate_ids")
+    where = f"trace step {i}"
     return SelectionStep(
-        current_target=current_target,
-        candidate_ids=_json_ids(candidates, "candidate"),
-        chosen_id=_json_ids([_json_key(step, "chosen_id", f"trace step {i}")], "chosen")[0],
-        reach=_json_coordinate(step, i, "reach"),
+        current_target=_json_key(step, "current_target", where),
+        candidate_ids=_json_list(step.get("candidate_ids", []), f"{where} candidate_ids"),
+        chosen_id=_json_key(step, "chosen_id", where),
+        reach=_json_key(step, "reach", where),
     )
-
-
-def _json_coordinate(step: dict, i: int, key: str):
-    """A coordinate of trace step i read from a result file: an integer
-    or a finite float, never a boolean."""
-    value = _json_key(step, key, f"trace step {i}")
-    finite = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
-    if isinstance(value, bool) or not finite:
-        raise ValueError(f"trace step {i} {key} must be a finite number, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

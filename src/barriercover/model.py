@@ -451,13 +451,13 @@ class SensorField:
     Fields are not changed after construction; ``without`` returns a new
     one.
 
-    The constructor takes clipped intervals directly, checks their ids by
-    ``_ids`` (integers, in range, none repeated), and sorts them; such a
-    field has no poses. ``build`` and ``from_poses`` check poses by
-    ``_pose_rules``, whose ranges ``_project`` needs, then project and
-    clip them. ``read_field`` checks them by its file rules, which
-    include the pose rules, and ``generate`` only the y of its draws;
-    both then go through ``_from_checked``.
+    The constructor takes clipped intervals directly, checks their ends
+    (finite, u <= v) and their ids by ``_ids`` (integers, in range, none
+    repeated), and sorts them; such a field has no poses. ``build`` and
+    ``from_poses`` check poses by ``_pose_rules``, whose ranges
+    ``_project`` needs, then project and clip them. ``read_field`` checks
+    them by its file rules, which include the pose rules, and ``generate``
+    only the y of its draws; both then go through ``_from_checked``.
     """
 
     def __init__(
@@ -479,6 +479,12 @@ class SensorField:
             i = bad[0]
             raise ParameterError(
                 f"interval needs u <= v, got [{us[i].item()}, {vs[i].item()}]"
+            )
+        bad = np.flatnonzero(np.isinf(us) | np.isinf(vs))
+        if bad.size:
+            i = bad[0]
+            raise ParameterError(
+                f"interval needs finite ends, got [{us[i].item()}, {vs[i].item()}]"
             )
         self._place(us, vs, ids, domain, Poses.of(()))
 

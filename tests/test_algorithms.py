@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import re
 
@@ -271,7 +272,7 @@ class TestSerialization:
     @pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
     def test_fully_covered_must_be_a_boolean(self, value):
         message = f"fully_covered must be true or false, got {value!r}"
-        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SelectionResult.from_dict({"selected": [0], "fully_covered": value})
         read = SelectionResult.from_dict({"selected": [0], "fully_covered": False})
         assert read.fully_covered is False
@@ -296,8 +297,18 @@ class TestSerialization:
             SelectionResult(**parts)
 
     def test_numpy_integer_ids_are_ids(self):
-        kept = SelectionResult(selected_ids=(np.int64(3), np.uint64(2**63 - 1), 0))
+        kept = SelectionResult(
+            selected_ids=(np.int64(3), np.uint64(2**63 - 1), 0),
+            virtual_spans={np.int64(3): (np.float64(1.0), 2)},
+            trace=(SelectionStep(0.0, (np.int64(3), 0), np.uint64(2**63 - 1), 1.0),),
+        )
         assert kept.selected_ids == (3, 2**63 - 1, 0)
+        # ints and floats, which a result file writes and reads back as they are
+        text = json.dumps(kept.to_dict())
+        read = SelectionResult.from_dict(json.loads(text))
+        assert read == kept and json.dumps(read.to_dict()) == text
+        assert {type(x) for x in (*read.selected_ids, *read.trace[0].candidate_ids)} == {int}
+        assert read.virtual_spans == {3: (1.0, 2.0)}
 
     def test_virtuals_must_be_selected(self):
         with pytest.raises(ParameterError):
@@ -325,13 +336,17 @@ class TestSerialization:
         assert kept == SelectionResult((4, 0, 3), {3: (1.0, 2.0), 4: (0.0, 1.0)})
 
     @pytest.mark.parametrize(
-        "span, shown",
-        [((2.0, math.inf), "[2.0, inf]"), ((math.nan, 5.0), "[nan, 5.0]"),
-         ((5.0, 1.0), "[5.0, 1.0]")],
-        ids=["inf", "nan", "reversed"],
+        "span, message",
+        [((2.0, math.inf), "must be finite with u <= v, got [2.0, inf]"),
+         ((math.nan, 5.0), "must be finite with u <= v, got [nan, 5.0]"),
+         ((5.0, 1.0), "must be finite with u <= v, got [5.0, 1.0]"),
+         (("a", "b"), "must be two numbers, got ('a', 'b')"),
+         ((1.0, 2.0, 3.0), "must be two numbers, got (1.0, 2.0, 3.0)"),
+         ((True, 2.0), "must be two numbers, got (True, 2.0)")],
+        ids=["inf", "nan", "reversed", "strings", "three", "bool"],
     )
-    def test_spans_are_checked_where_a_result_is_made(self, span, shown):
-        message = f"virtual span 2 must be finite with u <= v, got {shown}"
+    def test_spans_are_checked_where_a_result_is_made(self, span, message):
+        message = f"virtual span 2 {message}"
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             SelectionResult(selected_ids=(0, 2), virtual_spans={2: span})
 

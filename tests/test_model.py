@@ -283,6 +283,19 @@ class TestIntervalBasics:
         with pytest.raises(ParameterError, match=r"^interval needs u <= v"):
             SensorField([3.0], [2.0], [0], (0.0, 10.0))
 
+    @pytest.mark.parametrize(
+        "u, v, shown",
+        [(0.0, math.inf, "[0.0, inf]"), (-math.inf, 1.0, "[-inf, 1.0]"),
+         (math.inf, math.inf, "[inf, inf]")],
+        ids=["inf-v", "-inf-u", "both"],
+    )
+    def test_interval_needs_finite_ends(self, u, v, shown):
+        # an unbounded domain is still a field's to hold
+        SensorField([0.0], [1.0], [0], (-math.inf, math.inf))
+        message = f"interval needs finite ends, got {shown}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            SensorField([2.0, u], [3.0, v], [0, 1], (0.0, 10.0))
+
     def test_closed_cover_and_overlap(self):
         # closed intervals: sharing one endpoint leaves no hole between
         lo, hi = complement_segments([1.0, 3.0], [3.0, 5.0], (1.0, 5.0))
@@ -633,7 +646,7 @@ class TestInputGates:
         result = oga_continuous(field, field.domain)
         assert result.selected_ids == (0, 1)  # True would pass for sensor 1
         refused = f"selected ids must be integers in [0, 2**63), got {first}"
-        with pytest.raises(TypeError, match=f"^{re.escape(refused)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
             SelectionResult.from_dict({"selected": failed})
         never = f"^{re.escape(f'failed ids {strays} were never selected')}$"
         with pytest.raises(ParameterError, match=never):

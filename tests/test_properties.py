@@ -671,29 +671,58 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 COORDINATES = st.integers() | FINITE
 
 
+# values that no result holds, where one holds an id, a coordinate, a
+# flag or a span: ids past the int64 range, negative or boolean; NaN,
+# infinite, boolean or str coordinates; a flag that is not a boolean; a
+# span with a boolean, with three entries or past the floats
+NOT_IDS = st.integers(min_value=2**63) | st.integers(max_value=-1) | st.booleans()
+NOT_COORDINATES = st.sampled_from([math.nan, math.inf, -math.inf, True, False, "0"])
+NOT_FLAGS = st.sampled_from(["false", 0, 1, None])
+NOT_SPANS = (st.tuples(st.floats(), st.floats())
+             | st.tuples(st.booleans(), FINITE)
+             | st.tuples(FINITE, FINITE, FINITE)
+             | st.tuples(st.just(10**400), FINITE))
+
+
 @st.composite
 def result_parts(draw):
     """Keywords of a ``SelectionResult``: about half of them right, the
-    others drawn wide, with ids that may repeat, ledger ids and chosen ids
-    that may not be selected, and spans that may be infinite, NaN or
-    reversed."""
-    wide = draw(st.booleans())
+    others with some parts drawn wide: ids that may repeat, ledger ids and
+    chosen ids that may not be selected, and the values in ``NOT_IDS`` to
+    ``NOT_SPANS``. Right or wide, ids may be numpy integers and span ends
+    Python ints."""
+    parts = ("selected", "ledger", "spans", "trace ids", "coordinates", "flag")
+    wide = set() if draw(st.booleans()) else draw(st.sets(st.sampled_from(parts), min_size=1))
     some_ids = st.integers(min_value=0, max_value=6) | IDS
-    selected = draw(st.lists(some_ids, max_size=8, unique=not wide))
+    some_ids |= some_ids.map(np.int64)
+    if "selected" in wide:
+        selected = draw(st.lists(some_ids | NOT_IDS, max_size=8))
+    else:
+        selected = draw(st.lists(some_ids, max_size=8, unique=True))
     pool = st.sampled_from(selected) if selected else some_ids
-    spans = st.tuples(FINITE, FINITE).map(sorted).map(tuple)
-    if wide:
-        pool |= some_ids
-        spans = st.tuples(st.floats(), st.floats())
-    ledger = draw(st.dictionaries(pool, spans, max_size=4))
+    ends = FINITE | st.integers(min_value=-(2**60), max_value=2**60)
+    spans = st.tuples(ends, ends).map(sorted).map(tuple)
+    keys, chosen, trace_ids, coordinates, flags = pool, pool, IDS, COORDINATES, st.booleans()
+    if "ledger" in wide:
+        keys |= some_ids | NOT_IDS
+    if "spans" in wide:
+        spans |= NOT_SPANS
+    if "trace ids" in wide:
+        chosen |= some_ids | NOT_IDS
+        trace_ids |= NOT_IDS
+    if "coordinates" in wide:
+        coordinates |= NOT_COORDINATES
+    if "flag" in wide:
+        flags |= NOT_FLAGS
     steps = st.builds(
-        SelectionStep, COORDINATES, st.lists(IDS, max_size=3).map(tuple), pool, COORDINATES
+        SelectionStep, coordinates, st.lists(trace_ids, max_size=3).map(tuple), chosen,
+        coordinates
     )
     return {
         "selected_ids": tuple(selected),
-        "virtual_spans": ledger,
+        "virtual_spans": draw(st.dictionaries(keys, spans, max_size=4)),
         "trace": tuple(draw(st.lists(steps, max_size=4))),
-        "fully_covered": draw(st.booleans()),
+        "fully_covered": draw(flags),
         "comparisons": draw(st.integers(min_value=0, max_value=100)),
     }
 
@@ -704,6 +733,8 @@ class TestResultFiles:
     @example({"selected_ids": (0, 2), "virtual_spans": {2: (0.0, 1.0)}})
     @example({"selected_ids": (0, 5), "virtual_ids": (5,)})
     @example({"selected_ids": (0, 2), "virtual_spans": {2: (2.0, math.inf)}})
+    @example({"selected_ids": (0,), "trace": (SelectionStep(0.0, (2**63, True), 0, 1.0),)})
+    @example({"selected_ids": (0,), "trace": (SelectionStep(math.nan, (0,), 0, 1.0),)})
     def test_a_result_is_refused_where_it_is_made_or_reads_back(self, parts):
         """The converse of the test below: whatever the constructor
         accepts, its file reads back as the same result, but for
