@@ -104,12 +104,10 @@ class SelectionResult:
                 f"fully_covered must be true or false, got {self.fully_covered!r}")
         trace = []
         for i, step in enumerate(self.trace):
+            if not isinstance(step, SelectionStep):
+                raise ParameterError(f"trace step {i} must be a SelectionStep, got {step!r}")
             for key in ("current_target", "reach"):
-                x = getattr(step, key)  # an int or a finite float, never a bool
-                if isinstance(x, bool) or not (
-                        isinstance(x, int) or isinstance(x, float) and math.isfinite(x)):
-                    raise ParameterError(f"trace step {i} {key} must be a finite number, "
-                                         f"got {x!r}")
+                _coordinate(getattr(step, key), f"trace step {i} {key}")
             chosen_id = _id(step.chosen_id, "chosen")
             if chosen_id not in selected:
                 raise ParameterError(f"trace step {i} chose {chosen_id}, which is not selected")
@@ -217,6 +215,19 @@ def _id(value, what: str) -> int:
     if type(value) is not int or not 0 <= value < 2**63:
         raise ParameterError(f"{what} ids must be integers in [0, 2**63), got {value!r}")
     return value
+
+
+def _coordinate(x, what: str) -> None:
+    """Refuse a trace coordinate that is not a finite number: an int or a
+    float, never a bool, whose value as a float is finite."""
+    try:
+        if type(x) is not bool and isinstance(x, (int, float)) and math.isfinite(x):
+            return
+        shown = repr(x)
+    except OverflowError:  # an int past the floats, which may be too long to print
+        digits = int((abs(x).bit_length() - 1) * math.log10(2)) + 1
+        shown = f"an integer of {digits + (abs(x) >= 10**digits)} digits"
+    raise ParameterError(f"{what} must be a finite number, got {shown}")
 
 
 def _span(vid, span) -> tuple[float, float]:
@@ -393,7 +404,7 @@ class _Frontier:
     def second(self) -> np.ndarray:
         # a new maximum hands the old one down as runner-up; every earlier
         # reach is at most that, so a plain running maximum suffices
-        before = self.best[np.arange(-1, self.m - 1)]
+        before = np.concatenate((self.best[-1:], self.best[:-1]))[:-1]
         runner_up = np.where(self.v > before, before, self.v)
         return np.concatenate((np.maximum.accumulate(runner_up), [-np.inf]))
 
@@ -407,28 +418,34 @@ class _Frontier:
         walks as if table position skip[i] were absent: the runner-up wins
         where the skipped position would have, and a bridge passes over it
         to the next position with positive extent.
+
+        Each round takes the table's reach for every walker, but a bridge
+        end only for the walkers that stall, which are few: a walk over a
+        table that covers its stretch never builds ``nxt``.
         """
         f = np.array(f, dtype=float)
         stop, end = np.full(f.shape, stop), np.full(f.shape, end)
         steps = np.zeros(f.size, dtype=np.int64)
         clean = np.ones(f.size, dtype=bool)
-        bridge_ends = np.concatenate((self.u, [np.inf]))
         walking = np.flatnonzero(f < stop)
         while walking.size:
             at = f[walking]
             pos = np.searchsorted(self.u, at, "right")
             reach = self.best[pos - 1]
-            p = self.nxt[pos]
             if skip is not None:
                 gone = skip[walking]
                 reach = np.where(self.arg[pos - 1] == gone, self.second[pos - 1], reach)
-                hit = p == gone
-                p[hit] = self.nxt[p[hit] + 1]
-            real = reach > at
-            reach = np.where(real, reach, np.minimum(bridge_ends[p], end[walking]))
+            short = np.flatnonzero(~(reach > at))
+            if short.size:
+                p = self.nxt[pos[short]]
+                if skip is not None:
+                    hit = p == gone[short]
+                    p[hit] = self.nxt[p[hit] + 1]
+                bridge_ends = np.concatenate((self.u, [np.inf]))[p]
+                reach[short] = np.minimum(bridge_ends, end[walking[short]])
+                clean[walking[short]] = False
             f[walking] = reach
             steps[walking] += 1
-            clean[walking] &= real
             walking = walking[reach < stop[walking]]
         return f, steps, clean
 
@@ -440,7 +457,7 @@ class _Frontier:
         short of min(u[i], b) on a stretch that meets [a, b).
         """
         ends = np.minimum(np.concatenate((self.u, [b])), b)
-        reach = self.best[np.arange(-1, self.m)]
+        reach = np.concatenate((self.best[-1:], self.best[:-1]))
         return not ((reach < ends) & (ends > a)).any()
 
     def winners(self, f: np.ndarray) -> np.ndarray:
@@ -747,12 +764,14 @@ def logm(
 # position that wins from there. Pointer jumping (Wyllie 1979) gives every
 # state its number of steps to b in about log2(chain length) rounds of
 # gathers, and the selection is the chain of successors from the winner
-# at a. The from-scratch count for pick t is t, plus the few steps that
-# walk past the failed interval with it removed, plus the steps to b from
-# where that walk leaves off. The mend is a walk over the never-selected
-# sensors from the pick's frontier to where the later picks resume. Both
-# walks advance every pick at once (``_Frontier.walk_all``) and end within
-# a few rounds. ``single_failure_counts`` is cross-checked against the
+# at a, read one table entry per pick: the chain visits a small share of
+# the states. The from-scratch count for pick t is t, plus the few steps
+# that walk past the failed interval with it removed, plus the steps to b
+# from where that walk leaves off. The mend is a walk over the
+# never-selected sensors from the pick's frontier to where the later picks
+# resume. Both walks advance every pick at once (``_Frontier.walk_all``),
+# end within a few rounds and compute a bridge end only for the few picks
+# whose walk stalls. ``single_failure_counts`` is cross-checked against the
 # plain ``find_gaps`` + ``logm`` + fresh ``oga_continuous`` route and
 # against the former memoized per-pick walks in the test suite.
 # --------------------------------------------------------------------------
@@ -804,9 +823,8 @@ def single_failure_counts(
     # frontier that pick t was made at
     pick = whole.winners(np.array([a])).item()
     chain = [pick]
-    links = succ.tolist()
     for _ in range(depth.item(pick)):
-        pick = links[pick]
+        pick = succ.item(pick)
         chain.append(pick)
     picks = np.array(chain)
     n_sel = picks.size

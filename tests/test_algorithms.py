@@ -269,6 +269,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SelectionResult.from_dict({"selected": [0], "trace": trace})
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(10**5000, "an integer of 5001 digits"), (-(10**400), "an integer of 401 digits")],
+        ids=["past-json", "past-floats"],
+    )
+    def test_integer_coordinates_must_be_finite_as_floats(self, value, shown):
+        """An int past the floats is refused, with its digit count, since
+        its repr may fail; one that is a finite float is written and read back."""
+        message = f"trace step 0 reach must be a finite number, got {shown}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            SelectionResult(selected_ids=(0,), trace=(SelectionStep(0, (), 0, value),))
+        kept = SelectionResult(selected_ids=(0,), trace=(SelectionStep(10**308, (), 0, 1.0),))
+        text = json.dumps(kept.to_dict())
+        read = SelectionResult.from_dict(json.loads(text))
+        assert read == kept and read.trace[0].current_target == 10**308
+
+    def test_trace_steps_must_be_steps(self):
+        message = "trace step 0 must be a SelectionStep, got {'chosen_id': 0}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            SelectionResult(selected_ids=(0,), trace=({"chosen_id": 0},))
+
     @pytest.mark.parametrize("value", ["false", 0, 1, None, [True]])
     def test_fully_covered_must_be_a_boolean(self, value):
         message = f"fully_covered must be true or false, got {value!r}"
@@ -625,6 +646,19 @@ class TestFrontierCandidates:
         for f in [9.5, 8, 6, 6, 4.5, 2, 2, 1, 0, 0, -1, 0, 0.5, 1, 2, 3, 5, 7, 9, 9.5]:
             scan = sorted(ids[i].item() for i in range(u.size) if u[i] <= f < v[i])
             assert frontier.candidates(f) == tuple(scan), f
+
+
+class TestFrontierBridges:
+    def test_walks_that_never_bridge_build_no_bridge_table(self):
+        """Two chains cover [0, 10], so every walk to 10 stays covered with
+        any one row removed: no walk computes where a bridge would end."""
+        field = table_field([(0.0, 5.0), (5.0, 10.0), (0.0, 6.0), (4.0, 10.0)], (0.0, 10.0))
+        f = np.array([0.0, 2.5, 4.0, 5.0, 7.0, 9.0])
+        for skip in (None, *(np.full(f.size, j) for j in range(4))):
+            frontier = _Frontier.over(field)
+            _, steps, clean = frontier.walk_all(f, 10.0, 10.0, skip)
+            assert clean.all() and (steps >= 1).all()
+            assert "nxt" not in frontier.__dict__
 
 
 class TestMarkovProperty:

@@ -589,6 +589,25 @@ class TestFrontierAgainstNaiveScans:
                 winners, reaches = frontier.walk(x, e)
                 assert got == [reaches[-1], len(winners), -1 not in winners]
 
+    @settings(max_examples=150, deadline=None)
+    @given(interval_tables())
+    def test_skip_walks_match_the_scalar_walk_without_the_row(self, field):
+        """``walk_all(f, e, e, skip=j)`` from every grid frontier f below
+        each stretch end e, with each position j removed in turn: the end
+        point, the steps and whether the walk never bridged are those of
+        the scalar ``walk(f, e)`` over the table without row j. The walks
+        bridge in any round, also where coverage would resume at row j."""
+        frontier = _Frontier.over(field)
+        for j in range(frontier.m):
+            rest = _Frontier.over(field, np.arange(frontier.m) != j)
+            for e in ENDPOINTS[1:]:
+                f = np.array([x for x in ENDPOINTS if x < e])
+                last, steps, clean = frontier.walk_all(f, e, e, np.full(f.size, j))
+                walks = zip(f.tolist(), last.tolist(), steps.tolist(), clean.tolist())
+                for x, *got in walks:
+                    winners, reaches = rest.walk(x, e)
+                    assert got == [reaches[-1], len(winners), -1 not in winners]
+
     @settings(max_examples=100, deadline=None)
     @given(interval_tables())
     def test_covers_means_the_walk_never_bridges(self, field):
@@ -673,10 +692,12 @@ COORDINATES = st.integers() | FINITE
 
 # values that no result holds, where one holds an id, a coordinate, a
 # flag or a span: ids past the int64 range, negative or boolean; NaN,
-# infinite, boolean or str coordinates; a flag that is not a boolean; a
-# span with a boolean, with three entries or past the floats
+# infinite, boolean, str or past-the-floats coordinates, one too long for
+# JSON; a flag that is not a boolean; a span with a boolean, with three
+# entries or past the floats
 NOT_IDS = st.integers(min_value=2**63) | st.integers(max_value=-1) | st.booleans()
-NOT_COORDINATES = st.sampled_from([math.nan, math.inf, -math.inf, True, False, "0"])
+NOT_COORDINATES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, True, False, "0", 10**5000, -(10**400)])
 NOT_FLAGS = st.sampled_from(["false", 0, 1, None])
 NOT_SPANS = (st.tuples(st.floats(), st.floats())
              | st.tuples(st.booleans(), FINITE)
@@ -735,6 +756,7 @@ class TestResultFiles:
     @example({"selected_ids": (0, 2), "virtual_spans": {2: (2.0, math.inf)}})
     @example({"selected_ids": (0,), "trace": (SelectionStep(0.0, (2**63, True), 0, 1.0),)})
     @example({"selected_ids": (0,), "trace": (SelectionStep(math.nan, (0,), 0, 1.0),)})
+    @example({"selected_ids": (0,), "trace": (SelectionStep(10**5000, (), 0, 10**308),)})
     def test_a_result_is_refused_where_it_is_made_or_reads_back(self, parts):
         """The converse of the test below: whatever the constructor
         accepts, its file reads back as the same result, but for
