@@ -2,20 +2,25 @@
 
 Sensors deployed in the plane project onto a segment [a, b] as closed
 intervals; selecting few of them so the segment stays covered (once, or k
-times, or again after failures) is what this package does:
+times, or again after failures) is what this package does. It exports
+what the README documents:
 
-* :func:`oga` / :func:`oga_continuous`: minimum-cardinality single
-  coverage of discrete targets or of the whole segment.
-* :func:`k_oga`: minimum-cardinality k-coverage.
-* :func:`find_gaps` / :func:`logm`: locate the holes opened by failed
-  sensors and mend them locally, keeping the surviving selection.
-* :func:`greedy_max_coverage`, :func:`build_barrier_graph` +
-  :func:`k_disjoint_paths`: benchmark selectors.
-* :func:`brute_force_min_kcover`: exhaustive certification oracle for
-  small fields.
-* :func:`generate` + :class:`DeploymentSpec`: seeded random deployments.
-* :func:`run_experiment` + :class:`ExperimentConfig`: reproducible
-  Monte-Carlo studies.
+* selectors: ``oga``, ``oga_continuous``, ``k_oga`` (with
+  ``augment_with_gap_sensors``), and the benchmarks
+  ``greedy_max_coverage`` and ``build_barrier_graph`` +
+  ``k_disjoint_paths`` (a ``BarrierGraph``); each returns a
+  ``SelectionResult`` whose trace holds ``SelectionStep`` records;
+* mending: ``find_gaps`` and ``logm`` (each ``Gap`` a hole), and
+  ``single_failure_counts`` for every single failure at once;
+* ``brute_force_min_kcover``: the exhaustive oracle for small fields;
+* the model: ``Sensor``, ``SensorKind``, ``SensorField``, ``TargetSet``,
+  ``discretize``, ``merge_segments``, ``complement_segments``,
+  ``coverage_fraction`` and ``ParameterError``;
+* field files: ``read_field``, ``write_field``, ``read_sensors`` and
+  ``write_sensors``;
+* ``generate`` + ``DeploymentSpec``, seeded by ``child_seed``, and
+  ``run_experiment`` + ``ExperimentConfig``, with ``default_config`` for
+  each name in ``EXPERIMENTS``: seeded deployments and studies.
 """
 
 from .algorithms import (
@@ -31,23 +36,18 @@ from .algorithms import (
     single_failure_counts,
 )
 from .baselines import (
-    LEFT,
-    RIGHT,
     BarrierGraph,
-    InstanceTooLargeError,
     brute_force_min_kcover,
     build_barrier_graph,
     greedy_max_coverage,
     k_disjoint_paths,
 )
 from .deployment import (
-    DeploymentKind,
     DeploymentSpec,
     child_seed,
     generate,
 )
 from .fieldio import (
-    FieldFormatError,
     read_field,
     read_sensors,
     write_field,
@@ -56,16 +56,11 @@ from .fieldio import (
 from .harness import (
     EXPERIMENTS,
     ExperimentConfig,
-    ExperimentReport,
-    curve_intersection,
     default_config,
-    prefix_coverage,
     run_experiment,
 )
 from .model import (
-    Domain,
     ParameterError,
-    Poses,
     Sensor,
     SensorField,
     SensorKind,
@@ -80,19 +75,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BarrierGraph",
-    "DeploymentKind",
     "DeploymentSpec",
-    "Domain",
     "EXPERIMENTS",
     "ExperimentConfig",
-    "ExperimentReport",
-    "FieldFormatError",
     "Gap",
-    "InstanceTooLargeError",
-    "LEFT",
     "ParameterError",
-    "Poses",
-    "RIGHT",
     "SelectionResult",
     "SelectionStep",
     "Sensor",
@@ -105,7 +92,6 @@ __all__ = [
     "child_seed",
     "complement_segments",
     "coverage_fraction",
-    "curve_intersection",
     "default_config",
     "discretize",
     "find_gaps",
@@ -117,7 +103,6 @@ __all__ = [
     "merge_segments",
     "oga",
     "oga_continuous",
-    "prefix_coverage",
     "read_field",
     "read_sensors",
     "run_experiment",

@@ -340,6 +340,22 @@ def _free_ids(first: int, count: int) -> int:
     return first
 
 
+def _result(
+    selected: Sequence[int],
+    virtual_spans: dict[int, tuple[float, float]],
+    steps: Sequence[SelectionStep] = (),
+    comparisons: int = 0,
+) -> SelectionResult:
+    """A selector's result, fully covered only when no virtual sensor was needed."""
+    return SelectionResult(
+        selected_ids=tuple(selected),
+        virtual_spans=virtual_spans,
+        trace=tuple(steps),
+        fully_covered=not virtual_spans,
+        comparisons=comparisons,
+    )
+
+
 class _Frontier:
     """The frontier rule over one interval table sorted by u.
 
@@ -530,13 +546,7 @@ def _cover(
             if sid not in chosen:
                 selected.append(sid)
                 chosen.add(sid)
-    return SelectionResult(
-        selected_ids=tuple(selected),
-        virtual_spans=virtual_spans,
-        trace=tuple(steps),
-        fully_covered=not virtual_spans,
-        comparisons=comparisons,
-    )
+    return _result(selected, virtual_spans, steps, comparisons)
 
 
 def k_oga(
@@ -640,13 +650,7 @@ def k_oga(
         for sid in selected
         if sid >= base
     }
-    return SelectionResult(
-        selected_ids=tuple(selected),
-        virtual_spans=virtual_spans,
-        trace=tuple(steps),
-        fully_covered=not virtual_spans,
-        comparisons=comparisons,
-    )
+    return _result(selected, virtual_spans, steps, comparisons)
 
 
 def oga(

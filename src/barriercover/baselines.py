@@ -34,6 +34,7 @@ import numpy as np
 
 from .model import (
     Domain,
+    ParameterError,
     SensorField,
     TargetSet,
     _count,
@@ -41,14 +42,10 @@ from .model import (
     _target_spans,
     _targets,
 )
-from .algorithms import SelectionResult, SelectionStep, _free_ids
+from .algorithms import SelectionResult, SelectionStep, _free_ids, _result
 
 LEFT = -1
 RIGHT = -2
-
-
-class InstanceTooLargeError(ValueError):
-    """The exhaustive oracle refuses instances it cannot enumerate."""
 
 
 def greedy_max_coverage(
@@ -207,11 +204,7 @@ def _k_paths(graph: BarrierGraph, paths: list[np.ndarray], k: int) -> SelectionR
     a, b = graph.domain
     first = _free_ids(graph.first_free_id, k - len(paths))
     virtual_spans = {vid: (a, b) for vid in range(first, first + k - len(paths))}
-    return SelectionResult(
-        selected_ids=tuple(selected) + tuple(virtual_spans),
-        virtual_spans=virtual_spans,
-        fully_covered=not virtual_spans,
-    )
+    return _result(selected + list(virtual_spans), virtual_spans)
 
 
 def k_disjoint_paths(graph: BarrierGraph, k: int) -> SelectionResult:
@@ -248,9 +241,7 @@ def brute_force_min_kcover(
     targets = _targets(targets, field.domain)
     n = field.ids.size
     if n > 20:
-        raise InstanceTooLargeError(
-            f"exhaustive enumeration capped at 20 sensors, got {n}"
-        )
+        raise ParameterError(f"exhaustive enumeration capped at 20 sensors, got {n}")
     full = (1 << len(targets)) - 1
     first, last = _target_spans(field.us, field.vs, targets.xs)
     masks = [

@@ -83,7 +83,8 @@ def _read_result(path: str, field: SensorField) -> SelectionResult:
 
     def parse(data: dict) -> SelectionResult:
         result = SelectionResult.from_dict(data)
-        held = [vid for vid in result.virtual_spans if field.span_of(vid) is not None]
+        ledger = list(result.virtual_spans)
+        held = [vid for vid, row in zip(ledger, field._rows_of(ledger).tolist()) if row >= 0]
         if held:
             raise ValueError(f"virtual sensor {held[0]} is a real sensor of the field")
         return result

@@ -68,11 +68,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ParameterError(
-                f"unknown experiment {self.experiment!r}; "
-                f"expected one of {', '.join(EXPERIMENTS)}"
-            )
+        _experiment(self.experiment)
         for name in ("sweep", "k_values"):
             values = tuple(_count(f"{name} entry", x, 1) for x in getattr(self, name))
             if not values:
@@ -402,7 +398,7 @@ def _multi_gap_rows(config: ExperimentConfig, m: int, outcomes: list) -> list[di
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every realization of every sweep value, then reduce each
     value's outcomes into its report rows."""
-    worker, reduce = _EXPERIMENTS[config.experiment][:2]
+    worker, reduce = _experiment(config.experiment)[:2]
     per = config.realizations
     start = time.perf_counter()
     tasks = [(config, x, r) for x in config.sweep for r in range(per)]
@@ -469,14 +465,18 @@ _EXPERIMENTS = {
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
+def _experiment(name: str) -> tuple:
+    """The ``_EXPERIMENTS`` row of ``name``, or a ParameterError naming the choices."""
+    if name not in EXPERIMENTS:
+        raise ParameterError(
+            f"unknown experiment {name!r}; expected one of {', '.join(EXPERIMENTS)}"
+        )
+    return _EXPERIMENTS[name]
+
+
 def default_config(experiment: str) -> ExperimentConfig:
     """The stock configuration for each experiment."""
-    if experiment not in _EXPERIMENTS:
-        raise ParameterError(
-            f"unknown experiment {experiment!r}; "
-            f"expected one of {', '.join(EXPERIMENTS)}"
-        )
-    _worker, _reduce, deployment, sweep, realizations = _EXPERIMENTS[experiment]
+    _worker, _reduce, deployment, sweep, realizations = _experiment(experiment)
     return ExperimentConfig(
         experiment=experiment,
         deployment=deployment,

@@ -13,7 +13,6 @@ from barriercover.algorithms import oga, oga_continuous
 from barriercover.baselines import (
     LEFT,
     RIGHT,
-    InstanceTooLargeError,
     _gap_free_path,
     brute_force_min_kcover,
     build_barrier_graph,
@@ -422,7 +421,7 @@ class TestBruteForceOracle:
     def test_cap_at_twenty_sensors(self):
         pairs = [(float(i), float(i) + 1.5) for i in range(21)]
         field = make_field(pairs, domain=(0.0, 22.0))
-        with pytest.raises(InstanceTooLargeError) as err:
+        with pytest.raises(ParameterError) as err:
             brute_force_min_kcover(field, TargetSet((5.0,)), 1)
         assert "capped at 20 sensors, got 21" in str(err.value)
         assert isinstance(err.value, ValueError)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import barriercover
 from barriercover import baselines, cli
 from barriercover.algorithms import _Frontier
 from barriercover.cli import main
@@ -466,6 +468,11 @@ class TestDiagnostics:
                 "virtual sensor 2 is a real sensor of the field",
             ),
             (
+                '{"selected": [0, 3, 2], "virtual": [2, 3],'
+                ' "virtual_spans": {"3": [15.0, 16.0], "2": [15.0, 16.0]}}',
+                "virtual sensor 3 is a real sensor of the field",
+            ),
+            (
                 '{"selected": [0, 1], "count": 99}',
                 "count must be 2, the number of selected ids, got 99",
             ),
@@ -544,6 +551,7 @@ class TestDiagnostics:
             "virtual-not-selected",
             "span-not-virtual",
             "virtual-is-real",
+            "first-real-in-ledger-order",
             "wrong-count",
             "chosen-not-selected",
             "selected-not-a-list",
@@ -818,6 +826,29 @@ class TestDiagnostics:
         monkeypatch.chdir(tmp_path)
         commands = self.run_commands(capsys, session.split("```")[0])
         assert [argv[0] for argv in commands] == ["gen", "cover", "mend", "experiment"]
+
+    def test_package_exports_only_what_the_readme_names(self):
+        text = README.read_text(encoding="utf-8")
+        fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+        spans = fence.findall(text) + re.findall(r"`([^`]+)`", fence.sub("", text))
+        named = {word for span in spans for word in re.findall(r"\w+", span)}
+        public = [name for name in barriercover.__all__ if not name.startswith("__")]
+        assert [name for name in public if name not in named] == []
+        for name in public:
+            getattr(barriercover, name)
+
+    def test_readme_quick_start_runs(self, capsys):
+        text = README.read_text(encoding="utf-8")
+        code = text.split("## Library quick start\n\n```python\n")[1].split("```")[0]
+        exec(code, {})
+        header, *steps = capsys.readouterr().out.splitlines()
+        assert header == "17 True"
+        steps = [step.split() for step in steps]
+        assert len(steps) == 17
+        # each step starts where the one before reached, from a to b
+        frontiers = [f for f, _chosen, _reach in steps] + ["200.0"]
+        assert frontiers[0] == "0.0"
+        assert [reach for _f, _chosen, reach in steps] == frontiers[1:]
 
 
 class TestConsoleScript:

@@ -52,12 +52,20 @@ class TestExperimentConfig:
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
     def test_rejects_unknown_experiment(self):
-        with pytest.raises(ParameterError):
+        message = (
+            "unknown experiment 'teleport'; expected one of coverage_curve, "
+            "intersection_sweep, k_barrier, single_failure, multi_gap"
+        )
+        with pytest.raises(ParameterError) as err:
             ExperimentConfig(
                 experiment="teleport",
                 deployment=DeploymentSpec(n=5, width=10.0),
                 sweep=(5,),
             )
+        assert str(err.value) == message
+        with pytest.raises(ParameterError) as err:
+            default_config("teleport")
+        assert str(err.value) == message
 
     def test_rejects_bad_sweep(self):
         dep = DeploymentSpec(n=5, width=10.0)

@@ -23,13 +23,12 @@ from hypothesis import strategies as st
 from barriercover import (
     DeploymentSpec,
     ParameterError,
-    Poses,
     Sensor,
     SensorField,
     generate,
     oga_continuous,
 )
-from barriercover.model import _canonical_order
+from barriercover.model import Poses, _canonical_order
 from conftest import bits, oracle_check_sensor, oracle_generate, oracle_table
 
 DOMAIN = (0.0, 100.0)
