@@ -124,9 +124,9 @@ def test_vectorized_build_equals_scalar_path(large_field):
         field = large_field if spec is LARGE else generate(spec)
         us, vs, ids = zip(*oracle_table(oracle_generate(spec), field.domain))
         if (field.ids.tolist(), bits(field.us), bits(field.vs)) != (list(ids), bits(us), bits(vs)):
-            faults.append(f"{spec.kind.value} fov {spec.fov} at n = {spec.n} differs from the scalar path")
+            faults.append(f"{spec.kind} fov {spec.fov} at n = {spec.n} differs from the scalar path")
         if _first_fault(_pose_rules(field.poses)) is not None:
-            faults.append(f"{spec.kind.value} fov {spec.fov} at n = {spec.n} breaks a pose rule")
+            faults.append(f"{spec.kind} fov {spec.fov} at n = {spec.n} breaks a pose rule")
     assert not faults, "; ".join(faults)
 
 

@@ -13,9 +13,10 @@ what the README documents:
 * mending: ``find_gaps`` and ``logm`` (each ``Gap`` a hole), and
   ``single_failure_counts`` for every single failure at once;
 * ``brute_force_min_kcover``: the exhaustive oracle for small fields;
-* the model: ``Sensor``, ``SensorKind``, ``SensorField``, ``TargetSet``,
-  ``discretize``, ``merge_segments``, ``complement_segments``,
-  ``coverage_fraction`` and ``ParameterError``;
+* the model: ``Sensor`` (its kind the string ``"omni"`` or
+  ``"directional"``), ``SensorField``, ``TargetSet``, ``discretize``,
+  ``merge_segments``, ``complement_segments``, ``coverage_fraction`` and
+  ``ParameterError``;
 * field files: ``read_field``, ``write_field``, ``read_sensors`` and
   ``write_sensors``;
 * ``generate`` + ``DeploymentSpec``, seeded by ``child_seed``, and
@@ -63,7 +64,6 @@ from .model import (
     ParameterError,
     Sensor,
     SensorField,
-    SensorKind,
     TargetSet,
     complement_segments,
     coverage_fraction,
@@ -84,7 +84,6 @@ __all__ = [
     "SelectionStep",
     "Sensor",
     "SensorField",
-    "SensorKind",
     "TargetSet",
     "augment_with_gap_sensors",
     "brute_force_min_kcover",

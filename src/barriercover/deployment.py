@@ -19,23 +19,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from enum import Enum
 
 import numpy as np
 
-from .model import ParameterError, Poses, SensorField, SensorKind, _count
+from .model import ParameterError, Poses, SensorField, _count, _sensor_kind
 
 RNG_ALGORITHM = "numpy-pcg64"
-
-
-class DeploymentKind(str, Enum):
-    LINE = "line"
-    POISSON = "poisson"
-
-    @classmethod
-    def _missing_(cls, value):
-        """Coercing anything but a kind or its value is a parameter error."""
-        raise ParameterError(f"unknown deployment kind {value!r}")
 
 
 def child_seed(*parts: int) -> int:
@@ -48,6 +37,10 @@ def child_seed(*parts: int) -> int:
 class DeploymentSpec:
     """Parameters of one random deployment.
 
+    ``kind`` is the string ``"line"`` or ``"poisson"`` and ``sensor_kind``
+    ``"omni"`` or ``"directional"`` (``_sensor_kind``); each is kept as a
+    plain ``str``, and anything else is a ``ParameterError``.
+
     Projections read only x, radius, fov and direction, so redrawing y, or
     changing ``line_sigma`` or ``strip_height``, leaves every interval
     bit-identical.
@@ -56,16 +49,19 @@ class DeploymentSpec:
     n: int
     width: float
     strip_height: float = 10.0
-    kind: DeploymentKind = DeploymentKind.LINE
+    kind: str = "line"
     line_sigma: float = 10.0
     radius: float = 10.0
     fov: float = 90.0
-    sensor_kind: SensorKind = SensorKind.DIRECTIONAL
+    sensor_kind: str = "directional"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", DeploymentKind(self.kind))
-        object.__setattr__(self, "sensor_kind", SensorKind(self.sensor_kind))
+        kind = self.kind
+        if not (isinstance(kind, str) and kind in ("line", "poisson")):
+            raise ParameterError(f"unknown deployment kind {kind!r}")
+        object.__setattr__(self, "kind", str(kind))
+        object.__setattr__(self, "sensor_kind", _sensor_kind(self.sensor_kind))
         for name in ("n", "seed"):
             object.__setattr__(self, name, _count(name, getattr(self, name), 0))
         for name in ("width", "strip_height", "line_sigma", "radius", "fov"):
@@ -87,7 +83,7 @@ class DeploymentSpec:
             raise ParameterError(f"line_sigma must be >= 0, got {self.line_sigma}")
         if not self.radius > 0:
             raise ParameterError(f"radius must be > 0, got {self.radius}")
-        if self.sensor_kind is SensorKind.DIRECTIONAL and (
+        if self.sensor_kind == "directional" and (
             self.fov is None or not 0 < self.fov <= 360
         ):
             raise ParameterError(f"fov must be in (0, 360], got {self.fov}")
@@ -100,11 +96,11 @@ class DeploymentSpec:
             "n": self.n,
             "width": self.width,
             "strip_height": self.strip_height,
-            "kind": self.kind.value,
+            "kind": self.kind,
             "line_sigma": self.line_sigma,
             "radius": self.radius,
             "fov": self.fov,
-            "sensor_kind": self.sensor_kind.value,
+            "sensor_kind": self.sensor_kind,
             "seed": self.seed,
         }
 
@@ -133,14 +129,14 @@ def generate(spec: DeploymentSpec) -> SensorField:
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     xs = rng.uniform(0.0, spec.width, n)
-    if spec.kind is DeploymentKind.LINE:
+    if spec.kind == "line":
         ys = rng.normal(0.0, spec.line_sigma, n)
     else:
         ys = rng.uniform(0.0, spec.strip_height, n)
     bad = np.flatnonzero(~np.isfinite(ys))
     if bad.size:
         raise ParameterError(f"y must be finite, got {ys.item(bad[0])}")
-    directional = spec.sensor_kind is SensorKind.DIRECTIONAL
+    directional = spec.sensor_kind == "directional"
     if directional:
         fov, direction = spec.fov, rng.uniform(0.0, 360.0, n)
     else:

@@ -90,6 +90,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise TypeError(f"experiment config must be a JSON object, got {data!r}")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ParameterError(f"unknown experiment fields: {sorted(unknown)}")

@@ -29,8 +29,11 @@ read-only, sorted float64 array ``xs``; target sets, like fields,
 compare by identity.
 
 Each input rule has one gate: ``_segment`` for a covered segment,
-``_count`` for whole numbers, ``_ids`` for sensor ids, ``_targets`` for
-target sets inside a field's domain and ``_failed`` for failed sensor ids.
+``_intervals`` for interval ends given as columns (a field's constructor
+and the three segment functions), ``_sensor_kind`` for a sensor kind
+(``Poses.of`` and ``DeploymentSpec``), ``_count`` for whole numbers,
+``_ids`` for sensor ids, ``_targets`` for target sets inside a field's
+domain and ``_failed`` for failed sensor ids.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import numbers
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property, reduce
 from typing import NamedTuple
 
@@ -53,14 +55,12 @@ class ParameterError(ValueError):
     """An operation was called with arguments that violate its contract."""
 
 
-class SensorKind(str, Enum):
-    OMNI = "omni"
-    DIRECTIONAL = "directional"
-
-    @classmethod
-    def _missing_(cls, value):
-        """Coercing anything but a kind or its value is a parameter error."""
-        raise ParameterError(f"unknown sensor kind {value!r}")
+def _sensor_kind(kind) -> str:
+    """A sensor kind, ``"omni"`` or ``"directional"``, as a plain str: a
+    str subclass such as ``np.str_`` is taken, an array is not."""
+    if isinstance(kind, str) and kind in ("omni", "directional"):
+        return str(kind)
+    raise ParameterError(f"unknown sensor kind {kind!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,14 +73,15 @@ class Sensor:
     either side of ``direction`` (measured counterclockwise from the +x
     axis).
 
-    A plain slotted record that checks nothing: a field built from a bad
-    sensor, or a file written from one, refuses it. ``kind`` may be its
-    value. It has no ``__dict__`` and takes no new attributes, which keeps
-    the records of a large field small.
+    ``kind`` is the string ``"omni"`` or ``"directional"``. A plain
+    slotted record that checks nothing: a field built from a bad sensor,
+    or a file written from one, refuses it. It has no ``__dict__`` and
+    takes no new attributes, which keeps the records of a large field
+    small.
     """
 
     id: int
-    kind: SensorKind = SensorKind.OMNI
+    kind: str = "omni"
     position: tuple[float, float] | None = None
     radius: float | None = None
     fov: float | None = None
@@ -88,7 +89,7 @@ class Sensor:
 
     @classmethod
     def omni(cls, sensor_id: int, x: float, y: float, radius: float) -> "Sensor":
-        return cls(id=sensor_id, kind=SensorKind.OMNI, position=(x, y), radius=radius)
+        return cls(id=sensor_id, kind="omni", position=(x, y), radius=radius)
 
     @classmethod
     def directional(
@@ -102,7 +103,7 @@ class Sensor:
     ) -> "Sensor":
         return cls(
             id=sensor_id,
-            kind=SensorKind.DIRECTIONAL,
+            kind="directional",
             position=(x, y),
             radius=radius,
             fov=fov,
@@ -130,7 +131,7 @@ class Poses(NamedTuple):
         sensors = list(sensors)
         for sensor in sensors:
             _check_record(sensor)
-        directional = [s.kind == SensorKind.DIRECTIONAL for s in sensors]
+        directional = [s.kind == "directional" for s in sensors]
         nan = math.nan
         return cls(
             _id_column([s.id for s in sensors]),
@@ -161,14 +162,14 @@ class Poses(NamedTuple):
 
 def _check_record(sensor: Sensor) -> None:
     """Refuse only what a pose column cannot hold: an id that is not an
-    integer, an unknown kind, a position that is missing or not a pair,
-    fov or direction on an omni sensor, and a value that is not a number. The ``is`` tests spare
-    the slower tests behind them."""
-    sensor_id, kind = sensor.id, sensor.kind
+    integer, a kind that ``_sensor_kind`` refuses, a position that is
+    missing or not a pair, fov or direction on an omni sensor, and a value
+    that is not a number. The ``is`` tests spare the slower tests behind
+    them."""
+    sensor_id = sensor.id
     if not _is_integer(sensor_id):
         raise ParameterError(f"id must be an integer, got {sensor_id!r}")
-    if kind is not SensorKind.OMNI and kind is not SensorKind.DIRECTIONAL:
-        kind = SensorKind(kind)
+    kind = _sensor_kind(sensor.kind)
     if sensor.position is None:
         raise ParameterError("sensors need a position")
     try:
@@ -178,7 +179,7 @@ def _check_record(sensor: Sensor) -> None:
             f"position must be a pair (x, y), got {sensor.position!r}"
         ) from None
     radius, fov, direction = sensor.radius, sensor.fov, sensor.direction
-    if kind is SensorKind.OMNI:
+    if kind == "omni":
         if fov is not None or direction is not None:
             raise ParameterError("fov/direction apply to directional sensors only")
         fov = direction = 0.0  # nothing left to check in them
@@ -341,6 +342,26 @@ def _segment(domain: Domain) -> Domain:
     return a, b
 
 
+def _intervals(us, vs) -> tuple[np.ndarray, np.ndarray]:
+    """Closed intervals [us[i], vs[i]] as two float columns of one length,
+    each with u <= v and finite ends; a fault names the first bad row."""
+    us = np.asarray(us, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    if us.size != vs.size:
+        raise ParameterError(f"us and vs need one length, got {us.size} and {vs.size}")
+    for bad, rule in (
+        (~(us <= vs), "u <= v"),
+        (np.isinf(us) | np.isinf(vs), "finite ends"),
+    ):
+        bad = np.flatnonzero(bad)
+        if bad.size:
+            i = bad[0]
+            raise ParameterError(
+                f"interval needs {rule}, got [{us[i].item()}, {vs[i].item()}]"
+            )
+    return us, vs
+
+
 def _count(name: str, value, minimum: int) -> int:
     """An integral value, never a bool, of at least ``minimum``, as an int."""
     if not _is_integer(value):
@@ -474,19 +495,7 @@ class SensorField:
             raise ParameterError(
                 f"us, vs and ids need one length, got {us.size}, {vs.size} and {ids.size}"
             )
-        bad = np.flatnonzero(~(us <= vs))
-        if bad.size:
-            i = bad[0]
-            raise ParameterError(
-                f"interval needs u <= v, got [{us[i].item()}, {vs[i].item()}]"
-            )
-        bad = np.flatnonzero(np.isinf(us) | np.isinf(vs))
-        if bad.size:
-            i = bad[0]
-            raise ParameterError(
-                f"interval needs finite ends, got [{us[i].item()}, {vs[i].item()}]"
-            )
-        self._place(us, vs, ids, domain, Poses.of(()))
+        self._place(*_intervals(us, vs), ids, domain, Poses.of(()))
 
     @classmethod
     def _trusted(cls, us, vs, ids, domain: Domain, poses: Poses) -> "SensorField":
@@ -616,15 +625,18 @@ def _first_max(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def merge_segments(us, vs) -> tuple[np.ndarray, np.ndarray]:
-    """Union of closed segments [us[i], vs[i]] as the starts and ends of
-    sorted, disjoint closed blocks.
+    """Union of closed segments [us[i], vs[i]] (``_intervals``) as the
+    starts and ends of sorted, disjoint closed blocks.
 
     Touching segments merge: [0, 4] and [4, 8] become [0, 8]. In (u, v)
     order, a segment starts a block when it begins past the furthest end
     so far.
     """
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
+    return _merge(*_intervals(us, vs))
+
+
+def _merge(us: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``merge_segments`` of float columns that meet ``_intervals``."""
     order = np.lexsort((vs, us))
     us, vs = us[order], vs[order]
     if not us.size:
@@ -636,8 +648,8 @@ def merge_segments(us, vs) -> tuple[np.ndarray, np.ndarray]:
 
 def complement_segments(us, vs, domain: Domain) -> tuple[np.ndarray, np.ndarray]:
     """Starts and ends of the maximal positive-length stretches of [a, b]
-    not covered by the union of the segments."""
-    a, b = domain
+    (``_segment``) not covered by the union of the segments."""
+    a, b = _segment(domain)
     us, vs = merge_segments(us, vs)
     meets = (vs >= a) & (us <= b)
     us, vs, _ = _clip(us[meets], vs[meets], domain)
@@ -651,8 +663,6 @@ def complement_segments(us, vs, domain: Domain) -> tuple[np.ndarray, np.ndarray]
 def coverage_fraction(us, vs, domain: Domain) -> float:
     """Fraction of [a, b] covered by the union of the segments."""
     a, b = _segment(domain)
-    us, vs, kept = _clip(
-        np.asarray(us, dtype=float), np.asarray(vs, dtype=float), domain
-    )
-    us, vs = merge_segments(us[kept], vs[kept])
+    us, vs, kept = _clip(*_intervals(us, vs), domain)
+    us, vs = _merge(us[kept], vs[kept])
     return _sum((vs - us).tolist()) / (b - a)

@@ -18,14 +18,12 @@ import numpy as np
 
 from barriercover.algorithms import SelectionResult, SelectionStep, _Frontier
 from barriercover.baselines import LEFT, RIGHT
-from barriercover.deployment import DeploymentKind
 from barriercover.fieldio import FieldFormatError
 from barriercover.model import (
     Domain,
     ParameterError,
     Sensor,
     SensorField,
-    SensorKind,
     TargetSet,
     discretize,
 )
@@ -107,7 +105,7 @@ def oracle_project(sensor):
     """
     x, _y = sensor.position
     r = sensor.radius
-    if sensor.kind is SensorKind.OMNI:
+    if sensor.kind == "omni":
         return x - r, x + r
     half = sensor.fov / 2.0
     xs = [x]
@@ -145,11 +143,11 @@ def oracle_generate(spec):
     """The sensors of ``generate(spec)``, drawn and built one at a time."""
     rng = np.random.default_rng(spec.seed)
     xs = rng.uniform(0.0, spec.width, spec.n)
-    if spec.kind is DeploymentKind.LINE:
+    if spec.kind == "line":
         ys = rng.normal(0.0, spec.line_sigma, spec.n)
     else:
         ys = rng.uniform(0.0, spec.strip_height, spec.n)
-    if spec.sensor_kind is SensorKind.OMNI:
+    if spec.sensor_kind == "omni":
         return [
             Sensor.omni(i, float(xs[i]), float(ys[i]), spec.radius)
             for i in range(spec.n)
@@ -715,7 +713,7 @@ def oracle_check_sensor(sensor: Sensor) -> None:
         raise ParameterError(f"{name} must be finite, got {value}")
     if sensor.radius is None or not sensor.radius > 0:
         raise ParameterError(f"radius must be > 0, got {sensor.radius}")
-    if sensor.kind is SensorKind.DIRECTIONAL:
+    if sensor.kind == "directional":
         if sensor.fov is None or not 0 < sensor.fov <= 360:
             raise ParameterError(f"fov must be in (0, 360], got {sensor.fov}")
         if sensor.direction is None or not 0 <= sensor.direction < 360:
@@ -728,8 +726,8 @@ def oracle_check_sensor(sensor: Sensor) -> None:
 
 _ORACLE_REQUIRED = ("id", "kind", "x", "y", "radius")
 _ORACLE_NUMBERS = {
-    SensorKind.OMNI: ("x", "y", "radius"),
-    SensorKind.DIRECTIONAL: ("x", "y", "radius", "fov", "direction"),
+    "omni": ("x", "y", "radius"),
+    "directional": ("x", "y", "radius", "fov", "direction"),
 }
 
 
@@ -743,13 +741,12 @@ def _oracle_sensor_from_obj(obj: dict, line_no: int) -> Sensor:
     unknown = sorted(set(obj) - known)
     if unknown:
         raise FieldFormatError(line_no, f"unknown fields: {unknown}")
-    try:
-        kind = SensorKind(obj["kind"])
-    except ValueError:
+    kind = obj["kind"]
+    if kind not in ("omni", "directional"):
         raise FieldFormatError(
-            line_no, f"kind must be 'omni' or 'directional', got {obj['kind']!r}"
-        ) from None
-    if kind is SensorKind.DIRECTIONAL:
+            line_no, f"kind must be 'omni' or 'directional', got {kind!r}"
+        )
+    if kind == "directional":
         if "fov" not in obj or "direction" not in obj:
             raise FieldFormatError(
                 line_no, "directional sensors need fov and direction"
@@ -767,7 +764,7 @@ def _oracle_sensor_from_obj(obj: dict, line_no: int) -> Sensor:
     if not all(map(math.isfinite, nums)):
         key, value = next(kv for kv in zip(keys, nums) if not math.isfinite(kv[1]))
         raise FieldFormatError(line_no, f"{key} must be finite, got {value}")
-    if kind is SensorKind.DIRECTIONAL:
+    if kind == "directional":
         sensor = Sensor.directional(sensor_id, *nums)
     else:
         sensor = Sensor.omni(sensor_id, *nums)
@@ -807,12 +804,12 @@ def oracle_read_field(path, domain) -> SensorField:
 def _oracle_sensor_to_obj(sensor: Sensor) -> dict:
     obj = {
         "id": sensor.id,
-        "kind": sensor.kind.value,
+        "kind": sensor.kind,
         "x": sensor.position[0],
         "y": sensor.position[1],
         "radius": sensor.radius,
     }
-    if sensor.kind is SensorKind.DIRECTIONAL:
+    if sensor.kind == "directional":
         obj["fov"] = sensor.fov
         obj["direction"] = sensor.direction
     return obj

@@ -35,7 +35,7 @@ from barriercover.harness import (
     prefix_coverage,
     run_experiment,
 )
-from barriercover.model import ParameterError, discretize
+from barriercover.model import ParameterError, SensorField, discretize
 from conftest import ENDPOINTS, make_field, oracle_single_failure_counts, table_field
 
 
@@ -96,6 +96,17 @@ class TestExperimentConfig:
         data = default_config("k_barrier").to_dict()
         data["burnin"] = 3
         with pytest.raises(ParameterError):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "data", ["abc", None, [["experiment", "k_barrier"]], 3],
+        ids=["str", "none", "list", "int"],
+    )
+    def test_rejects_a_non_object(self, data):
+        # a string's letters once read as unknown fields, and None failed
+        # on iteration
+        message = f"experiment config must be a JSON object, got {data!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_dict(data)
 
     def test_defaults_exist_for_every_experiment(self):
@@ -363,6 +374,124 @@ def failure_tables(draw):
 # one double past 1.0, and the smallest subnormal
 AFTER_1 = math.nextafter(1.0, 2.0)
 TINY = 5e-324
+
+
+def meets_a_gap(u, v, gaps) -> bool:
+    """Whether the closed span [u, v] meets the open inside of a gap."""
+    return any(u < g.v and v > g.u for g in gaps)
+
+
+def mend_outline(result, previous):
+    """A mend's selection, ledger and trace, with the virtual ids it minted
+    named by their order of appearance; real ids and the ids it kept from
+    ``previous`` stay as they are."""
+    minted = [sid for sid in result.virtual_ids if sid not in previous.selected_ids]
+    rename = {sid: ("virtual", i) for i, sid in enumerate(minted)}.get
+    return (
+        [rename(sid, sid) for sid in result.selected_ids],
+        {rename(sid, sid): span for sid, span in result.virtual_spans.items()},
+        [
+            (s.current_target, s.candidate_ids, rename(s.chosen_id, s.chosen_id), s.reach)
+            for s in result.trace
+        ],
+        result.fully_covered,
+    )
+
+
+def assert_local(field, failed, dropped, added):
+    """``logm`` mends the failure of ``failed`` alike on the field, on the
+    field without the rows of ``dropped`` and on the field with the rows
+    ``added`` (u, v, id). Each of those rows must be far: never selected,
+    meeting no gap. In each mend, the virtual ids are the next free ids.
+    Returns the gaps as (u, v) pairs."""
+    previous = oga_continuous(field, field.domain)
+    gaps = find_gaps(previous, failed, field, field.domain)
+    rows = list(zip(field.us.tolist(), field.vs.tolist(), field.ids.tolist()))
+    for u, v, sid in [r for r in rows if r[2] in dropped] + list(added):
+        assert sid not in previous.selected_ids and not meets_a_gap(u, v, gaps)
+    kept = [r for r in rows if r[2] not in dropped]
+    outlines = []
+    for table in (rows, kept, rows + list(added)):
+        us, vs, ids = zip(*table) if table else ((), (), ())
+        variant = SensorField(us, vs, ids, field.domain)
+        mend = logm(previous, gaps, variant, field.domain, failed)
+        first = max([variant.max_id, *previous.selected_ids]) + 1
+        minted = [sid for sid in mend.virtual_ids if sid not in previous.selected_ids]
+        assert minted == list(range(first, first + len(minted)))
+        outlines.append(mend_outline(mend, previous))
+    assert outlines[1] == outlines[0]
+    assert outlines[2] == outlines[0]
+    return [(g.u, g.v) for g in gaps]
+
+
+class TestLogmIsLocal:
+    """A mend depends only on the rows that meet a gap: the never-selected
+    rows that meet none can be dropped or added without changing its
+    selection, ledger spans or trace. Virtual ids are the exception: they
+    are minted past every id in use, so only their order is compared."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(failure_tables(), st.data())
+    def test_far_rows_leave_the_mend_alone(self, field, data):
+        previous = oga_continuous(field, field.domain)
+        failed = data.draw(
+            st.lists(st.sampled_from(previous.selected_ids), min_size=1, max_size=3, unique=True)
+        )
+        gaps = find_gaps(previous, failed, field, field.domain)
+        far = [
+            sid
+            for u, v, sid in zip(field.us.tolist(), field.vs.tolist(), field.ids.tolist())
+            if sid not in previous.selected_ids and not meets_a_gap(u, v, gaps)
+        ]
+        dropped = data.draw(st.sets(st.sampled_from(far))) if far else set()
+        spans = [(u, v) for u in ENDPOINTS for v in ENDPOINTS if u <= v]
+        spans = [(u, v) for u, v in spans if not meets_a_gap(u, v, gaps)]
+        taken = {*field.ids.tolist(), *previous.selected_ids}
+        free = [sid for sid in range(max(taken, default=0) + 8) if sid not in taken]
+        added = data.draw(
+            st.lists(st.tuples(st.sampled_from(spans), st.sampled_from(free)),
+                     max_size=4, unique_by=lambda row: row[1])
+        )
+        assert_local(field, failed, dropped, [(u, v, sid) for (u, v), sid in added])
+
+    def test_gaps_at_both_domain_ends(self):
+        # the first and last of picks 0, 1, 2 fail; [8, 10] is bridged
+        field = table_field(
+            [(0.0, 3.0), (2.0, 8.0), (7.0, 10.0), (0.0, 2.5), (4.0, 6.0), (9.0, 10.0)],
+            (0.0, 10.0),
+        )
+        gaps = assert_local(field, [0, 2], {4}, [(3.0, 7.0, 6), (2.0, 2.0, 7), (8.0, 8.0, 8)])
+        assert gaps == [(0.0, 2.0), (8.0, 10.0)]
+
+    def test_adjacent_gaps_merge(self):
+        # the holes of picks 1 and 2 touch and make one gap
+        field = table_field(
+            [(0.0, 3.0), (2.0, 6.0), (5.0, 8.0), (7.0, 10.0), (0.0, 1.0),
+             (8.0, 9.5), (3.5, 6.5)],
+            (0.0, 10.0),
+        )
+        gaps = assert_local(field, [1, 2], {4, 5}, [(0.0, 3.0, 7), (7.0, 10.0, 8)])
+        assert gaps == [(3.0, 7.0)]
+
+    def test_a_cover_that_starts_at_the_gap_end(self):
+        # pick 1 fails and opens [4, 6], which nothing unselected meets:
+        # the bridge ends at 6, the start of row 3, and also once row 3 is
+        # dropped and row 4, which starts later, is the next start
+        field = table_field(
+            [(0.0, 4.0), (3.0, 7.0), (6.0, 10.0), (6.0, 9.0), (6.5, 9.5)],
+            (0.0, 10.0),
+        )
+        assert assert_local(field, [1], {3}, [(6.0, 8.0, 5)]) == [(4.0, 6.0)]
+        assert_local(field, [1], {3, 4}, [(8.0, 10.0, 5)])
+
+    def test_zero_length_rows_at_the_gap_start(self):
+        # rows 3 and 4 lie at the gap's start; row 5 meets the gap
+        field = table_field(
+            [(0.0, 4.0), (3.0, 7.0), (6.0, 10.0), (4.0, 4.0), (4.0, 4.0), (5.0, 8.0)],
+            (0.0, 10.0),
+        )
+        gaps = assert_local(field, [1], {3, 4}, [(4.0, 4.0, 6), (2.0, 4.0, 9)])
+        assert gaps == [(4.0, 6.0)]
 
 
 class TestSingleFailureCounts:

@@ -176,7 +176,7 @@ class TestKernelMatchesScalarPath:
             for radius in (0.5, 10.0)
             for seed in (0, 1)
         ],
-        ids=lambda spec: f"{spec.kind.value}-{spec.sensor_kind.value}"
+        ids=lambda spec: f"{spec.kind}-{spec.sensor_kind}"
         f"-fov{spec.fov}-r{spec.radius}-seed{spec.seed}",
     )
     def test_generated_fields_match_per_sensor_path(self, spec):
@@ -380,7 +380,7 @@ class TestCrossingLines:
 
     @pytest.mark.parametrize(
         "spec, axis", CERTIFIED,
-        ids=lambda v: f"{v.kind.value}-{v.sensor_kind.value}-fov{v.fov}-seed{v.seed}"
+        ids=lambda v: f"{v.kind}-{v.sensor_kind}-fov{v.fov}-seed{v.seed}"
         if isinstance(v, DeploymentSpec) else ("axis" if v else "drawn"),
     )
     def test_every_crossing_line_meets_a_selected_sector(self, spec, axis):

@@ -30,7 +30,6 @@ from barriercover.model import (
     Poses,
     Sensor,
     SensorField,
-    SensorKind,
     TargetSet,
     complement_segments,
     coverage_fraction,
@@ -62,12 +61,12 @@ class TestSensorValidation:
 
     def test_omni_constructor(self):
         s = Sensor.omni(3, 5.0, 1.0, 2.0)
-        assert s.kind is SensorKind.OMNI
+        assert s.kind == "omni"
         assert (s.id, s.position, s.radius) == (3, (5.0, 1.0), 2.0)
 
     def test_directional_constructor(self):
         s = Sensor.directional(0, 1.0, 0.0, 3.0, fov=90.0, direction=45.0)
-        assert s.kind is SensorKind.DIRECTIONAL
+        assert s.kind == "directional"
         assert (s.fov, s.direction) == (90.0, 45.0)
 
     def test_a_record_is_slotted_and_round_trips(self):
@@ -119,10 +118,19 @@ class TestSensorValidation:
             sensor = Sensor.directional(0, 0.0, 0.0, 1.0, fov=fov, direction=0.0)
             assert build_error(sensor) == f"fov must be in (0, 360], got {fov}"
 
+    def test_kind_is_one_of_two_strings(self):
+        # a str subclass is a kind; a one-element array, equal to its
+        # string under ``==``, is not
+        field = SensorField.build([Sensor(0, np.str_("omni"), (1.0, 0.0), 1.0)], DOMAIN)
+        assert type(field.sensors[0].kind) is str
+        for kind in (np.array(["omni"]), "OMNI", None, 0):
+            sensor = Sensor(0, kind, (1.0, 0.0), 1.0)
+            assert build_error(sensor) == f"unknown sensor kind {kind!r}"
+
     def test_directional_requires_fov_and_direction(self):
         sensor = Sensor(
             id=0,
-            kind=SensorKind.DIRECTIONAL,
+            kind="directional",
             position=(0.0, 0.0),
             radius=1.0,
         )
@@ -473,6 +481,51 @@ class TestSegments:
         holes = complement_segments([-5.0, 8.0], [2.0, 20.0], (0.0, 10.0))
         assert pairs(*holes) == [(2.0, 8.0)]
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: merge_segments([5.0], [1.0]), "interval needs u <= v, got [5.0, 1.0]"),
+            (
+                lambda: complement_segments([5.0], [1.0], (0, 10)),
+                "interval needs u <= v, got [5.0, 1.0]",
+            ),
+            (
+                lambda: coverage_fraction([math.nan], [5.0], (0, 10)),
+                "interval needs u <= v, got [nan, 5.0]",
+            ),
+            (
+                lambda: merge_segments([1.0, 2.0], [3.0, math.inf]),
+                "interval needs finite ends, got [2.0, inf]",
+            ),
+            (
+                lambda: coverage_fraction([0.0, -math.inf], [1.0, 3.0], (0, 10)),
+                "interval needs finite ends, got [-inf, 3.0]",
+            ),
+            (
+                lambda: merge_segments([1.0, 2.0], [3.0]),
+                "us and vs need one length, got 2 and 1",
+            ),
+            (
+                lambda: complement_segments([1.0], [2.0, 3.0], (0, 10)),
+                "us and vs need one length, got 1 and 2",
+            ),
+            (
+                lambda: complement_segments([1.0], [2.0], (5.0, 0.0)),
+                "domain needs a < b, got [5.0, 0.0]",
+            ),
+        ],
+        ids=[
+            "merge-reversed", "complement-reversed", "fraction-nan",
+            "merge-inf", "fraction-inf", "merge-lengths", "complement-lengths",
+            "complement-domain",
+        ],
+    )
+    def test_segments_pass_the_interval_gate(self, call, message):
+        """The segment functions refuse what a field's constructor refuses,
+        with its messages, and take a covered segment through ``_segment``."""
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            call()
+
 
 class TestCoverageFraction:
     def test_half_covered(self):
@@ -509,6 +562,7 @@ class TestInputGates:
             single_failure_counts,
             build_barrier_graph,
             lambda field, domain: coverage_fraction(field.us, field.vs, domain),
+            lambda field, domain: complement_segments(field.us, field.vs, domain),
             lambda field, domain: find_gaps(
                 oga_continuous(field, field.domain), [], field, domain
             ),
@@ -516,7 +570,8 @@ class TestInputGates:
         ],
         ids=[
             "oga_continuous", "logm", "single_failure_counts",
-            "build_barrier_graph", "coverage_fraction", "find_gaps", "discretize",
+            "build_barrier_graph", "coverage_fraction", "complement_segments",
+            "find_gaps", "discretize",
         ],
     )
     def test_a_covered_segment_is_bounded(self, select):
